@@ -43,28 +43,6 @@ from .synth import (
 
 NA = "NA"
 
-COLUMNS = (
-    "seed",
-    "method",
-    "iso_rot_deg",
-    "aniso_z_deg",
-    "aniso_y_deg",
-    "aniso_x_deg",
-    "trans_l1",
-    "trans_l2",
-    "chamfer",
-    "mean_point_dist",
-    "augmented_loss",
-    "divergence",
-    "max_col_distance",
-    "max_col_angle_deg",
-    "det_g_normalized",
-    "fallback_count",
-)
-
-# Numeric columns, in schema order, used for the aggregate rows.
-_NUMERIC_COLUMNS = COLUMNS[2:]
-
 METHODS = ("kabsch", "refined", "icp")
 
 GRADCHECK_TOL = 1e-5
@@ -127,6 +105,13 @@ class TrialRecord:
     max_col_angle_deg: object = None
     det_g_normalized: object = None
     fallback_count: object = None
+
+
+# CSV columns, in schema order: the TrialRecord fields.
+COLUMNS = tuple(f.name for f in fields(TrialRecord))
+
+# Numeric columns, in schema order, used for the aggregate rows.
+_NUMERIC_COLUMNS = COLUMNS[2:]
 
 
 def _base_cloud(config, rng):

@@ -37,7 +37,8 @@ CONSTRAINT_PAIRS = ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2))
 
 
 class SingularSystem(Exception):
-    """KKT matrix condition estimate exceeds the solvable limit."""
+    """KKT matrix condition estimate exceeds the solvable limit, or the solve
+    returned a candidate that violates the column-norm lower bound."""
 
 
 class CollinearColumns(Exception):
@@ -105,7 +106,7 @@ class CandidateMatrix:
 
     When produced by solve_kkt at a valid linearization point, every column
     has norm >= 1 - 1e-9 and columns 1, 2 are not collinear; hand-constructed
-    instances need not satisfy that, so it is asserted at the solver, not here.
+    instances need not satisfy that, so it is checked at the solver, not here.
     """
 
     m: np.ndarray
@@ -214,7 +215,8 @@ def solve_kkt(system):
     Raises
     ------
     SingularSystem
-        If the 2-norm condition estimate exceeds 1e12.
+        If the 2-norm condition estimate exceeds 1e12, or a candidate column
+        norm falls below 1 - 1e-9.
     """
     k_full = system.matrix()
     rhs = system.rhs()
@@ -227,7 +229,8 @@ def solve_kkt(system):
     # Lower bound proved for solutions at a valid linearization point; a
     # violation here means the solve itself went wrong.
     norms = np.linalg.norm(candidate.m, axis=0)
-    assert np.all(norms >= 1.0 - COLUMN_NORM_SLACK), f"candidate column norms {norms}"
+    if not np.all(norms >= 1.0 - COLUMN_NORM_SLACK):
+        raise SingularSystem(f"candidate column norms {norms} below 1 - {COLUMN_NORM_SLACK:.0e}")
     return candidate, lambdas
 
 

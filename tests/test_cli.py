@@ -1,6 +1,12 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import rigid_refine
 from rigid_refine.cli import (
     ComparisonTable,
     ConfigError,
@@ -127,6 +133,10 @@ def test_config_value_errors_become_config_errors():
         config_from_entries({**base, "problem.rot_range_deg": "1,2;3,4"})
     with pytest.raises(ConfigError):
         config_from_entries({**base, "problem.noise_sigma": "-0.1"})
+    with pytest.raises(ConfigError):
+        config_from_entries({**base, "problem.noise_sigma": "nan"})
+    with pytest.raises(ConfigError):
+        config_from_entries({**base, "problem.noise_clamp": "nan"})
 
 
 def test_experiment_config_validation():
@@ -469,3 +479,20 @@ def test_main_gradcheck_passes(capsys):
 def test_main_gradcheck_rejects_tiny_cloud(capsys):
     assert main(["gradcheck", "--n-points", "2"]) == 1
     capsys.readouterr()
+
+
+def test_python_dash_m_runs_the_cli_without_warnings():
+    # -W error turns a runpy RuntimeWarning into a failing exit.
+    package_root = str(pathlib.Path(rigid_refine.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "rigid_refine", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "usage: rigid-refine" in result.stdout
+    assert result.stderr == ""

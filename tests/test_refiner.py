@@ -7,6 +7,7 @@ from rigid_refine import (
     CandidateMatrix,
     CollinearColumns,
     CorrespondenceSet,
+    KktSystem,
     PointCloud,
     RigidTransform,
     Rotation,
@@ -24,6 +25,7 @@ from rigid_refine import (
     refine,
     solve_kkt,
 )
+from rigid_refine import refiner
 from rigid_refine.refiner import CONSTRAINT_BASES, CONSTRAINT_PAIRS
 
 from conftest import random_problem, random_rotation
@@ -247,6 +249,28 @@ def test_solve_kkt_column_norm_bound():
         r_prev = estimate_pose_kabsch(corr).rotation
         candidate, _ = solve_kkt(assemble_kkt(center(corr), r_prev))
         assert np.linalg.norm(candidate.m, axis=0).min() >= 1.0 - 1e-9
+
+
+def zero_rhs_system(seed):
+    # A well-conditioned KKT matrix with a zero right-hand side: the solution
+    # is the zero candidate, whose column norms break the lower bound.
+    corr, _ = random_problem(seed=seed, n=8)
+    system = assemble_kkt(center(corr), estimate_pose_kabsch(corr).rotation)
+    return KktSystem(system.a, system.b, np.zeros(9), np.zeros(6))
+
+
+def test_solve_kkt_column_norm_violation_raises_singular():
+    with pytest.raises(SingularSystem, match="column norms"):
+        solve_kkt(zero_rhs_system(710))
+
+
+def test_refine_falls_back_on_column_norm_violation(monkeypatch):
+    corr, _ = random_problem(seed=711, n=8)
+    init = estimate_pose_kabsch(corr)
+    monkeypatch.setattr(refiner, "assemble_kkt", lambda centered, r_prev: zero_rhs_system(711))
+    trace = refine(corr, init, 2)
+    assert trace.fallback_count == 2
+    assert all(pose is init for pose in trace.poses)
 
 
 def test_solve_kkt_singular_on_collinear_source():

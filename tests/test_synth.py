@@ -35,6 +35,10 @@ def test_problem_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(n_points=8, noise_clamp=-0.1)
     with pytest.raises(ValueError):
+        ProblemSpec(n_points=8, noise_sigma=float("nan"))
+    with pytest.raises(ValueError):
+        ProblemSpec(n_points=8, noise_clamp=float("nan"))
+    with pytest.raises(ValueError):
         ProblemSpec(n_points=8, crop_keep_fraction=0.0)
     with pytest.raises(ValueError):
         ProblemSpec(n_points=8, crop_keep_fraction=1.5)

@@ -9,13 +9,13 @@ serialized in trial order, so thread count never changes output bytes.
 """
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.stats import binomtest
 
 from .core import PointCloud, RigidTransform, center
 from .diagnostics import divergence_report
@@ -83,6 +83,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown cloud kind {self.cloud!r}")
         if self.cloud_points < 0:
             raise ConfigError("cloud_points must be >= 0")
+        if not (math.isfinite(self.slab_thickness) and self.slab_thickness >= 0.0):
+            raise ConfigError(f"slab_thickness must be finite and >= 0, got {self.slab_thickness!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,6 +298,9 @@ class ComparisonTable:
 
         Ties are dropped from the binomial test; p-value is two-sided.
         """
+        # Imported here: scipy.stats is slow to import and only this needs it.
+        from scipy.stats import binomtest
+
         diff = self.metrics[metric][j] - self.metrics[metric][0]
         finite = diff[np.isfinite(diff)]
         wins = int(np.sum(finite < 0))
@@ -426,28 +431,34 @@ def _parse_ranges(value, key):
     raise ConfigError(f"{key} must be 'lo,hi' or three ';'-separated pairs")
 
 
+def _plain(convert):
+    """Adapt a one-argument converter to the (value, key) signature."""
+    return lambda value, key: convert(value)
+
+
+# Config key -> (field, converter); every converter is called as (value, key).
 _PROBLEM_KEYS = {
-    "problem.n_points": ("n_points", int),
+    "problem.n_points": ("n_points", _plain(int)),
     "problem.rot_range_deg": ("rot_range_deg", _parse_ranges),
     "problem.trans_range": ("trans_range", _parse_ranges),
-    "problem.noise_sigma": ("noise_sigma", float),
-    "problem.noise_clamp": ("noise_clamp", float),
-    "problem.crop_keep_fraction": ("crop_keep_fraction", float),
+    "problem.noise_sigma": ("noise_sigma", _plain(float)),
+    "problem.noise_clamp": ("noise_clamp", _plain(float)),
+    "problem.crop_keep_fraction": ("crop_keep_fraction", _plain(float)),
     "problem.independent_resample": ("independent_resample", _parse_bool),
-    "problem.seed": ("seed", int),
+    "problem.seed": ("seed", _plain(int)),
 }
 
 _EXPERIMENT_KEYS = {
-    "method": ("method", str),
-    "refinements": ("refinements", int),
-    "trials": ("trials", int),
-    "output_path": ("output_path", str),
+    "method": ("method", _plain(str)),
+    "refinements": ("refinements", _plain(int)),
+    "trials": ("trials", _plain(int)),
+    "output_path": ("output_path", _plain(str)),
     "report_diagnostics": ("report_diagnostics", _parse_bool),
-    "problem.cloud": ("cloud", str),
-    "problem.cloud_points": ("cloud_points", int),
-    "problem.slab_thickness": ("slab_thickness", float),
-    "icp.max_iters": ("icp_max_iters", int),
-    "icp.tol": ("icp_tol", float),
+    "problem.cloud": ("cloud", _plain(str)),
+    "problem.cloud_points": ("cloud_points", _plain(int)),
+    "problem.slab_thickness": ("slab_thickness", _plain(float)),
+    "icp.max_iters": ("icp_max_iters", _plain(int)),
+    "icp.tol": ("icp_tol", _plain(float)),
 }
 
 
@@ -471,7 +482,7 @@ def config_from_entries(entries):
         else:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            target[field] = convert(value, key) if convert in (_parse_bool, _parse_ranges) else convert(value)
+            target[field] = convert(value, key)
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:

@@ -206,34 +206,37 @@ def make_problem(spec, base_cloud, rng):
 
 
 def ball_cloud(n, rng):
-    """n points uniform in the unit ball (4 draws per point: 3 normals + 1 uniform)."""
-    pts = np.empty((n, 3))
-    for i in range(n):
-        direction = rng.unit_vector()
-        radius = rng.random() ** (1.0 / 3.0)
-        pts[i] = direction * radius
-    return PointCloud(pts)
+    """n points uniform in the unit ball (4 draws per point: 3 normals + 1 uniform).
+
+    Point i is unit direction i (rng.unit_vectors, whose redraws come before
+    the radius draw) times the cube root of its uniform draw. All 4n draws
+    are taken in one batch; the cube root is Python's float ``**`` per value,
+    which np.cbrt / np.power do not reproduce bit for bit.
+    """
+    directions, u = rng.unit_vectors(n, extra=1)
+    third = 1.0 / 3.0
+    radius = np.array([x**third for x in u[:, 0].tolist()])
+    return PointCloud(directions * radius[:, None])
 
 
 def sphere_cloud(n, rng):
-    """n points uniform on the unit sphere (3 draws per point)."""
-    return PointCloud(np.array([rng.unit_vector() for _ in range(n)]))
+    """n points uniform on the unit sphere (3 draws per point, plus 3 per redraw)."""
+    return PointCloud(rng.unit_vectors(n)[0])
 
 
 def slab_cloud(n, rng, thickness=1e-3):
     """n points uniform in a near-planar slab [-1,1]^2 x [-thickness/2, thickness/2].
 
-    3 draws per point (x, y, z). Deliberately provokes the divergent regime:
-    the target Gram matrix becomes nearly rank-2 as thickness -> 0.
+    3 draws per point (x, y, z), taken in one batch. Deliberately provokes the
+    divergent regime: the target Gram matrix becomes nearly rank-2 as
+    thickness -> 0.
     """
-    if thickness < 0.0:
-        raise ValueError("thickness must be >= 0")
-    pts = np.empty((n, 3))
-    for i in range(n):
-        pts[i, 0] = rng.uniform(-1.0, 1.0)
-        pts[i, 1] = rng.uniform(-1.0, 1.0)
-        pts[i, 2] = rng.uniform(-thickness / 2.0, thickness / 2.0)
-    return PointCloud(pts)
+    # Written so that NaN fails too: NaN comparisons are false.
+    if not 0.0 <= thickness < np.inf:
+        raise ValueError("thickness must be finite and >= 0")
+    low = np.array([-1.0, -1.0, -thickness / 2.0])
+    high = np.array([1.0, 1.0, thickness / 2.0])
+    return PointCloud(low + (high - low) * rng.uniforms(3 * n).reshape(n, 3))
 
 
 def matching_cost(src, tgt, pose):

@@ -1,0 +1,133 @@
+"""One-draw-at-a-time reference for the batched RNG and cloud generators.
+
+ScalarXoshiro256PlusPlus is the generator as it was before batching: every
+draw runs the xoshiro256++ recurrence through one method call, and every
+vector method loops over single draws. The cloud functions are the matching
+per-point loops. The library's batched versions must reproduce their bytes
+and leave the generator in the same state.
+
+Two constants are lifted to module names so tests can tighten them and force
+the rare resample paths: NORM_FLOOR (a Gaussian triple at or below it is
+redrawn) and rejection_limit(n) (integer draws at or above it are redrawn).
+"""
+
+import numpy as np
+from scipy.special import ndtri
+
+from rigid_refine import PointCloud
+from rigid_refine.rng import _splitmix64
+
+_MASK = (1 << 64) - 1
+
+NORM_FLOOR = 1e-12
+
+
+def rejection_limit(n):
+    return ((1 << 64) // n) * n
+
+
+def _rotl(x, k):
+    return ((x << k) | (x >> (64 - k))) & _MASK
+
+
+class ScalarXoshiro256PlusPlus:
+    """Seedable xoshiro256++ stream, one draw per call."""
+
+    def __init__(self, seed):
+        state = int(seed) & _MASK
+        words = []
+        for _ in range(4):
+            state, word = _splitmix64(state)
+            words.append(word)
+        if not any(words):  # all-zero state is the one forbidden state
+            words[0] = 1
+        self._s = words
+
+    def next_uint64(self):
+        """One raw 64-bit draw (consumes 1 draw)."""
+        s = self._s
+        result = (_rotl((s[0] + s[3]) & _MASK, 23) + s[0]) & _MASK
+        t = (s[1] << 17) & _MASK
+        s[2] ^= s[0]
+        s[3] ^= s[1]
+        s[1] ^= s[2]
+        s[0] ^= s[3]
+        s[2] ^= t
+        s[3] = _rotl(s[3], 45)
+        return result
+
+    def random(self):
+        """Uniform double in [0, 1) (1 draw)."""
+        return (self.next_uint64() >> 11) * 2.0**-53
+
+    def random_open(self):
+        """Uniform double in (0, 1) (1 draw); safe for inverse-CDF transforms."""
+        return ((self.next_uint64() >> 11) + 0.5) * 2.0**-53
+
+    def uniform(self, low, high):
+        """Uniform double in [low, high) (1 draw)."""
+        return low + (high - low) * self.random()
+
+    def uniforms(self, n, low=0.0, high=1.0):
+        """n uniform doubles, in draw order (n draws)."""
+        return np.array([self.uniform(low, high) for _ in range(n)])
+
+    def normals(self, n, sigma=1.0):
+        """n Gaussian deviates N(0, sigma^2) via inverse CDF (n draws)."""
+        u = np.array([self.random_open() for _ in range(n)])
+        return sigma * ndtri(u)
+
+    def integer_below(self, n):
+        """Unbiased integer in [0, n) by rejection (>= 1 draw; retries are rare)."""
+        if n <= 0:
+            raise ValueError("n must be positive")
+        limit = rejection_limit(n)
+        while True:
+            u = self.next_uint64()
+            if u < limit:
+                return u % n
+
+    def shuffled_prefix(self, n, k):
+        """First k entries of a Fisher-Yates shuffle of range(n) (k draws typically)."""
+        if not 0 <= k <= n:
+            raise ValueError("need 0 <= k <= n")
+        idx = np.arange(n)
+        for i in range(k):
+            j = i + self.integer_below(n - i)
+            idx[i], idx[j] = idx[j], idx[i]
+        return idx[:k].copy()
+
+    def unit_vector(self):
+        """Isotropic unit 3-vector from 3 Gaussian draws (3 draws per attempt)."""
+        while True:
+            v = self.normals(3)
+            norm = np.linalg.norm(v)
+            if norm > NORM_FLOOR:
+                return v / norm
+
+
+def ball_cloud(n, rng):
+    """n points uniform in the unit ball (4 draws per point: 3 normals + 1 uniform)."""
+    pts = np.empty((n, 3))
+    for i in range(n):
+        direction = rng.unit_vector()
+        radius = rng.random() ** (1.0 / 3.0)
+        pts[i] = direction * radius
+    return PointCloud(pts)
+
+
+def sphere_cloud(n, rng):
+    """n points uniform on the unit sphere (3 draws per point)."""
+    return PointCloud(np.array([rng.unit_vector() for _ in range(n)]))
+
+
+def slab_cloud(n, rng, thickness=1e-3):
+    """n points uniform in [-1,1]^2 x [-thickness/2, thickness/2] (3 draws per point)."""
+    if thickness < 0.0:
+        raise ValueError("thickness must be >= 0")
+    pts = np.empty((n, 3))
+    for i in range(n):
+        pts[i, 0] = rng.uniform(-1.0, 1.0)
+        pts[i, 1] = rng.uniform(-1.0, 1.0)
+        pts[i, 2] = rng.uniform(-thickness / 2.0, thickness / 2.0)
+    return PointCloud(pts)

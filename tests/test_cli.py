@@ -151,6 +151,9 @@ def test_experiment_config_validation():
         ExperimentConfig(problem=spec, method="kabsch", cloud="torus")
     with pytest.raises(ConfigError):
         ExperimentConfig(problem=spec, method="kabsch", cloud_points=-1)
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(problem=spec, method="kabsch", slab_thickness=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -481,18 +484,39 @@ def test_main_gradcheck_rejects_tiny_cloud(capsys):
     capsys.readouterr()
 
 
-def test_python_dash_m_runs_the_cli_without_warnings():
-    # -W error turns a runpy RuntimeWarning into a failing exit.
+@pytest.mark.parametrize("thickness", ["nan", "inf", "-1"])
+def test_main_rejects_bad_slab_thickness(tmp_path, capsys, thickness):
+    config_path = tmp_path / "exp.cfg"
+    write_config(config_path, extra=f"problem.cloud = slab\nproblem.slab_thickness = {thickness}\n")
+    assert main(["run", "--config", str(config_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "slab_thickness" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports this checkout's rigid_refine."""
     package_root = str(pathlib.Path(rigid_refine.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "rigid_refine", "--help"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats is imported lazily, by the compare sign test only.
+    result = run_python(
+        "-c", "import sys, rigid_refine; print('scipy.stats' in sys.modules)"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_python_dash_m_runs_the_cli_without_warnings():
+    # -W error turns a runpy RuntimeWarning into a failing exit.
+    result = run_python("-W", "error", "-m", "rigid_refine", "--help")
     assert result.returncode == 0, result.stderr
     assert "usage: rigid-refine" in result.stdout
     assert result.stderr == ""

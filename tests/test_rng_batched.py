@@ -1,0 +1,155 @@
+"""Batched RNG draws against the one-draw-at-a-time oracle: bytes and state.
+
+Every batched generator must return the bytes of tests/rng_oracle.py and
+leave the stream where the oracle leaves it, including on the rare resample
+paths (forced here by tightening the oracle's and the library's limits
+together) and against digests frozen before batching.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import rng_oracle
+from rigid_refine import ball_cloud, slab_cloud, sphere_cloud
+from rigid_refine import rng as rng_module
+from rigid_refine.rng import Xoshiro256PlusPlus
+
+SEEDS = range(200)
+SIZES = (1, 2, 32, 717, 1024, 1434)
+
+
+def pair(seed):
+    return Xoshiro256PlusPlus(seed), rng_oracle.ScalarXoshiro256PlusPlus(seed)
+
+
+def same_bytes_and_state(got, want, rng, oracle):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert rng._s == oracle._s
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_streams_match_oracle(n):
+    for seed in SEEDS:
+        rng, oracle = pair(seed)
+        got = rng.next_uint64s(n)
+        want = np.array([oracle.next_uint64() for _ in range(n)], dtype=np.uint64)
+        same_bytes_and_state(got, want, rng, oracle)
+        same_bytes_and_state(rng.uniforms(n), oracle.uniforms(n), rng, oracle)
+        same_bytes_and_state(rng.uniforms(n, -2.0, 0.7), oracle.uniforms(n, -2.0, 0.7), rng, oracle)
+        same_bytes_and_state(rng.normals(n), oracle.normals(n), rng, oracle)
+        same_bytes_and_state(rng.normals(n, sigma=0.01), oracle.normals(n, sigma=0.01), rng, oracle)
+        assert rng.next_uint64() == oracle.next_uint64()
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_clouds_match_oracle(n):
+    for seed in SEEDS:
+        rng, oracle = pair(seed)
+        for batched, scalar in (
+            (ball_cloud, rng_oracle.ball_cloud),
+            (sphere_cloud, rng_oracle.sphere_cloud),
+            (slab_cloud, rng_oracle.slab_cloud),
+        ):
+            same_bytes_and_state(batched(n, rng).points, scalar(n, oracle).points, rng, oracle)
+        thin = slab_cloud(n, rng, thickness=0.37).points
+        same_bytes_and_state(thin, rng_oracle.slab_cloud(n, oracle, thickness=0.37).points, rng, oracle)
+
+
+def test_shuffle_and_unit_vector_match_oracle():
+    for seed in SEEDS:
+        rng, oracle = pair(seed)
+        for n, k in ((1, 1), (2, 1), (32, 32), (1434, 1434), (3000, 1434), (5, 0)):
+            same_bytes_and_state(rng.shuffled_prefix(n, k), oracle.shuffled_prefix(n, k), rng, oracle)
+        same_bytes_and_state(rng.unit_vector(), oracle.unit_vector(), rng, oracle)
+        assert rng.integer_below(7) == oracle.integer_below(7)
+        assert rng._s == oracle._s
+
+
+def stream_position(seed, state, limit):
+    """Number of draws after which a fresh stream of `seed` reaches `state`."""
+    fresh = Xoshiro256PlusPlus(seed)
+    for count in range(limit + 1):
+        if fresh._s == state:
+            return count
+        fresh.next_uint64()
+    raise AssertionError("state not reached")
+
+
+def test_norm_redraws_match_oracle(monkeypatch):
+    # With a floor of 1, about one Gaussian triple in five is redrawn, so
+    # every cloud below takes many redraws, some back to back.
+    monkeypatch.setattr(rng_module, "_NORM_FLOOR", 1.0)
+    monkeypatch.setattr(rng_oracle, "NORM_FLOOR", 1.0)
+    for seed in range(40):
+        for n in (1, 2, 32, 717):
+            rng, oracle = pair(seed)
+            same_bytes_and_state(ball_cloud(n, rng).points, rng_oracle.ball_cloud(n, oracle).points, rng, oracle)
+            same_bytes_and_state(sphere_cloud(n, rng).points, rng_oracle.sphere_cloud(n, oracle).points, rng, oracle)
+            same_bytes_and_state(rng.unit_vector(), oracle.unit_vector(), rng, oracle)
+    rng = Xoshiro256PlusPlus(0)
+    ball_cloud(717, rng)
+    assert stream_position(0, rng._s, 10000) > 4 * 717
+
+
+def test_integer_rejections_match_oracle(monkeypatch):
+    # Accept only draws below about 2^62: three draws in four are rejected.
+    monkeypatch.setattr(rng_oracle, "rejection_limit", lambda n: ((1 << 62) // n) * n)
+    monkeypatch.setattr(
+        rng_module,
+        "_largest_accepted",
+        lambda bounds: (np.uint64(1 << 62) // bounds) * bounds - np.uint64(1),
+    )
+    for seed in range(40):
+        rng, oracle = pair(seed)
+        for n, k in ((1, 1), (2, 2), (32, 32), (1434, 1434), (3000, 717)):
+            same_bytes_and_state(rng.shuffled_prefix(n, k), oracle.shuffled_prefix(n, k), rng, oracle)
+        assert rng.integer_below(1000) == oracle.integer_below(1000)
+        assert rng._s == oracle._s
+    rng = Xoshiro256PlusPlus(0)
+    rng.shuffled_prefix(32, 32)
+    assert stream_position(0, rng._s, 1000) > 32
+
+
+def digest(array):
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+def test_golden_digests():
+    # Frozen from the one-draw-at-a-time implementation.
+    X = Xoshiro256PlusPlus
+    assert digest(ball_cloud(1024, X(0)).points) == (
+        "a3ae5732d97b3b7be5bd262e950c85e97435c4a4e9bf074e262c02f17d0b748a"
+    )
+    assert digest(sphere_cloud(717, X(1)).points) == (
+        "a829e47794c1547db40ef284980ed88eb2ffd680219ff39d4c948f95b82ae660"
+    )
+    assert digest(slab_cloud(64, X(2)).points) == (
+        "f949eca870e847fba19d4d75894feed5a321a6c01611b0a8dd64d80858f33f26"
+    )
+    assert digest(X(3).normals(3072, sigma=0.01)) == (
+        "b050ba57dc18a6703e24cd2f256fab0b1533df8b9111babab094a61d5c7acd93"
+    )
+    assert digest(X(4).shuffled_prefix(1434, 1434).astype("<i8")) == (
+        "06cd234c9472000f7f93bbcd9fa331a9a2f5cf25e9e2252f33f6fcbd634ae649"
+    )
+    assert digest(X(5).uniforms(1000, -2.0, 3.0)) == (
+        "0127021c23f646198958187954e46928cb2736d8f39e579aa7661bbd1231acf9"
+    )
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_slab_cloud_rejects_bad_thickness(bad):
+    with pytest.raises(ValueError, match="thickness"):
+        slab_cloud(8, Xoshiro256PlusPlus(0), thickness=bad)
+
+
+def test_integer_below_range_check():
+    rng = Xoshiro256PlusPlus(0)
+    for bad in (0, -3, 1 << 64):
+        with pytest.raises(ValueError):
+            rng.integer_below(bad)
+    assert rng._s == Xoshiro256PlusPlus(0)._s
+    assert rng.integer_below((1 << 64) - 1) < (1 << 64) - 1

@@ -9,7 +9,6 @@ serialized in trial order, so thread count never changes output bytes.
 """
 
 import argparse
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -31,6 +30,7 @@ from .metrics import augmented_loss, chamfer_distance, mean_point_distance, rota
 from .refiner import DEFAULT_REFINEMENTS, refine
 from .rng import Xoshiro256PlusPlus
 from .synth import (
+    SLAB_EXTENT,
     CropOverlapUnsatisfied,
     InsufficientPoints,
     ProblemSpec,
@@ -83,8 +83,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown cloud kind {self.cloud!r}")
         if self.cloud_points < 0:
             raise ConfigError("cloud_points must be >= 0")
-        if not (math.isfinite(self.slab_thickness) and self.slab_thickness >= 0.0):
-            raise ConfigError(f"slab_thickness must be finite and >= 0, got {self.slab_thickness!r}")
+        # Thicker than its in-plane extent, a slab is no longer thin; it also
+        # keeps overflow-scale values away from the centering arithmetic.
+        if not 0.0 <= self.slab_thickness <= SLAB_EXTENT:
+            raise ConfigError(
+                f"slab_thickness must be in [0, {SLAB_EXTENT}], got {self.slab_thickness!r}"
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,14 @@ from scipy.linalg import lu_factor, lu_solve
 from . import so3
 from .core import CorrespondenceSet, center
 from .kabsch import cross_covariance, kabsch_rotation
-from .refiner import assemble_kkt, assemble_rotation, solve_kkt
+from .refiner import (
+    CandidateMatrix,
+    _step_factors,
+    _tangent_step,
+    assemble_kkt,
+    assemble_rotation,
+    solve_kkt,
+)
 
 # Minimum gap between adjacent singular values of the cross-covariance for
 # the SVD-estimator finite differences to be meaningful (data is unit-ball
@@ -101,10 +108,15 @@ def unflatten_inputs(x, n):
 
 
 def refine_step_outputs(x, n, r_prev):
-    """One refinement step as a flat map: raw inputs -> (vec R, t), 12-vector."""
+    """One refinement step as a flat map: raw inputs -> (vec R, t), 12-vector.
+
+    Runs the closed-form step that `refine` runs, so finite differences of it
+    check the implicit-differentiation Jacobian of the 15x15 system against
+    an independent derivation.
+    """
     cc = center(unflatten_inputs(x, n))
-    candidate, _ = solve_kkt(assemble_kkt(cc, r_prev))
-    rotation = assemble_rotation(candidate)
+    candidate, _ = _tangent_step(r_prev.m, _step_factors(cc))
+    rotation = assemble_rotation(CandidateMatrix(candidate))
     translation = cc.target_mean - rotation.m @ cc.source_mean
     return np.concatenate([rotation.m.reshape(9, order="F"), translation])
 
@@ -200,27 +212,26 @@ def jacobian_refine_step(centered, r_prev):
 
     m = 7 * n
     eye = np.eye(3)
-    rhs = np.zeros((15, m))
-    # Build d(rhs)/d(input) one column at a time. Thanks to the weighted
-    # centered sums vanishing, mean-shift terms cancel and each input touches
-    # only its own point's outer products:
+    # d(rhs)/d(input), one column per input. Thanks to the weighted centered
+    # sums vanishing, mean-shift terms cancel and each input touches only its
+    # own point's outer products:
     #   source (j,a): dS = w_j (e_a s_j^T + s_j e_a^T), dF = w_j t_j e_a^T
     #   target (j,a): dS = 0,                            dF = w_j e_a s_j^T
     #   weight  j   : dS = s_j s_j^T,                    dF = t_j s_j^T
-    # and the stationarity rows get vec(dF - R' dS).
-    for j in range(n):
-        s_j = s_pts[j]
-        t_j = t_pts[j]
-        w_j = w[j]
-        for a in range(3):
-            e_a = eye[a]
-            d_s = w_j * (np.outer(e_a, s_j) + np.outer(s_j, e_a))
-            d_f = w_j * np.outer(t_j, e_a)
-            rhs[:9, 3 * j + a] = (d_f - cand @ d_s).reshape(9, order="F")
-            rhs[:9, 3 * n + 3 * j + a] = (w_j * np.outer(e_a, s_j)).reshape(9, order="F")
-        d_s = np.outer(s_j, s_j)
-        d_f = np.outer(t_j, s_j)
-        rhs[:9, 6 * n + j] = (d_f - cand @ d_s).reshape(9, order="F")
+    # and the stationarity rows get vec(dF - R' dS). With r_j = t_j - R' s_j
+    # these are w_j (r_j e_a^T - R'[:, a] s_j^T), w_j e_a s_j^T and r_j s_j^T.
+    # Blocks are indexed [point, input axis, column p, row q] so that the
+    # trailing (p, q) flattens to the column-major vec index 3p + q.
+    r_pts = t_pts - s_pts @ cand.T
+    d_source = np.einsum("j,pa,jq->japq", w, eye, r_pts) - np.einsum(
+        "j,qa,jp->japq", w, cand, s_pts
+    )
+    d_target = np.einsum("j,qa,jp->japq", w, eye, s_pts)
+    d_weight = np.einsum("jq,jp->jpq", r_pts, s_pts)
+    rhs = np.zeros((15, m))
+    rhs[:9, : 3 * n] = d_source.reshape(3 * n, 9).T
+    rhs[:9, 3 * n : 6 * n] = d_target.reshape(3 * n, 9).T
+    rhs[:9, 6 * n :] = d_weight.reshape(n, 9).T
 
     factor = lu_factor(system.matrix())
     d_z = lu_solve(factor, rhs)
@@ -231,12 +242,11 @@ def jacobian_refine_step(centered, r_prev):
     # Translation rows: t = mean_t - R mean_s.
     d_source_mean = np.zeros((3, m))
     d_target_mean = np.zeros((3, m))
-    for j in range(n):
-        for a in range(3):
-            d_source_mean[a, 3 * j + a] = w[j] / total_w
-            d_target_mean[a, 3 * n + 3 * j + a] = w[j] / total_w
-        d_source_mean[:, 6 * n + j] = s_pts[j] / total_w
-        d_target_mean[:, 6 * n + j] = t_pts[j] / total_w
+    mean_weights = np.einsum("j,ab->ajb", w / total_w, eye).reshape(3, 3 * n)
+    d_source_mean[:, : 3 * n] = mean_weights
+    d_target_mean[:, 3 * n : 6 * n] = mean_weights
+    d_source_mean[:, 6 * n :] = s_pts.T / total_w
+    d_target_mean[:, 6 * n :] = t_pts.T / total_w
 
     # (dR) mean_s, exploiting column-major layout: rows 3c..3c+2 hold dR[:, c].
     d_rot_mean = (

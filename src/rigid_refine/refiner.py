@@ -7,6 +7,25 @@ saddle-point (KKT) system in (vec R', lambda); the solved candidate matrix is
 re-projected onto SO(3) by a Gram-Schmidt assembler and the translation is
 recomputed in closed form.
 
+`refine` solves that system in closed form, in the tangent space of the
+previous rotation. With S = sum_i w_i s~_i s~_i^T = V diag(d) V^T (eigenvalues
+ascending) and F = sum_i w_i t~_i s~_i^T, the linearized constraints force
+R' = R_prev (I + A) with A antisymmetric, and stationarity
+R' S + R_prev Lambda = F (Lambda symmetric) splits, with
+M' = V^T R_prev^T F V, into
+
+- A' = V^T A V with A'_ij = (M'_ij - M'_ji) / (d_i + d_j), and
+- Lambda' = V^T Lambda V = sym(M') - diag(d) - (A' diag(d) - diag(d) A') / 2.
+
+The multipliers are lambda_k = Lambda_ij for i != j and Lambda_ii / 2 for
+i == j, at the k-th pair of CONSTRAINT_PAIRS. S, F and the eigenbasis do not
+depend on R_prev, so a step costs a few 3x3 products. The closed form divides
+by d_i + d_j, never by d_i alone, so it stays accurate when S is nearly rank
+2 (thin or planar sources); the equivalent Sylvester form in S^-1 does not.
+`assemble_kkt` / `solve_kkt` / `kkt_residual` build and solve the 15x15
+system of the paper literally and are kept as the reference the closed form
+is tested against.
+
 Conventions (fixed across the package):
 
 - vec() is column-major: vec(M)[3*n + m] = M[m, n].
@@ -14,6 +33,7 @@ Conventions (fixed across the package):
   triangle of M^T M - I: (0,0), (0,1), (1,1), (0,2), (1,2), (2,2).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +41,9 @@ import numpy as np
 from .core import Rotation, RigidTransform, center
 
 # Condition estimate above this raises SingularSystem: degenerate source
-# geometry interacting with the constraints.
+# geometry interacting with the constraints. The 15x15 solve compares it with
+# the KKT matrix's 2-norm condition number; the closed form with the spread
+# d_2 / (d_0 + d_1) of the eigenvalue pair sums it divides by.
 CONDITION_LIMIT = 1e12
 
 # Gram-Schmidt denominators at or below this raise CollinearColumns.
@@ -37,8 +59,10 @@ CONSTRAINT_PAIRS = ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2))
 
 
 class SingularSystem(Exception):
-    """KKT matrix condition estimate exceeds the solvable limit, or the solve
-    returned a candidate that violates the column-norm lower bound."""
+    """The step is not solvable: the KKT matrix condition estimate (or, in
+    closed form, the spread of the eigenvalues of S) exceeds the solvable
+    limit, or the solve returned a candidate that violates the column-norm
+    lower bound."""
 
 
 class CollinearColumns(Exception):
@@ -72,6 +96,17 @@ CONSTRAINT_BASES = tuple(
     ConstraintBasis(k, pair, _symmetric_basis(*pair)) for k, pair in enumerate(CONSTRAINT_PAIRS)
 )
 
+# The bases as rows of a 6x9 matrix acting on row-major flattened 3x3
+# matrices: _BASES_FLAT @ X.ravel() = (tr(E^S_k X))_k and
+# lambdas @ _BASES_FLAT = sum_k lambda_k E^S_k (flattened); E^S_k is symmetric.
+_BASES_FLAT = np.array([basis.matrix.ravel() for basis in CONSTRAINT_BASES])
+_BASIS_TRACES = np.array([np.trace(basis.matrix) for basis in CONSTRAINT_BASES])
+# Row k picks entry (i, j) of the k-th pair; _MULTIPLIER_PICK maps the
+# symmetric Lambda = sum_k lambda_k E^S_k back to lambda_k (Lambda_ij for
+# i != j, Lambda_ii / 2).
+_PAIR_PICK = np.eye(9)[[3 * i + j for i, j in CONSTRAINT_PAIRS]]
+_MULTIPLIER_PICK = _PAIR_PICK * np.array([[0.5 if i == j else 1.0] for i, j in CONSTRAINT_PAIRS])
+
 
 def orthogonality_constraint(m, k):
     """c_k(M) = (M^T M - I)[i, j] for the k-th upper-triangle pair."""
@@ -104,9 +139,10 @@ def linearized_constraint(m, r_prev, k):
 class CandidateMatrix:
     """Unconstrained-step output: a 3x3 matrix, not necessarily a rotation.
 
-    When produced by solve_kkt at a valid linearization point, every column
-    has norm >= 1 - 1e-9 and columns 1, 2 are not collinear; hand-constructed
-    instances need not satisfy that, so it is checked at the solver, not here.
+    When produced by solve_kkt (or refine's closed-form step) at a valid
+    linearization point, every column has norm >= 1 - 1e-9 and columns 1, 2
+    are not collinear; hand-constructed instances need not satisfy that, so it
+    is checked at the solver, not here.
     """
 
     m: np.ndarray
@@ -243,11 +279,101 @@ def kkt_residual(system, candidate, lambdas):
     )
 
 
+def _step_factors(centered):
+    """The parts of a refinement step that do not depend on R_prev.
+
+    Returns (S, F, V, F V, pair sums d_i + d_j with a unit diagonal,
+    (d_j - d_i) / 2, diag(d)), with S = V diag(d) V^T and d ascending.
+
+    Raises
+    ------
+    SingularSystem
+        If not d_0 + d_1 > 0, or d_2 > CONDITION_LIMIT * (d_0 + d_1): the
+        smallest pair sum the closed form divides by is zero, negative, NaN
+        or below 1e-12 of the largest eigenvalue (collinear or coincident
+        sources).
+    ValueError
+        If S or F is not finite.
+    """
+    s_pts = centered.source_centered.points
+    t_pts = centered.target_centered.points
+    weighted = s_pts * centered.weights[:, None]
+    s_mat = weighted.T @ s_pts
+    f_mat = t_pts.T @ weighted
+    if not (np.all(np.isfinite(s_mat)) and np.all(np.isfinite(f_mat))):
+        raise ValueError("second-moment matrices S and F must be finite")
+    d, v = np.linalg.eigh(s_mat)
+    smallest_pair = d[0] + d[1]
+    if not smallest_pair > 0.0 or d[2] > CONDITION_LIMIT * smallest_pair:
+        raise SingularSystem(
+            f"eigenvalues {d} of S: d_2 / (d_0 + d_1) exceeds {CONDITION_LIMIT:.0e}"
+        )
+    pair_sums = d[:, None] + d
+    np.fill_diagonal(pair_sums, 1.0)
+    half_gaps = 0.5 * (d - d[:, None])
+    return s_mat, f_mat, v, f_mat @ v, pair_sums, half_gaps, np.diag(d)
+
+
+def _tangent_step(r_prev, factors):
+    """One linearized-constraint step in closed form (see the module docstring).
+
+    Parameters
+    ----------
+    r_prev : ndarray, shape (3, 3)
+        Linearization point, a rotation.
+    factors : tuple
+        `_step_factors` of the problem.
+
+    Returns
+    -------
+    (ndarray, ndarray)
+        The 3x3 candidate R_prev (I + A) and the six multipliers in
+        CONSTRAINT_PAIRS order.
+
+    Raises
+    ------
+    SingularSystem
+        If a candidate column norm is below 1 - 1e-9 (or NaN). The columns of
+        I + A have norm >= 1 because A is antisymmetric, so this holds by
+        construction for finite inputs; the check guards the invariant, not
+        the data.
+    """
+    _, _, v, f_v, pair_sums, half_gaps, diag_d = factors
+    m = v.T @ (r_prev.T @ f_v)
+    a_prime = (m - m.T) / pair_sums
+    # (A' diag(d) - diag(d) A')_ij = A'_ij (d_j - d_i).
+    lam_prime = 0.5 * (m + m.T) - diag_d - a_prime * half_gaps
+    candidate = r_prev + r_prev @ (v @ a_prime @ v.T)
+    norms = np.sqrt(np.einsum("ij,ij->j", candidate, candidate))
+    if not norms.min() >= 1.0 - COLUMN_NORM_SLACK:
+        raise SingularSystem(f"candidate column norms {norms} below 1 - {COLUMN_NORM_SLACK:.0e}")
+    return candidate, _MULTIPLIER_PICK @ (v @ lam_prime @ v.T).ravel()
+
+
+def _step_residual(factors, r_prev, candidate, lambdas):
+    """kkt_residual of a step, from 3x3 products instead of the 15x15 system.
+
+    The 9 stationarity rows are R' S + R_prev sum_k lambda_k E^S_k - F; the 6
+    linearized-constraint rows are tr(E^S_k R_prev^T R') - d_lambda[k], with
+    d_lambda[k] = tr(E^S_k) - c_k(R_prev). The rhs is (vec F, d_lambda).
+    """
+    s_mat, f_mat = factors[:2]
+    multiplier_term = r_prev @ (lambdas @ _BASES_FLAT).reshape(3, 3)
+    stationarity = (candidate @ s_mat + multiplier_term - f_mat).ravel()
+    d_lambda = _BASIS_TRACES - _PAIR_PICK @ (r_prev.T @ r_prev - np.eye(3)).ravel()
+    constraints = _BASES_FLAT @ (r_prev.T @ candidate).ravel() - d_lambda
+    residual_sq = stationarity @ stationarity + constraints @ constraints
+    rhs_sq = np.dot(f_mat.ravel(), f_mat.ravel()) + d_lambda @ d_lambda
+    return math.sqrt(residual_sq) / max(math.sqrt(rhs_sq), np.finfo(float).tiny)
+
+
 def assemble_rotation(candidate):
     """Project a candidate matrix onto SO(3) by Gram-Schmidt on columns 1-2.
 
     r1 = c1 / ||c1||; r2 = normalized rejection of c2 from r1; r3 = r1 x r2.
-    Column 3 of the input is intentionally ignored.
+    Column 3 of the input is intentionally ignored. Norms are sqrt(v @ v) and
+    the cross product is written out, bit-identical to np.linalg.norm and
+    np.cross at a fraction of their call cost.
 
     Parameters
     ----------
@@ -265,17 +391,19 @@ def assemble_rotation(candidate):
         upstream bug, so refinement is aborted with this diagnostic.
     """
     c = candidate.m
-    n1 = np.linalg.norm(c[:, 0])
+    n1 = math.sqrt(c[:, 0] @ c[:, 0])
     if n1 <= ASSEMBLER_NORM_FLOOR:
         raise CollinearColumns(f"first candidate column has norm {n1:.3e}")
     r1 = c[:, 0] / n1
     u = c[:, 1] - r1 * (r1 @ c[:, 1])
-    nu = np.linalg.norm(u)
+    nu = math.sqrt(u @ u)
     if nu <= ASSEMBLER_NORM_FLOOR:
         raise CollinearColumns(f"candidate columns 1, 2 nearly collinear (rejection norm {nu:.3e})")
     r2 = u / nu
-    r3 = np.cross(r1, r2)
-    return Rotation(np.column_stack([r1, r2, r3]))
+    a0, a1, a2 = r1.tolist()
+    b0, b1, b2 = r2.tolist()
+    r3 = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    return Rotation(np.array((r1, r2, r3)).T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,10 +439,15 @@ class RefinementTrace:
 def refine(correspondences, init, n_refinements=DEFAULT_REFINEMENTS):
     """Run n_refinements linearized-constraint steps from an initial pose.
 
-    Each step assembles the KKT system at the previous rotation, solves it,
-    re-projects the candidate onto SO(3), and recomputes the closed-form
-    translation. A SingularSystem failure repeats the previous pose for that
-    step and is recorded in the trace (refine itself never raises for it).
+    Each step solves the linearized problem at the previous rotation in
+    closed form (see the module docstring; S, F and the eigenbasis of S are
+    computed once per call), re-projects the candidate onto SO(3), and
+    recomputes the closed-form translation. A SingularSystem failure repeats
+    the previous pose for that step and is recorded in the trace (refine
+    itself never raises for it). SingularSystem is decided from the spectrum
+    of S, so degenerate geometry (not d_0 + d_1 > 0, or
+    d_2 > CONDITION_LIMIT * (d_0 + d_1)) falls back at every step; a
+    candidate column norm below 1 - 1e-9 falls back at its own step.
 
     Parameters
     ----------
@@ -327,28 +460,37 @@ def refine(correspondences, init, n_refinements=DEFAULT_REFINEMENTS):
     Returns
     -------
     RefinementTrace
+        kkt_residuals holds each step's relative residual of the 15 KKT
+        equations, as kkt_residual would report it.
     """
     if n_refinements < 1:
         raise ValueError("n_refinements must be >= 1")
     centered = center(correspondences)
+    try:
+        factors = _step_factors(centered)
+    except SingularSystem:
+        factors = None
     poses = [init]
     lambdas = []
     residuals = []
     candidates = []
     for _ in range(n_refinements):
-        system = assemble_kkt(centered, poses[-1].rotation)
+        r_prev = poses[-1].rotation.m
         try:
-            candidate, lam = solve_kkt(system)
+            if factors is None:
+                raise SingularSystem("degenerate source geometry")
+            candidate, lam = _tangent_step(r_prev, factors)
         except SingularSystem:
             poses.append(poses[-1])
             lambdas.append(np.full(6, np.nan))
             residuals.append(np.nan)
             candidates.append(None)
             continue
+        candidate = CandidateMatrix(candidate)
         rotation = assemble_rotation(candidate)  # CollinearColumns propagates: upstream bug
         translation = centered.target_mean - rotation.m @ centered.source_mean
         poses.append(RigidTransform(rotation, translation))
         lambdas.append(lam)
-        residuals.append(kkt_residual(system, candidate, lam))
+        residuals.append(_step_residual(factors, r_prev, candidate.m, lam))
         candidates.append(candidate)
     return RefinementTrace(tuple(poses), tuple(lambdas), tuple(residuals), tuple(candidates))

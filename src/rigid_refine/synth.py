@@ -22,6 +22,9 @@ from .neighbors import nearest
 CROP_MIN_OVERLAP = 0.3
 CROP_MAX_ATTEMPTS = 100
 
+# In-plane side of the slab cloud, [-1, 1]^2.
+SLAB_EXTENT = 2.0
+
 
 class InsufficientPoints(Exception):
     """Base cloud too small for the requested problem."""
@@ -234,8 +237,9 @@ def slab_cloud(n, rng, thickness=1e-3):
     # Written so that NaN fails too: NaN comparisons are false.
     if not 0.0 <= thickness < np.inf:
         raise ValueError("thickness must be finite and >= 0")
-    low = np.array([-1.0, -1.0, -thickness / 2.0])
-    high = np.array([1.0, 1.0, thickness / 2.0])
+    half = SLAB_EXTENT / 2.0
+    low = np.array([-half, -half, -thickness / 2.0])
+    high = np.array([half, half, thickness / 2.0])
     return PointCloud(low + (high - low) * rng.uniforms(3 * n).reshape(n, 3))
 
 

@@ -151,8 +151,8 @@ def test_experiment_config_validation():
         ExperimentConfig(problem=spec, method="kabsch", cloud="torus")
     with pytest.raises(ConfigError):
         ExperimentConfig(problem=spec, method="kabsch", cloud_points=-1)
-    for bad in (float("nan"), float("inf"), -1.0):
-        with pytest.raises(ConfigError):
+    for bad in (float("nan"), float("inf"), -1.0, 1e308, 3.0):
+        with pytest.raises(ConfigError, match="slab_thickness"):
             ExperimentConfig(problem=spec, method="kabsch", slab_thickness=bad)
 
 
@@ -484,7 +484,7 @@ def test_main_gradcheck_rejects_tiny_cloud(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("thickness", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("thickness", ["nan", "inf", "-1", "1e308", "3"])
 def test_main_rejects_bad_slab_thickness(tmp_path, capsys, thickness):
     config_path = tmp_path / "exp.cfg"
     write_config(config_path, extra=f"problem.cloud = slab\nproblem.slab_thickness = {thickness}\n")

@@ -264,13 +264,26 @@ def test_solve_kkt_column_norm_violation_raises_singular():
         solve_kkt(zero_rhs_system(710))
 
 
+def nan_target_factors(factors):
+    # The columns of R_prev (I + A) have norm >= 1 for any finite step
+    # factors, so only a non-finite F V can break the bound: it makes the
+    # candidate column norms NaN.
+    s_mat, f_mat, v, f_v, *spectrum = factors
+    return (s_mat, f_mat, v, np.full_like(f_v, np.nan), *spectrum)
+
+
 def test_refine_falls_back_on_column_norm_violation(monkeypatch):
     corr, _ = random_problem(seed=711, n=8)
     init = estimate_pose_kabsch(corr)
-    monkeypatch.setattr(refiner, "assemble_kkt", lambda centered, r_prev: zero_rhs_system(711))
+    factors = nan_target_factors(refiner._step_factors(center(corr)))
+    with pytest.raises(SingularSystem, match="column norms"):
+        refiner._tangent_step(init.rotation.m, factors)
+    monkeypatch.setattr(refiner, "_step_factors", lambda centered: factors)
     trace = refine(corr, init, 2)
     assert trace.fallback_count == 2
     assert all(pose is init for pose in trace.poses)
+    for lam in trace.lambdas:
+        assert np.all(np.isnan(lam))
 
 
 def test_solve_kkt_singular_on_collinear_source():

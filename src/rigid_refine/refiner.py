@@ -279,11 +279,22 @@ def kkt_residual(system, candidate, lambdas):
     )
 
 
-def _step_factors(centered):
-    """The parts of a refinement step that do not depend on R_prev.
+@dataclass(frozen=True, eq=False)
+class _StepFactors:
+    """The parts of a refinement step that do not depend on R_prev, with
+    S = V diag(d) V^T and d ascending."""
 
-    Returns (S, F, V, F V, pair sums d_i + d_j with a unit diagonal,
-    (d_j - d_i) / 2, diag(d)), with S = V diag(d) V^T and d ascending.
+    s_mat: np.ndarray
+    f_mat: np.ndarray
+    v: np.ndarray
+    f_v: np.ndarray  # F V
+    pair_sums: np.ndarray  # d_i + d_j, with a unit diagonal
+    half_gaps: np.ndarray  # (d_j - d_i) / 2
+    diag_d: np.ndarray
+
+
+def _step_factors(centered):
+    """S, F and the eigendecomposition of S, as _StepFactors.
 
     Raises
     ------
@@ -311,7 +322,7 @@ def _step_factors(centered):
     pair_sums = d[:, None] + d
     np.fill_diagonal(pair_sums, 1.0)
     half_gaps = 0.5 * (d - d[:, None])
-    return s_mat, f_mat, v, f_mat @ v, pair_sums, half_gaps, np.diag(d)
+    return _StepFactors(s_mat, f_mat, v, f_mat @ v, pair_sums, half_gaps, np.diag(d))
 
 
 def _tangent_step(r_prev, factors):
@@ -321,8 +332,7 @@ def _tangent_step(r_prev, factors):
     ----------
     r_prev : ndarray, shape (3, 3)
         Linearization point, a rotation.
-    factors : tuple
-        `_step_factors` of the problem.
+    factors : _StepFactors
 
     Returns
     -------
@@ -338,11 +348,11 @@ def _tangent_step(r_prev, factors):
         construction for finite inputs; the check guards the invariant, not
         the data.
     """
-    _, _, v, f_v, pair_sums, half_gaps, diag_d = factors
-    m = v.T @ (r_prev.T @ f_v)
-    a_prime = (m - m.T) / pair_sums
+    v = factors.v
+    m = v.T @ (r_prev.T @ factors.f_v)
+    a_prime = (m - m.T) / factors.pair_sums
     # (A' diag(d) - diag(d) A')_ij = A'_ij (d_j - d_i).
-    lam_prime = 0.5 * (m + m.T) - diag_d - a_prime * half_gaps
+    lam_prime = 0.5 * (m + m.T) - factors.diag_d - a_prime * factors.half_gaps
     candidate = r_prev + r_prev @ (v @ a_prime @ v.T)
     norms = np.sqrt(np.einsum("ij,ij->j", candidate, candidate))
     if not norms.min() >= 1.0 - COLUMN_NORM_SLACK:
@@ -357,7 +367,7 @@ def _step_residual(factors, r_prev, candidate, lambdas):
     linearized-constraint rows are tr(E^S_k R_prev^T R') - d_lambda[k], with
     d_lambda[k] = tr(E^S_k) - c_k(R_prev). The rhs is (vec F, d_lambda).
     """
-    s_mat, f_mat = factors[:2]
+    s_mat, f_mat = factors.s_mat, factors.f_mat
     multiplier_term = r_prev @ (lambdas @ _BASES_FLAT).reshape(3, 3)
     stationarity = (candidate @ s_mat + multiplier_term - f_mat).ravel()
     d_lambda = _BASIS_TRACES - _PAIR_PICK @ (r_prev.T @ r_prev - np.eye(3)).ravel()

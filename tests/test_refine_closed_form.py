@@ -88,8 +88,7 @@ def test_closed_form_step_matches_mpmath_on_gate_08_problems():
 def test_closed_form_step_accurate_on_ill_conditioned_source():
     corr, _ = random_problem(seed=ILL_CONDITIONED_SEED, n=4, noise=0.02, weighted=True)
     cc = center(corr)
-    s_mat = refiner._step_factors(cc)[0]
-    assert np.linalg.cond(s_mat) > 1e6
+    assert np.linalg.cond(refiner._step_factors(cc).s_mat) > 1e6
     r_prev = estimate_pose_kabsch(corr).rotation
     system = assemble_kkt(cc, r_prev)
     assert np.linalg.cond(system.matrix()) < 10.0
@@ -166,7 +165,7 @@ def test_singular_system_threshold_is_the_eigenvalue_spread(spread, singular):
         with pytest.raises(SingularSystem):
             refiner._step_factors(cc)
     else:
-        d = np.diag(refiner._step_factors(cc)[-1])
+        d = np.diag(refiner._step_factors(cc).diag_d)
         assert d[2] / (d[0] + d[1]) == pytest.approx(spread, rel=1e-6)
 
 

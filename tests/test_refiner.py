@@ -1,5 +1,7 @@
 """KKT assembly/solve, rotation assembler, refinement loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -268,8 +270,7 @@ def nan_target_factors(factors):
     # The columns of R_prev (I + A) have norm >= 1 for any finite step
     # factors, so only a non-finite F V can break the bound: it makes the
     # candidate column norms NaN.
-    s_mat, f_mat, v, f_v, *spectrum = factors
-    return (s_mat, f_mat, v, np.full_like(f_v, np.nan), *spectrum)
+    return dataclasses.replace(factors, f_v=np.full_like(factors.f_v, np.nan))
 
 
 def test_refine_falls_back_on_column_norm_violation(monkeypatch):

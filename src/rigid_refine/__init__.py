@@ -74,7 +74,6 @@ from .cloud_io import read_ply, read_xyz_csv, write_ply, write_xyz_csv
 from .refiner import (
     CandidateMatrix,
     CollinearColumns,
-    ConstraintBasis,
     KktSystem,
     RefinementTrace,
     SingularSystem,

@@ -27,6 +27,7 @@ from .gradcheck import (
 )
 from .kabsch import DegenerateGeometry, estimate_pose_kabsch
 from .metrics import augmented_loss, chamfer_distance, mean_point_distance, rotation_error, translation_error
+from .neighbors import NonFiniteDistance
 from .refiner import DEFAULT_REFINEMENTS, refine
 from .rng import Xoshiro256PlusPlus
 from .synth import (
@@ -162,7 +163,7 @@ def run_trial(config, trial_index):
                 tol=config.icp_tol,
             )
             poses = [pose]
-    except DegenerateGeometry:
+    except (DegenerateGeometry, NonFiniteDistance):
         return TrialRecord(seed=seed, method=config.method)
 
     gt = problem.gt

@@ -18,12 +18,6 @@ ROTATION_TOL = 1e-9
 CENTERING_TOL = 1e-12
 
 
-def _readonly(a):
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     """Ordered set of 3D points stored as a read-only (N, 3) float64 array."""
@@ -135,11 +129,7 @@ class CorrespondenceSet:
 
     @classmethod
     def from_arrays(cls, source_points, target_points, weights=None):
-        source = PointCloud(source_points)
-        target = PointCloud(target_points)
-        if weights is None:
-            weights = np.ones(source.count)
-        return cls(source, target, weights)
+        return cls(PointCloud(source_points), PointCloud(target_points), weights)
 
     @property
     def count(self):
@@ -183,7 +173,7 @@ class CenteredCorrespondences:
             (self.target_centered, self.target_mean, "target"),
         ):
             pts = cloud.points
-            residual_mean = (w @ pts) / w.sum()
+            _, residual_mean = _centered(pts, w)
             # Scale reference: centered radius or the subtracted mean itself,
             # whichever is larger (identical-point clouds center to ~eps*|p|).
             scale = max(np.linalg.norm(pts, axis=1).max(), np.linalg.norm(mean))
@@ -193,6 +183,12 @@ class CenteredCorrespondences:
     @property
     def count(self):
         return self.source_centered.count
+
+
+def _centered(points, w):
+    """(points - mean, mean) with mean = sum(w_i p_i) / sum(w_i); plain arrays."""
+    mean = (w @ points) / w.sum()
+    return points - mean, mean
 
 
 def center(correspondences):
@@ -209,15 +205,10 @@ def center(correspondences):
         weights pass through unchanged.
     """
     w = correspondences.weights
-    total = w.sum()
-    source_mean = (w @ correspondences.source.points) / total
-    target_mean = (w @ correspondences.target.points) / total
+    source_centered, source_mean = _centered(correspondences.source.points, w)
+    target_centered, target_mean = _centered(correspondences.target.points, w)
     return CenteredCorrespondences(
-        PointCloud(correspondences.source.points - source_mean),
-        PointCloud(correspondences.target.points - target_mean),
-        source_mean,
-        target_mean,
-        w,
+        PointCloud(source_centered), PointCloud(target_centered), source_mean, target_mean, w
     )
 
 
@@ -237,9 +228,8 @@ def optimal_translation(rotation, correspondences):
     ndarray, shape (3,)
     """
     w = correspondences.weights
-    total = w.sum()
-    source_mean = (w @ correspondences.source.points) / total
-    target_mean = (w @ correspondences.target.points) / total
+    _, source_mean = _centered(correspondences.source.points, w)
+    _, target_mean = _centered(correspondences.target.points, w)
     return target_mean - rotation.m @ source_mean
 
 

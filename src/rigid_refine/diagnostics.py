@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kabsch import _cross_covariance
 from .refiner import constraint_jacobian
 
 # det(G) / ||G||_F^3 at or below this means the unconstrained normal equations
@@ -87,11 +88,10 @@ def unconstrained_solution(centered):
         carries g, f, det_g so conditioning can still be reported.
     """
     t = centered.target_centered.points
-    s = centered.source_centered.points
     w = centered.weights
-    g = (t * w[:, None]).T @ t
+    g = _cross_covariance(t, t, w)
     g = (g + g.T) / 2.0  # symmetrize away accumulation-order rounding
-    f = (t * w[:, None]).T @ s
+    f = _cross_covariance(t, centered.source_centered.points, w)
     det_g = float(np.linalg.det(g))
     if normalized_det(g) <= NEAR_SINGULAR_TOL:
         raise NearSingularG(

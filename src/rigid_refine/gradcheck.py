@@ -23,7 +23,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from . import so3
 from .core import CorrespondenceSet, center
-from .kabsch import cross_covariance, kabsch_rotation
+from .kabsch import _kabsch_matrix, cross_covariance, kabsch_rotation
 from .refiner import (
     CandidateMatrix,
     _step_factors,
@@ -294,7 +294,7 @@ def jacobian_kabsch(centered, step=FD_STEP):
             f"cross-covariance singular-value gap {gap:.3e} below {SVD_GAP_TOL:.0e}; "
             "SVD derivative is unreliable here"
         )
-    kabsch_rotation(cross_covariance(centered))  # propagate degeneracy before probing
+    _kabsch_matrix(h)  # propagate degeneracy before probing
     x0, n = flatten_inputs(centered)
     matrix = finite_difference_jacobian(lambda x: kabsch_outputs(x, n), x0, step)
     return Jacobian(matrix, n)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rotation, RigidTransform, center
+from .core import Rotation, RigidTransform, _centered
 
 # Two smallest singular values of H below this (relative to ||H||_F) mean a
 # rotation about the remaining axis is unobservable (e.g. collinear points).
@@ -36,6 +36,34 @@ class CrossCovariance:
         object.__setattr__(self, "h", h)
 
 
+def _cross_covariance(a, b, w):
+    """sum_i w_i a_i b_i^T for (N, 3) arrays a, b and weights w, shape (3, 3)."""
+    return (a * w[:, None]).T @ b
+
+
+def _kabsch_matrix(h):
+    """kabsch_rotation on a plain 3x3 array (ValueError if H is not finite)."""
+    if not np.all(np.isfinite(h)):
+        raise ValueError("cross-covariance must be finite")
+    u, s, vt = np.linalg.svd(h)
+    tol = DEGENERACY_TOL * np.linalg.norm(h)
+    if s[1] <= tol and s[2] <= tol:
+        raise DegenerateGeometry(
+            f"two smallest singular values of H ({s[1]:.3e}, {s[2]:.3e}) below "
+            f"tolerance {tol:.3e}; rotation not determined by the geometry"
+        )
+    d = 1.0 if np.linalg.det(u @ vt) > 0.0 else -1.0
+    return (u * np.array([1.0, 1.0, d])) @ vt
+
+
+def _kabsch_pose(source, target, w):
+    """estimate_pose_kabsch on plain (N, 3) arrays and weights: (R, t) arrays."""
+    source_centered, source_mean = _centered(source, w)
+    target_centered, target_mean = _centered(target, w)
+    r = _kabsch_matrix(_cross_covariance(target_centered, source_centered, w))
+    return r, target_mean - r @ source_mean
+
+
 def cross_covariance(centered):
     """Build H = sum_i w_i target_centered_i source_centered_i^T.
 
@@ -47,10 +75,8 @@ def cross_covariance(centered):
     -------
     CrossCovariance
     """
-    s = centered.source_centered.points
-    t = centered.target_centered.points
-    w = centered.weights
-    return CrossCovariance((t * w[:, None]).T @ s)
+    s, t = centered.source_centered.points, centered.target_centered.points
+    return CrossCovariance(_cross_covariance(t, s, centered.weights))
 
 
 def kabsch_rotation(cross_cov):
@@ -73,17 +99,7 @@ def kabsch_rotation(cross_cov):
         If the two smallest singular values of H are both below
         1e-12 * ||H||_F; the caller decides the fallback.
     """
-    h = cross_cov.h
-    u, s, vt = np.linalg.svd(h)
-    tol = DEGENERACY_TOL * np.linalg.norm(h)
-    if s[1] <= tol and s[2] <= tol:
-        raise DegenerateGeometry(
-            f"two smallest singular values of H ({s[1]:.3e}, {s[2]:.3e}) below "
-            f"tolerance {tol:.3e}; rotation not determined by the geometry"
-        )
-    d = 1.0 if np.linalg.det(u @ vt) > 0.0 else -1.0
-    r = (u * np.array([1.0, 1.0, d])) @ vt
-    return Rotation(r)
+    return Rotation(_kabsch_matrix(cross_cov.h))
 
 
 def estimate_pose_kabsch(correspondences):
@@ -101,8 +117,9 @@ def estimate_pose_kabsch(correspondences):
     ------
     DegenerateGeometry
         Propagated from kabsch_rotation.
+    ValueError
+        If the cross-covariance overflows.
     """
-    centered = center(correspondences)
-    rotation = kabsch_rotation(cross_covariance(centered))
-    translation = centered.target_mean - rotation.m @ centered.source_mean
-    return RigidTransform(rotation, translation)
+    corr = correspondences
+    r, t = _kabsch_pose(corr.source.points, corr.target.points, corr.weights)
+    return RigidTransform(Rotation(r), t)

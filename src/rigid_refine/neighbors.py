@@ -18,6 +18,10 @@ from scipy.spatial import cKDTree
 TIE_GAP = 1e-9
 
 
+class NonFiniteDistance(Exception):
+    """A nearest squared distance overflowed, so no nearest point is defined."""
+
+
 def nearest(query, ref, tree=None):
     """Nearest reference point of every query point.
 
@@ -35,12 +39,19 @@ def nearest(query, ref, tree=None):
     (ndarray of intp, shape (N,), ndarray, shape (N,))
         index[i] is the smallest j minimizing sum((query[i] - ref[j]) ** 2);
         d2[i] is that squared distance, summed over coordinates in order.
+
+    Raises
+    ------
+    NonFiniteDistance
+        If a query's nearest squared tree distance is not finite.
     """
     if tree is None:
         tree = cKDTree(ref)
     dist, idx = tree.query(query, k=2)
     index = idx[:, 0].copy()
     near2 = dist[:, 0] ** 2
+    if not np.all(np.isfinite(near2)):
+        raise NonFiniteDistance("nearest squared distance overflowed to inf")
     # With M = 1 the second distance is inf, so no row is flagged.
     for row in np.flatnonzero(dist[:, 1] ** 2 - near2 <= TIE_GAP * near2):
         index[row] = np.sum((query[row] - ref) ** 2, axis=1).argmin()

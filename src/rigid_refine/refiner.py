@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Rotation, RigidTransform, center
+from .kabsch import _cross_covariance
 
 # Condition estimate above this raises SingularSystem: degenerate source
 # geometry interacting with the constraints. The 15x15 solve compares it with
@@ -73,34 +74,18 @@ def _symmetric_basis(i, j):
     e = np.zeros((3, 3))
     e[i, j] += 1.0
     e[j, i] += 1.0
+    e.setflags(write=False)
     return e
 
 
-@dataclass(frozen=True, eq=False)
-class ConstraintBasis:
-    """One orthonormality constraint: index k, its (i, j) pair, and E^S_ij."""
-
-    index: int
-    pair: tuple
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _symmetric_basis(*self.pair)
-        if not np.array_equal(m, self.matrix):
-            raise ValueError("matrix does not match the (i, j) symmetric basis")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-CONSTRAINT_BASES = tuple(
-    ConstraintBasis(k, pair, _symmetric_basis(*pair)) for k, pair in enumerate(CONSTRAINT_PAIRS)
-)
+# E^S_k = e_i e_j^T + e_j e_i^T for the k-th pair of CONSTRAINT_PAIRS, read-only.
+CONSTRAINT_BASES = tuple(_symmetric_basis(i, j) for i, j in CONSTRAINT_PAIRS)
 
 # The bases as rows of a 6x9 matrix acting on row-major flattened 3x3
 # matrices: _BASES_FLAT @ X.ravel() = (tr(E^S_k X))_k and
 # lambdas @ _BASES_FLAT = sum_k lambda_k E^S_k (flattened); E^S_k is symmetric.
-_BASES_FLAT = np.array([basis.matrix.ravel() for basis in CONSTRAINT_BASES])
-_BASIS_TRACES = np.array([np.trace(basis.matrix) for basis in CONSTRAINT_BASES])
+_BASES_FLAT = np.array([basis.ravel() for basis in CONSTRAINT_BASES])
+_BASIS_TRACES = np.array([np.trace(basis) for basis in CONSTRAINT_BASES])
 # Row k picks entry (i, j) of the k-th pair; _MULTIPLIER_PICK maps the
 # symmetric Lambda = sum_k lambda_k E^S_k back to lambda_k (Lambda_ij for
 # i != j, Lambda_ii / 2).
@@ -131,8 +116,7 @@ def linearized_constraint(m, r_prev, k):
     """
     m = np.asarray(m, dtype=float)
     rp = r_prev.m
-    basis = CONSTRAINT_BASES[k].matrix
-    return orthogonality_constraint(rp, k) + float(np.trace(basis @ rp.T @ (m - rp)))
+    return orthogonality_constraint(rp, k) + float(np.trace(CONSTRAINT_BASES[k] @ rp.T @ (m - rp)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +178,7 @@ def constraint_jacobian(m):
     stack checked by the diagnostics module.
     """
     m = np.asarray(m, dtype=float)
-    cols = [(m @ basis.matrix).reshape(9, order="F") for basis in CONSTRAINT_BASES]
+    cols = [(m @ basis).reshape(9, order="F") for basis in CONSTRAINT_BASES]
     return np.column_stack(cols)
 
 
@@ -230,9 +214,8 @@ def assemble_kkt(centered, r_prev):
     d_r = f_mat.reshape(9, order="F")
 
     c_prev = r_prev.m.T @ r_prev.m - np.eye(3)
-    d_lambda = np.array(
-        [np.trace(basis.matrix) - c_prev[basis.pair] for basis in CONSTRAINT_BASES]
-    )
+    pairs = zip(CONSTRAINT_BASES, CONSTRAINT_PAIRS)
+    d_lambda = np.array([np.trace(basis) - c_prev[pair] for basis, pair in pairs])
     return KktSystem(a, b, d_r, d_lambda)
 
 
@@ -307,10 +290,8 @@ def _step_factors(centered):
         If S or F is not finite.
     """
     s_pts = centered.source_centered.points
-    t_pts = centered.target_centered.points
-    weighted = s_pts * centered.weights[:, None]
-    s_mat = weighted.T @ s_pts
-    f_mat = t_pts.T @ weighted
+    s_mat = _cross_covariance(s_pts, s_pts, centered.weights)
+    f_mat = _cross_covariance(centered.target_centered.points, s_pts, centered.weights)
     if not (np.all(np.isfinite(s_mat)) and np.all(np.isfinite(f_mat))):
         raise ValueError("second-moment matrices S and F must be finite")
     d, v = np.linalg.eigh(s_mat)

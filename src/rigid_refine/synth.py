@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 
 from . import so3
 from .core import CorrespondenceSet, PointCloud, RigidTransform, Rotation
-from .kabsch import estimate_pose_kabsch
+from .kabsch import _kabsch_pose
 from .neighbors import nearest
 
 # Resample-free crops must share at least this fraction of original indices.
@@ -276,17 +276,17 @@ def icp_baseline(src, tgt, init, max_iters=50, tol=1e-9):
     ------
     DegenerateGeometry
         Propagated when a matched set does not determine a rotation.
+    NonFiniteDistance
+        Propagated from neighbors.nearest when squared distances overflow.
     """
     tree = cKDTree(tgt.points)
-    pose = init
+    unit_weights = np.ones(src.count)
+    r, t = init.rotation.m, init.translation
     for _ in range(max_iters):
-        index, _ = nearest(pose.apply(src.points), tgt.points, tree)
-        matched = CorrespondenceSet.from_arrays(src.points, tgt.points[index])
-        new_pose = estimate_pose_kabsch(matched)
-        change = np.linalg.norm(new_pose.rotation.m - pose.rotation.m) + np.linalg.norm(
-            new_pose.translation - pose.translation
-        )
-        pose = new_pose
+        index, _ = nearest(src.points @ r.T + t, tgt.points, tree)
+        new_r, new_t = _kabsch_pose(src.points, tgt.points[index], unit_weights)
+        change = np.linalg.norm(new_r - r) + np.linalg.norm(new_t - t)
+        r, t = new_r, new_t
         if change < tol:
             break
-    return pose
+    return RigidTransform(Rotation(r), t)

@@ -495,6 +495,21 @@ def test_main_rejects_bad_slab_thickness(tmp_path, capsys, thickness):
     assert captured.out == ""
 
 
+def test_main_run_icp_with_overflowing_noise_writes_na_rows(tmp_path, capsys):
+    # Squared matching distances overflow; the trials become NA rows.
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(
+        "method = icp\ntrials = 2\nproblem.n_points = 32\n"
+        "problem.noise_sigma = 1e300\nproblem.noise_clamp = 1e300\n"
+    )
+    assert main(["run", "--config", str(config_path)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    rows = [line.split(",") for line in captured.out.splitlines() if line[:1].isdigit()]
+    assert [row[:2] for row in rows] == [["0", "icp"], ["1", "icp"]]
+    assert all(cell == "NA" for row in rows for cell in row[2:])
+
+
 def run_python(*args):
     """Run a fresh interpreter that imports this checkout's rigid_refine."""
     package_root = str(pathlib.Path(rigid_refine.__file__).resolve().parents[1])

@@ -179,3 +179,42 @@ def test_kabsch_optimality_small_instances():
             r = random_rotation(rng)
             t = optimal_translation(r, corr)
             assert cost <= weighted_cost(r, t, corr) + 1e-6
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("n", [3, 32, 1024])
+def test_estimate_pose_equals_public_chain_bitwise(n, weighted):
+    # estimate_pose_kabsch runs on plain arrays; it must agree bit for bit with
+    # the validated chain center -> cross_covariance -> kabsch_rotation and
+    # t = target_mean - R source_mean. Every fourth target is mirrored, so
+    # det(H) < 0 and the reflection guard is exercised.
+    reflections = 0
+    for seed in range(200):
+        rng = Xoshiro256PlusPlus(10_000 * n + seed)
+        src = rng.uniforms(3 * n, -1.0, 1.0).reshape(n, 3)
+        mirror = np.diag([1.0, 1.0, -1.0]) if seed % 4 == 0 else np.eye(3)
+        noise = 0.01 * rng.normals(3 * n).reshape(n, 3)
+        tgt = src @ (random_rotation(rng).m @ mirror).T + noise + rng.uniforms(3, -0.5, 0.5)
+        weights = rng.uniforms(n, 0.5, 2.0) if weighted else None
+        corr = CorrespondenceSet.from_arrays(src, tgt, weights)
+
+        centered = center(corr)
+        cross_cov = cross_covariance(centered)
+        rotation = kabsch_rotation(cross_cov)
+        translation = centered.target_mean - rotation.m @ centered.source_mean
+        pose = estimate_pose_kabsch(corr)
+        assert pose.rotation.m.tobytes() == rotation.m.tobytes()
+        assert pose.translation.tobytes() == translation.tobytes()
+        reflections += np.linalg.det(cross_cov.h) < 0.0
+    assert reflections >= 40
+
+
+def test_estimate_pose_rejects_overflowing_cross_covariance():
+    # Finite points near 1e200 center fine, but H = sum w t s^T overflows.
+    rng = Xoshiro256PlusPlus(12)
+    src = 1e200 * rng.uniforms(3 * 16, -1.0, 1.0).reshape(16, 3)
+    corr = CorrespondenceSet.from_arrays(src, src[::-1].copy())
+    with np.errstate(over="ignore"):
+        assert np.all(np.isfinite(center(corr).source_centered.points))
+        with pytest.raises(ValueError, match="cross-covariance must be finite"):
+            estimate_pose_kabsch(corr)

@@ -1,6 +1,8 @@
 """The k-d tree nearest-neighbor kernel and its three callers (Chamfer distance,
 matching cost, ICP) against the brute-force oracle in nn_oracle.py, bit for bit."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from rigid_refine import (
     matching_cost,
     so3,
 )
-from rigid_refine.neighbors import nearest
+from rigid_refine.neighbors import NonFiniteDistance, nearest
 from rigid_refine.rng import Xoshiro256PlusPlus
 
 from nn_oracle import brute_chamfer, brute_icp, brute_matching_cost, brute_nearest
@@ -110,14 +112,33 @@ def test_matching_cost_matches_oracle_bitwise():
 ICP_SPEC = dict(n_points=717, noise_sigma=0.01, crop_keep_fraction=0.7, independent_resample=True)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_icp_matches_oracle_on_benchmark_problems(seed):
+# A start away from the identity, so the loop's first pose is not trivial.
+TURNED_INIT = RigidTransform(
+    Rotation(so3.rotation_zyx(20.0, -10.0, 5.0, degrees=True)), np.array([0.1, -0.2, 0.05])
+)
+
+
+@pytest.mark.parametrize(
+    "seed, init",
+    [(seed, RigidTransform.identity()) for seed in range(4)] + [(0, TURNED_INIT)],
+    ids=["0", "1", "2", "3", "0-turned-init"],
+)
+def test_icp_matches_oracle_on_benchmark_problems(seed, init):
     spec = ProblemSpec(seed=seed, **ICP_SPEC)
     rng = Xoshiro256PlusPlus(seed)
     problem = make_problem(spec, ball_cloud(2 * spec.n_points, rng), rng)
     corr = problem.correspondences
-    init = RigidTransform.identity()
     pose = icp_baseline(corr.source, corr.target, init)
     oracle = brute_icp(corr.source, corr.target, init)
     assert_bitwise(pose.rotation.m, oracle.rotation.m)
     assert_bitwise(pose.translation, oracle.translation)
+
+
+def test_nearest_rejects_overflowing_distances():
+    # The tree reports an overflowed distance as inf with the out-of-range
+    # index M; nearest must name the failure, not index with M.
+    query = np.array([[0.0, 0.0, 0.0], [1e300, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteDistance):
+            nearest(query, np.eye(3))

@@ -40,8 +40,8 @@ def test_constraint_pair_order_and_bases():
         e = np.zeros((3, 3))
         e[i, j] += 1.0
         e[j, i] += 1.0
-        assert np.array_equal(CONSTRAINT_BASES[k].matrix, e)
-        assert np.trace(CONSTRAINT_BASES[k].matrix) == (2.0 if i == j else 0.0)
+        assert np.array_equal(CONSTRAINT_BASES[k], e)
+        assert np.trace(CONSTRAINT_BASES[k]) == (2.0 if i == j else 0.0)
 
 
 def test_orthogonality_constraint_values():
@@ -89,7 +89,7 @@ def test_kkt_b_columns_at_identity():
     assert np.allclose(system.b[:, 0], expected0)
     for k in range(6):
         assert np.allclose(
-            system.b[:, k], CONSTRAINT_BASES[k].matrix.flatten(order="F")
+            system.b[:, k], CONSTRAINT_BASES[k].flatten(order="F")
         )
 
 
@@ -230,7 +230,7 @@ def test_solve_kkt_stationarity_in_matrix_form():
     w = cc.weights
     s_mat = (s * w[:, None]).T @ s
     f_mat = (t * w[:, None]).T @ s
-    multiplier_term = sum(lam[k] * CONSTRAINT_BASES[k].matrix for k in range(6))
+    multiplier_term = sum(lam[k] * CONSTRAINT_BASES[k] for k in range(6))
     resid = candidate.m @ s_mat + r_prev.m @ multiplier_term - f_mat
     assert np.linalg.norm(resid) <= 1e-8 * max(1.0, np.linalg.norm(f_mat))
 
@@ -303,7 +303,7 @@ def test_constraint_jacobian_shape_and_columns():
     assert jac.shape == (9, 6)
     for k in range(6):
         assert np.allclose(
-            jac[:, k], (r.m @ CONSTRAINT_BASES[k].matrix).flatten(order="F")
+            jac[:, k], (r.m @ CONSTRAINT_BASES[k]).flatten(order="F")
         )
 
 

@@ -18,7 +18,6 @@ from rigid_refine import (
     ProblemSpec,
     Xoshiro256PlusPlus,
     ball_cloud,
-    center,
     divergence_report,
     estimate_pose_kabsch,
     make_problem,
@@ -48,7 +47,7 @@ def run_family(name, cloud_fn, seeds, n_points, n_refinements):
         problem = make_problem(spec, cloud, rng)
         initial = estimate_pose_kabsch(problem.correspondences)
         trace = refine(problem.correspondences, initial, n_refinements)
-        report = divergence_report(trace, initial, center(problem.correspondences))
+        report = divergence_report(trace)
         dets.append(report.det_g_normalized)
         divergences.append(report.divergence)
     divergences = np.array(divergences)

@@ -144,14 +144,12 @@ def run_trial(config, trial_index):
 
     corr = problem.correspondences
     trace = None
-    init = None
     try:
         if config.method == "kabsch":
             pose = estimate_pose_kabsch(corr)
             poses = [pose]
         elif config.method == "refined":
-            init = estimate_pose_kabsch(corr)
-            trace = refine(corr, init, config.refinements)
+            trace = refine(corr, estimate_pose_kabsch(corr), config.refinements)
             pose = trace.poses[-1]
             poses = trace
         else:
@@ -182,7 +180,7 @@ def run_trial(config, trial_index):
     if trace is not None:
         record["fallback_count"] = trace.fallback_count
         if config.report_diagnostics:
-            report = divergence_report(trace, init, center(corr))
+            report = divergence_report(trace)
             record["divergence"] = report.divergence
             record["max_col_distance"] = report.max_col_distance
             record["max_col_angle_deg"] = report.max_col_angle_deg

@@ -127,32 +127,30 @@ class DivergenceReport:
             raise ValueError("divergence must equal the sum of per-iteration entries")
 
 
-def divergence_report(trace, kabsch_pose, centered):
-    """Summarize how far refinement drifted from the closed-form estimate.
+def divergence_report(trace):
+    """Summarize how far refinement drifted from the pose it started from.
 
-    Divergence is sum_i ||R_i - R_K||_F over the refinement outputs
-    (trace poses after index 0; the initialization is excluded).
+    Divergence is sum_i ||R_i - R_K||_F over the refinement outputs (trace
+    poses after index 0), with R_K the rotation of trace.poses[0], the
+    closed-form SVD pose when refine was started from it. The predictors
+    come from trace.centered, the problem the trace was refined on.
 
     Parameters
     ----------
     trace : RefinementTrace
-    kabsch_pose : RigidTransform
-        The closed-form SVD pose being compared against.
-    centered : CenteredCorrespondences
-        Same correspondences the trace was refined on.
 
     Returns
     -------
     DivergenceReport
     """
-    r_k = kabsch_pose.rotation.m
+    r_k = trace.poses[0].rotation.m
     per_iteration = tuple(
         float(np.linalg.norm(p.rotation.m - r_k)) for p in trace.poses[1:]
     )
     divergence = sum(per_iteration)
 
     try:
-        sol = unconstrained_solution(centered)
+        sol = unconstrained_solution(trace.centered)
         col_dist = float(np.linalg.norm(sol.r_u - r_k, axis=0).max())
         col_angle = float(
             np.degrees(

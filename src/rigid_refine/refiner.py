@@ -24,7 +24,8 @@ by d_i + d_j, never by d_i alone, so it stays accurate when S is nearly rank
 2 (thin or planar sources); the equivalent Sylvester form in S^-1 does not.
 `assemble_kkt` / `solve_kkt` / `kkt_residual` build and solve the 15x15
 system of the paper literally and are kept as the reference the closed form
-is tested against.
+is tested against; `refine` stores no residual, but its trace carries the
+centered problem they need (see RefinementTrace).
 
 Conventions (fixed across the package):
 
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rotation, RigidTransform, center
+from .core import CenteredCorrespondences, Rotation, RigidTransform, center
 from .kabsch import _cross_covariance
 
 # Condition estimate above this raises SingularSystem: degenerate source
@@ -81,11 +82,6 @@ def _symmetric_basis(i, j):
 # E^S_k = e_i e_j^T + e_j e_i^T for the k-th pair of CONSTRAINT_PAIRS, read-only.
 CONSTRAINT_BASES = tuple(_symmetric_basis(i, j) for i, j in CONSTRAINT_PAIRS)
 
-# The bases as rows of a 6x9 matrix acting on row-major flattened 3x3
-# matrices: _BASES_FLAT @ X.ravel() = (tr(E^S_k X))_k and
-# lambdas @ _BASES_FLAT = sum_k lambda_k E^S_k (flattened); E^S_k is symmetric.
-_BASES_FLAT = np.array([basis.ravel() for basis in CONSTRAINT_BASES])
-_BASIS_TRACES = np.array([np.trace(basis) for basis in CONSTRAINT_BASES])
 # Row k picks entry (i, j) of the k-th pair; _MULTIPLIER_PICK maps the
 # symmetric Lambda = sum_k lambda_k E^S_k back to lambda_k (Lambda_ij for
 # i != j, Lambda_ii / 2).
@@ -267,8 +263,6 @@ class _StepFactors:
     """The parts of a refinement step that do not depend on R_prev, with
     S = V diag(d) V^T and d ascending."""
 
-    s_mat: np.ndarray
-    f_mat: np.ndarray
     v: np.ndarray
     f_v: np.ndarray  # F V
     pair_sums: np.ndarray  # d_i + d_j, with a unit diagonal
@@ -277,7 +271,7 @@ class _StepFactors:
 
 
 def _step_factors(centered):
-    """S, F and the eigendecomposition of S, as _StepFactors.
+    """The eigendecomposition of S and F V, as _StepFactors.
 
     Raises
     ------
@@ -296,14 +290,16 @@ def _step_factors(centered):
         raise ValueError("second-moment matrices S and F must be finite")
     d, v = np.linalg.eigh(s_mat)
     smallest_pair = d[0] + d[1]
-    if not smallest_pair > 0.0 or d[2] > CONDITION_LIMIT * smallest_pair:
+    # Divided, not multiplied: CONDITION_LIMIT * (d_0 + d_1) overflows at
+    # huge input scales.
+    if not smallest_pair > 0.0 or d[2] / CONDITION_LIMIT > smallest_pair:
         raise SingularSystem(
             f"eigenvalues {d} of S: d_2 / (d_0 + d_1) exceeds {CONDITION_LIMIT:.0e}"
         )
     pair_sums = d[:, None] + d
     np.fill_diagonal(pair_sums, 1.0)
     half_gaps = 0.5 * (d - d[:, None])
-    return _StepFactors(s_mat, f_mat, v, f_mat @ v, pair_sums, half_gaps, np.diag(d))
+    return _StepFactors(v, f_mat @ v, pair_sums, half_gaps, np.diag(d))
 
 
 def _tangent_step(r_prev, factors):
@@ -339,23 +335,6 @@ def _tangent_step(r_prev, factors):
     if not norms.min() >= 1.0 - COLUMN_NORM_SLACK:
         raise SingularSystem(f"candidate column norms {norms} below 1 - {COLUMN_NORM_SLACK:.0e}")
     return candidate, _MULTIPLIER_PICK @ (v @ lam_prime @ v.T).ravel()
-
-
-def _step_residual(factors, r_prev, candidate, lambdas):
-    """kkt_residual of a step, from 3x3 products instead of the 15x15 system.
-
-    The 9 stationarity rows are R' S + R_prev sum_k lambda_k E^S_k - F; the 6
-    linearized-constraint rows are tr(E^S_k R_prev^T R') - d_lambda[k], with
-    d_lambda[k] = tr(E^S_k) - c_k(R_prev). The rhs is (vec F, d_lambda).
-    """
-    s_mat, f_mat = factors.s_mat, factors.f_mat
-    multiplier_term = r_prev @ (lambdas @ _BASES_FLAT).reshape(3, 3)
-    stationarity = (candidate @ s_mat + multiplier_term - f_mat).ravel()
-    d_lambda = _BASIS_TRACES - _PAIR_PICK @ (r_prev.T @ r_prev - np.eye(3)).ravel()
-    constraints = _BASES_FLAT @ (r_prev.T @ candidate).ravel() - d_lambda
-    residual_sq = stationarity @ stationarity + constraints @ constraints
-    rhs_sq = np.dot(f_mat.ravel(), f_mat.ravel()) + d_lambda @ d_lambda
-    return math.sqrt(residual_sq) / max(math.sqrt(rhs_sq), np.finfo(float).tiny)
 
 
 def assemble_rotation(candidate):
@@ -399,24 +378,30 @@ def assemble_rotation(candidate):
 
 @dataclass(frozen=True, eq=False)
 class RefinementTrace:
-    """Pose sequence plus per-iteration solver diagnostics.
+    """Pose sequence plus per-iteration solver output, and the centered
+    problem the steps were solved on.
 
     poses has length n_refinements + 1 with the initialization at index 0.
     Iterations that fell back to the previous pose (SingularSystem) store
-    NaN residuals, NaN multipliers, and a None candidate.
+    NaN multipliers and a None candidate. A step's KKT residual is not
+    stored; the public oracle derives it from the trace alone:
+    kkt_residual(assemble_kkt(centered, poses[k].rotation), candidates[k],
+    lambdas[k]).
     """
 
     poses: tuple
     lambdas: tuple
-    kkt_residuals: tuple
     candidates: tuple
+    centered: CenteredCorrespondences
 
     def __post_init__(self):
         n = len(self.poses) - 1
         if n < 0 or not all(isinstance(p, RigidTransform) for p in self.poses):
             raise ValueError("poses must be a nonempty sequence of RigidTransform")
-        if not (len(self.lambdas) == len(self.kkt_residuals) == len(self.candidates) == n):
+        if not (len(self.lambdas) == len(self.candidates) == n):
             raise ValueError("per-iteration sequences must have length len(poses) - 1")
+        if not isinstance(self.centered, CenteredCorrespondences):
+            raise TypeError("centered must be CenteredCorrespondences")
 
     @property
     def n_refinements(self):
@@ -451,8 +436,8 @@ def refine(correspondences, init, n_refinements=DEFAULT_REFINEMENTS):
     Returns
     -------
     RefinementTrace
-        kkt_residuals holds each step's relative residual of the 15 KKT
-        equations, as kkt_residual would report it.
+        Its centered field holds the centered correspondences the steps were
+        solved on, so diagnostics and the KKT oracle need no second centering.
     """
     if n_refinements < 1:
         raise ValueError("n_refinements must be >= 1")
@@ -463,7 +448,6 @@ def refine(correspondences, init, n_refinements=DEFAULT_REFINEMENTS):
         factors = None
     poses = [init]
     lambdas = []
-    residuals = []
     candidates = []
     for _ in range(n_refinements):
         r_prev = poses[-1].rotation.m
@@ -474,7 +458,6 @@ def refine(correspondences, init, n_refinements=DEFAULT_REFINEMENTS):
         except SingularSystem:
             poses.append(poses[-1])
             lambdas.append(np.full(6, np.nan))
-            residuals.append(np.nan)
             candidates.append(None)
             continue
         candidate = CandidateMatrix(candidate)
@@ -482,6 +465,5 @@ def refine(correspondences, init, n_refinements=DEFAULT_REFINEMENTS):
         translation = centered.target_mean - rotation.m @ centered.source_mean
         poses.append(RigidTransform(rotation, translation))
         lambdas.append(lam)
-        residuals.append(_step_residual(factors, r_prev, candidate.m, lam))
         candidates.append(candidate)
-    return RefinementTrace(tuple(poses), tuple(lambdas), tuple(residuals), tuple(candidates))
+    return RefinementTrace(tuple(poses), tuple(lambdas), tuple(candidates), centered)

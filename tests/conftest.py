@@ -1,7 +1,13 @@
 """Shared test helpers and the acceptance-criteria summary hook."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 
+import rigid_refine
 from rigid_refine import (
     CorrespondenceSet,
     PointCloud,
@@ -68,3 +74,13 @@ def random_problem(seed, n, noise=0.0, weighted=False):
         weights = np.array([rng.uniform(0.5, 2.0) for _ in range(n)])
     corr = CorrespondenceSet(PointCloud(src), PointCloud(tgt), weights)
     return corr, gt
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports this checkout's rigid_refine."""
+    package_root = str(pathlib.Path(rigid_refine.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )

@@ -93,7 +93,7 @@ def synthetic_problem(seed, n, **spec_kwargs):
 def refined_report(problem, n_refinements):
     kabsch_pose = estimate_pose_kabsch(problem.correspondences)
     trace = refine(problem.correspondences, kabsch_pose, n_refinements)
-    return divergence_report(trace, kabsch_pose, center(problem.correspondences))
+    return divergence_report(trace)
 
 
 def test_criterion_01_kabsch_beats_random_rotation_sampling():

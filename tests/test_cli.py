@@ -1,12 +1,10 @@
-import os
-import pathlib
-import subprocess
-import sys
+import warnings
 
 import numpy as np
 import pytest
 
-import rigid_refine
+from conftest import run_python
+
 from rigid_refine.cli import (
     ComparisonTable,
     ConfigError,
@@ -297,6 +295,18 @@ def test_run_trial_records_degenerate_problem_as_na_row():
     assert text.splitlines()[1] == "5,kabsch," + ",".join(["NA"] * 14)
 
 
+@pytest.mark.parametrize("scale", [1e100, 1e150])
+def test_run_trial_refined_at_huge_noise_is_finite_and_silent(scale):
+    # The refine step and its singularity test must neither overflow nor warn
+    # at this scale; the rotation error stays a finite number.
+    spec = ProblemSpec(n_points=32, noise_sigma=scale, noise_clamp=scale, seed=0)
+    config = ExperimentConfig(problem=spec, method="refined", trials=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = [run_trial(config, i) for i in range(config.trials)]
+    assert all(np.isfinite(record.iso_rot_deg) for record in records)
+
+
 # ---------------------------------------------------------------------------
 # compare_methods
 
@@ -508,16 +518,6 @@ def test_main_run_icp_with_overflowing_noise_writes_na_rows(tmp_path, capsys):
     rows = [line.split(",") for line in captured.out.splitlines() if line[:1].isdigit()]
     assert [row[:2] for row in rows] == [["0", "icp"], ["1", "icp"]]
     assert all(cell == "NA" for row in rows for cell in row[2:])
-
-
-def run_python(*args):
-    """Run a fresh interpreter that imports this checkout's rigid_refine."""
-    package_root = str(pathlib.Path(rigid_refine.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
-    )
 
 
 def test_import_does_not_load_scipy_stats():

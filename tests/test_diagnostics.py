@@ -90,7 +90,7 @@ def test_divergence_report_exact_data():
     corr, _ = random_problem(seed=32, n=18, weighted=True)
     kabsch_pose = estimate_pose_kabsch(corr)
     trace = refine(corr, kabsch_pose, 5)
-    report = divergence_report(trace, kabsch_pose, center(corr))
+    report = divergence_report(trace)
     assert report.divergence <= 1e-7
     assert len(report.per_iteration_chordal) == 5
     assert report.max_col_distance <= 1e-8
@@ -99,23 +99,24 @@ def test_divergence_report_exact_data():
 
 
 def test_divergence_report_sums_per_iteration():
+    # The report measures against trace.poses[0], whatever refine started from.
     corr, _ = random_problem(seed=33, n=14, noise=0.1, weighted=True)
-    kabsch_pose = estimate_pose_kabsch(corr)
-    trace = refine(corr, kabsch_pose, 4)
-    report = divergence_report(trace, kabsch_pose, center(corr))
-    assert report.divergence == pytest.approx(
-        sum(report.per_iteration_chordal), abs=1e-12
-    )
-    r_k = kabsch_pose.rotation.m
-    manual = [float(np.linalg.norm(p.rotation.m - r_k)) for p in trace.poses[1:]]
-    assert np.allclose(report.per_iteration_chordal, manual)
+    for init in (estimate_pose_kabsch(corr), RigidTransform.identity()):
+        trace = refine(corr, init, 4)
+        report = divergence_report(trace)
+        assert report.divergence == pytest.approx(
+            sum(report.per_iteration_chordal), abs=1e-12
+        )
+        r_k = init.rotation.m
+        manual = [float(np.linalg.norm(p.rotation.m - r_k)) for p in trace.poses[1:]]
+        assert np.allclose(report.per_iteration_chordal, manual)
 
 
 def test_divergence_report_zero_iff_poses_equal_kabsch():
     corr, _ = random_problem(seed=34, n=10, weighted=True)
     kabsch_pose = estimate_pose_kabsch(corr)
     trace = refine(corr, kabsch_pose, 3)
-    report = divergence_report(trace, kabsch_pose, center(corr))
+    report = divergence_report(trace)
     all_equal = all(
         np.linalg.norm(p.rotation.m - kabsch_pose.rotation.m) <= 1e-9
         for p in trace.poses[1:]
@@ -132,7 +133,7 @@ def test_divergence_report_near_singular_predictors_none():
     corr = CorrespondenceSet.from_arrays(src, tgt)
     kabsch_pose = estimate_pose_kabsch(corr)
     trace = refine(corr, kabsch_pose, 2)
-    report = divergence_report(trace, kabsch_pose, center(corr))
+    report = divergence_report(trace)
     assert report.max_col_distance is None
     assert report.max_col_angle_deg is None
     assert report.det_g_normalized <= 1e-10
@@ -207,9 +208,7 @@ def test_ill_conditioned_median_divergence_exceeds_well_conditioned():
             problem = make_problem(spec, base, rng)
             kabsch_pose = estimate_pose_kabsch(problem.correspondences)
             trace = refine(problem.correspondences, kabsch_pose, 5)
-            report = divergence_report(
-                trace, kabsch_pose, center(problem.correspondences)
-            )
+            report = divergence_report(trace)
             out.append((report.det_g_normalized, report.divergence))
         return out
 

@@ -30,7 +30,6 @@ Output of the frozen run (2026-08-16, linux x86-64):
 
 import numpy as np
 
-from rigid_refine.core import center
 from rigid_refine.diagnostics import divergence_report
 from rigid_refine.kabsch import estimate_pose_kabsch
 from rigid_refine.refiner import refine
@@ -51,7 +50,7 @@ def run():
         problem = make_problem(spec, ball_cloud(32, rng), rng)
         pose = estimate_pose_kabsch(problem.correspondences)
         trace = refine(problem.correspondences, pose, 5)
-        report = divergence_report(trace, pose, center(problem.correspondences))
+        report = divergence_report(trace)
         distances[i] = report.max_col_distance
         divergences[i] = report.divergence
 

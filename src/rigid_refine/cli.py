@@ -4,11 +4,21 @@ Subcommands: `run` (batch trials to CSV), `compare` (aligned per-seed method
 comparison), `gradcheck` (analytic-vs-FD Jacobian check). Configs are flat
 `key = value` text files with dotted keys; see the README for the key table
 and the CSV schema. All output is deterministic for a fixed config: trials
-may run on a worker pool (RIGID_REFINE_THREADS), but records are buffered and
-serialized in trial order, so thread count never changes output bytes.
+run in chunks, possibly on a worker pool (RIGID_REFINE_THREADS), but records
+are buffered and serialized in trial order, and every trial of a chunk is
+solved bit for bit as it would be alone, so neither the thread count nor the
+chunk size changes output bytes.
+
+A chunk makes each trial's problem with its own generator, in trial order,
+then stacks the problems that were made and solves and scores them at once
+through the package's array kernels (Kabsch, the refine steps, the
+divergence predictors and the pose metrics; see core for the leading trial
+axis). Chamfer and ICP run per trial. A trial that fails, in generation or
+in a kernel's mask, is an NA row.
 """
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -16,8 +26,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import PointCloud, RigidTransform, center
-from .diagnostics import divergence_report
+from .core import RigidTransform, _centered, center
+from .diagnostics import _divergence
 from .gradcheck import (
     finite_difference_jacobian,
     flatten_inputs,
@@ -25,10 +35,16 @@ from .gradcheck import (
     max_relative_error,
     refine_step_outputs,
 )
-from .kabsch import DegenerateGeometry, estimate_pose_kabsch
-from .metrics import augmented_loss, chamfer_distance, mean_point_distance, rotation_error, translation_error
+from .kabsch import DegenerateGeometry, _kabsch_pose, estimate_pose_kabsch
+from .metrics import (
+    _augmented_losses,
+    _chamfer,
+    _mean_point_distances,
+    _rotation_errors,
+    _translation_errors,
+)
 from .neighbors import NonFiniteDistance
-from .refiner import DEFAULT_REFINEMENTS, refine
+from .refiner import DEFAULT_REFINEMENTS, _refine_steps
 from .rng import Xoshiro256PlusPlus
 from .synth import (
     SLAB_EXTENT,
@@ -47,6 +63,10 @@ NA = "NA"
 METHODS = ("kabsch", "refined", "icp")
 
 GRADCHECK_TOL = 1e-5
+
+# A chunk stacks at most this many points per cloud (B * n_points), so its
+# arrays stay within a few MiB whatever the trial count.
+CHUNK_POINTS = 1 << 15
 
 
 class ConfigError(Exception):
@@ -132,27 +152,13 @@ def _base_cloud(config, rng):
     return slab_cloud(count, rng, thickness=config.slab_thickness)
 
 
-def run_trial(config, trial_index):
-    """Generate, solve, and score one trial; never raises for solver failures."""
-    seed = config.problem.seed + trial_index
-    rng = Xoshiro256PlusPlus(seed)
-    try:
-        base = _base_cloud(config, rng)
-        problem = make_problem(config.problem, base, rng)
-    except (InsufficientPoints, CropOverlapUnsatisfied):
-        return TrialRecord(seed=seed, method=config.method)
-
-    corr = problem.correspondences
-    trace = None
-    try:
-        if config.method == "kabsch":
-            pose = estimate_pose_kabsch(corr)
-            poses = [pose]
-        elif config.method == "refined":
-            trace = refine(corr, estimate_pose_kabsch(corr), config.refinements)
-            pose = trace.poses[-1]
-            poses = trace
-        else:
+def _icp_poses(config, correspondences):
+    """ICP from the identity per trial: (r (B, 3, 3), t (B, 3), ok (B,))."""
+    r = np.tile(np.eye(3), (len(correspondences), 1, 1))
+    t = np.zeros((len(correspondences), 3))
+    ok = np.ones(len(correspondences), dtype=bool)
+    for b, corr in enumerate(correspondences):
+        try:
             pose = icp_baseline(
                 corr.source,
                 corr.target,
@@ -160,32 +166,119 @@ def run_trial(config, trial_index):
                 max_iters=config.icp_max_iters,
                 tol=config.icp_tol,
             )
-            poses = [pose]
-    except (DegenerateGeometry, NonFiniteDistance):
-        return TrialRecord(seed=seed, method=config.method)
+        except (DegenerateGeometry, NonFiniteDistance):
+            ok[b] = False
+        else:
+            r[b], t[b] = pose.rotation.m, pose.translation
+    return r, t, ok
 
-    gt = problem.gt
-    iso, aniso = rotation_error(pose.rotation, gt.rotation)
-    record = {
-        "iso_rot_deg": iso,
-        "aniso_z_deg": float(aniso[0]),
-        "aniso_y_deg": float(aniso[1]),
-        "aniso_x_deg": float(aniso[2]),
-        "trans_l1": translation_error(pose.translation, gt.translation, 1),
-        "trans_l2": translation_error(pose.translation, gt.translation, 2),
-        "chamfer": chamfer_distance(PointCloud(pose.apply(corr.source.points)), corr.target),
-        "mean_point_dist": mean_point_distance(corr.source, pose, gt),
-        "augmented_loss": augmented_loss(poses, gt),
+
+def _lanes(mask, *arrays):
+    """The entries of each array (trial axis first) where mask holds."""
+    if mask.all():
+        return arrays
+    return tuple(a[mask] for a in arrays)
+
+
+def _solve_and_score(config, problems):
+    """Solve and score problems that have the same number of
+    correspondences, stacked; one record dict per problem, None for a trial
+    whose solve failed (an NA row)."""
+    corrs = [p.correspondences for p in problems]
+    src = np.stack([c.source.points for c in corrs])
+    tgt = np.stack([c.target.points for c in corrs])
+    w = np.stack([c.weights for c in corrs])
+    lanes = np.arange(len(problems))
+    if config.method == "icp":
+        r, t, ok = _icp_poses(config, corrs)
+    else:
+        r, t, ok = _kabsch_pose(src, tgt, w)
+    lanes, src, tgt, w, r, t = _lanes(ok, lanes, src, tgt, w, r, t)
+    poses_r, poses_t = r[:, None], t[:, None]
+    if config.method == "refined":
+        source, source_mean = _centered(src, w)
+        target, target_mean = _centered(tgt, w)
+        steps = _refine_steps(
+            source, target, w, source_mean, target_mean, r, t, config.refinements
+        )
+        # S and F can overflow where H did not: no refinement, an NA row.
+        lanes, src, tgt, w, source, target = _lanes(
+            steps.finite, lanes, src, tgt, w, source, target
+        )
+        poses_r, poses_t, stepped = _lanes(
+            steps.finite, steps.rotations, steps.translations, steps.stepped
+        )
+        r, t = poses_r[:, -1], poses_t[:, -1]
+    if not lanes.size:
+        return [None] * len(problems)
+
+    gt_r = np.stack([problems[b].gt.rotation.m for b in lanes])
+    gt_t = np.stack([problems[b].gt.translation for b in lanes])
+    iso, aniso = _rotation_errors(r, gt_r)
+    trans_l1, trans_l2 = _translation_errors(t - gt_t)
+    moved = src @ r.swapaxes(1, 2) + t[:, None, :]
+    columns = {
+        "iso_rot_deg": iso.tolist(),
+        "aniso_z_deg": aniso[:, 0].tolist(),
+        "aniso_y_deg": aniso[:, 1].tolist(),
+        "aniso_x_deg": aniso[:, 2].tolist(),
+        "trans_l1": trans_l1.tolist(),
+        "trans_l2": trans_l2.tolist(),
+        "chamfer": [float(_chamfer(m, c)) for m, c in zip(moved, tgt)],
+        "mean_point_dist": _mean_point_distances(src, r, t, gt_r, gt_t).tolist(),
+        "augmented_loss": _augmented_losses(poses_r, poses_t, gt_r, gt_t).tolist(),
     }
-    if trace is not None:
-        record["fallback_count"] = trace.fallback_count
+    if config.method == "refined":
+        columns["fallback_count"] = (~stepped).sum(axis=1).tolist()
         if config.report_diagnostics:
-            report = divergence_report(trace)
-            record["divergence"] = report.divergence
-            record["max_col_distance"] = report.max_col_distance
-            record["max_col_angle_deg"] = report.max_col_angle_deg
-            record["det_g_normalized"] = report.det_g_normalized
-    return TrialRecord(seed=seed, method=config.method, **record)
+            stats = _divergence(poses_r, target, source, w)
+            columns["divergence"] = stats["divergence"].tolist()
+            columns["det_g_normalized"] = stats["det_g_normalized"].tolist()
+            # NaN marks a near-singular G: no column predictors.
+            for name in ("max_col_distance", "max_col_angle_deg"):
+                columns[name] = [None if math.isnan(v) else v for v in stats[name].tolist()]
+
+    records = [None] * len(problems)
+    for k, b in enumerate(lanes.tolist()):
+        records[b] = {name: values[k] for name, values in columns.items()}
+    return records
+
+
+def _run_chunk(config, indices):
+    """Generate, solve and score the trials `indices`; their records, in order."""
+    records = {}
+    made = {}  # correspondence count -> [(index, seed, problem)]
+    for i in indices:
+        seed = config.problem.seed + i
+        rng = Xoshiro256PlusPlus(seed)
+        try:
+            base = _base_cloud(config, rng)
+            problem = make_problem(config.problem, base, rng)
+        except (InsufficientPoints, CropOverlapUnsatisfied):
+            records[i] = TrialRecord(seed=seed, method=config.method)
+        else:
+            made.setdefault(problem.correspondences.count, []).append((i, seed, problem))
+    for group in made.values():
+        scored = _solve_and_score(config, [problem for _, _, problem in group])
+        for (i, seed, _), values in zip(group, scored):
+            records[i] = TrialRecord(seed=seed, method=config.method, **(values or {}))
+    return [records[i] for i in indices]
+
+
+def run_trial(config, trial_index):
+    """Generate, solve, and score one trial (a chunk of one); never raises
+    for solver failures."""
+    return _run_chunk(config, [trial_index])[0]
+
+
+def _chunk_size(config, workers):
+    """Trials per chunk: the trials split evenly over the workers, capped at
+    CHUNK_POINTS stacked points. ICP trials take 29 to 50 iterations each, so
+    they are handed to the workers one at a time."""
+    if config.method == "icp":
+        return 1
+    per_worker = -(-config.trials // workers)
+    return max(1, min(per_worker, CHUNK_POINTS // config.problem.n_points))
 
 
 def _worker_count():
@@ -204,19 +297,25 @@ def _worker_count():
 def run_experiment(config):
     """All trials of one config, in trial order.
 
-    Trials execute on a thread pool sized by RIGID_REFINE_THREADS (0/unset =
-    hardware default); results are collected per index, so the output is
-    identical whatever the pool size.
+    Trials run in chunks (see the module docstring) on a thread pool sized by
+    RIGID_REFINE_THREADS (0/unset = hardware default). The chunk size follows
+    from the trial count, the worker count and n_points (_chunk_size);
+    results are collected per index, and a trial's record does not depend on
+    its chunk, so the output is identical whatever the pool size.
 
     Returns
     -------
     list of TrialRecord
     """
     workers = _worker_count()
-    if workers == 1:
-        return [run_trial(config, i) for i in range(config.trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda i: run_trial(config, i), range(config.trials)))
+    size = _chunk_size(config, workers)
+    chunks = [range(i, min(i + size, config.trials)) for i in range(0, config.trials, size)]
+    if workers == 1 or len(chunks) == 1:
+        done = [_run_chunk(config, chunk) for chunk in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(lambda chunk: _run_chunk(config, chunk), chunks))
+    return [record for records in done for record in records]
 
 
 def _fmt(value):
@@ -236,16 +335,37 @@ def _column_values(records, name):
     out = []
     for r in records:
         v = getattr(r, name)
-        if v is not None and np.isfinite(float(v)):
+        if v is not None and math.isfinite(v):
             out.append(float(v))
     return np.array(out)
 
 
+def _overflow_safe(stat):
+    """stat(v), or max|v| * stat(v / max|v|) where stat(v) overflows.
+
+    Every aggregate is positively homogeneous, so the scaled form is the same
+    statistic; it is taken only where the plain one overflows (squares of
+    values above ~1e154), so ordinary columns keep their bytes.
+    """
+
+    def safe(v):
+        with np.errstate(over="ignore"):
+            value = stat(v)
+        if not np.isfinite(value):
+            scale = np.abs(v).max()
+            value = scale * stat(v / scale)
+        return float(value)
+
+    return safe
+
+
+_rmse = _overflow_safe(lambda v: np.sqrt(np.mean(v**2)))
+
 _AGG_STATS = (
-    ("mean", lambda v: float(np.mean(v))),
-    ("rmse", lambda v: float(np.sqrt(np.mean(v**2)))),
-    ("mae", lambda v: float(np.mean(np.abs(v)))),
-    ("std", lambda v: float(np.std(v))),
+    ("mean", _overflow_safe(np.mean)),
+    ("rmse", _rmse),
+    ("mae", _overflow_safe(lambda v: np.mean(np.abs(v)))),
+    ("std", _overflow_safe(np.std)),
 )
 
 
@@ -262,17 +382,17 @@ def records_to_csv(records):
     for r in records:
         lines.append(",".join(_fmt(getattr(r, name)) for name in COLUMNS))
 
+    columns = {name: _column_values(records, name) for name in _NUMERIC_COLUMNS}
     for stat, fn in _AGG_STATS:
         cells = ["#agg", stat]
-        for name in _NUMERIC_COLUMNS:
-            values = _column_values(records, name)
+        for values in columns.values():
             cells.append(_fmt(fn(values)) if values.size else NA)
         lines.append(",".join(cells))
 
-    per_axis = [_column_values(records, n) for n in ("aniso_z_deg", "aniso_y_deg", "aniso_x_deg")]
+    per_axis = [columns[n] for n in ("aniso_z_deg", "aniso_y_deg", "aniso_x_deg")]
     if all(v.size for v in per_axis):
-        axis_rmse = [float(np.sqrt(np.mean(v**2))) for v in per_axis]
-        pooled = float(np.sqrt(np.mean(np.concatenate(per_axis) ** 2)))
+        axis_rmse = [_rmse(v) for v in per_axis]
+        pooled = _rmse(np.concatenate(per_axis))
         lines.append(f"#agg,aniso_rmse_per_axis,{_fmt(float(np.mean(axis_rmse)))}")
         lines.append(f"#agg,aniso_rmse_pooled,{_fmt(pooled)}")
     else:

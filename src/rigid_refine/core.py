@@ -3,6 +3,21 @@
 Points are float64 arrays of shape (N, 3), unitless, conventionally normalized
 to unit-ball scale. All containers validate on construction and hold read-only
 arrays afterwards, so instances are safe to share across threads.
+
+Array kernels. The private `_`-prefixed functions of this package work on
+plain arrays with a leading trial axis: B problems of N points each are
+(B, N, 3) points and (B, N) weights, and give (B, 3) means, (B, 3, 3)
+matrices and (B,) scalars. A single problem is B = 1; the public functions
+validate their containers, call the kernels with B = 1 and raise where a
+kernel reports a failed lane in a mask. Each lane of a stack is computed
+bit for bit as it would be alone, so stacking trials never changes a result:
+stacked matmul, svd, eigh, det and solve loop over the same per-matrix
+routines, and the few reductions over short axes are written so that their
+summation order does not depend on B. In particular a dot product over the
+last axis is taken by `_dot`, a (1, k) @ (k, 1) matmul that numpy hands to
+BLAS ddot as it does `x @ x` and `np.linalg.norm(x)`; an einsum or sum over
+that axis rounds differently in about a third of cases. Likewise a power of a
+float64 scalar is taken element by element (`_scalar_pow`).
 """
 
 from dataclasses import dataclass
@@ -173,11 +188,11 @@ class CenteredCorrespondences:
             (self.target_centered, self.target_mean, "target"),
         ):
             pts = cloud.points
-            _, residual_mean = _centered(pts, w)
+            _, residual_mean = _centered(pts[None], w[None])
             # Scale reference: centered radius or the subtracted mean itself,
             # whichever is larger (identical-point clouds center to ~eps*|p|).
             scale = max(np.linalg.norm(pts, axis=1).max(), np.linalg.norm(mean))
-            if np.linalg.norm(residual_mean) > CENTERING_TOL * scale:
+            if np.linalg.norm(residual_mean[0]) > CENTERING_TOL * scale:
                 raise ValueError(f"{name}_centered has nonzero weighted mean")
 
     @property
@@ -185,10 +200,33 @@ class CenteredCorrespondences:
         return self.source_centered.count
 
 
+def _dot(x, y):
+    """Dot products over the last axis: (..., k) and (..., k) -> (...).
+
+    A (1, k) @ (k, 1) matmul per row, which numpy computes with BLAS ddot,
+    bit-identical to x_b @ y_b for every row b (see the module docstring).
+    """
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _scalar_pow(x, k):
+    """x ** k elementwise, as a float64 scalar computes it (libm pow).
+
+    numpy's array power can take a SIMD pow, or a multiply for k = 2, that
+    differs from the scalar result in the last bit, so the array is raised
+    element by element.
+    """
+    return np.array([v**k for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 def _centered(points, w):
-    """(points - mean, mean) with mean = sum(w_i p_i) / sum(w_i); plain arrays."""
-    mean = (w @ points) / w.sum()
-    return points - mean, mean
+    """(points - mean, mean) per trial, mean = sum(w_i p_i) / sum(w_i).
+
+    points (B, N, 3) and w (B, N) give centered points (B, N, 3) and means
+    (B, 3).
+    """
+    mean = (w[:, None, :] @ points)[:, 0, :] / w.sum(axis=1)[:, None]
+    return points - mean[:, None, :], mean
 
 
 def center(correspondences):
@@ -205,10 +243,14 @@ def center(correspondences):
         weights pass through unchanged.
     """
     w = correspondences.weights
-    source_centered, source_mean = _centered(correspondences.source.points, w)
-    target_centered, target_mean = _centered(correspondences.target.points, w)
+    source_centered, source_mean = _centered(correspondences.source.points[None], w[None])
+    target_centered, target_mean = _centered(correspondences.target.points[None], w[None])
     return CenteredCorrespondences(
-        PointCloud(source_centered), PointCloud(target_centered), source_mean, target_mean, w
+        PointCloud(source_centered[0]),
+        PointCloud(target_centered[0]),
+        source_mean[0],
+        target_mean[0],
+        w,
     )
 
 
@@ -227,10 +269,10 @@ def optimal_translation(rotation, correspondences):
     -------
     ndarray, shape (3,)
     """
-    w = correspondences.weights
-    _, source_mean = _centered(correspondences.source.points, w)
-    _, target_mean = _centered(correspondences.target.points, w)
-    return target_mean - rotation.m @ source_mean
+    w = correspondences.weights[None]
+    _, source_mean = _centered(correspondences.source.points[None], w)
+    _, target_mean = _centered(correspondences.target.points[None], w)
+    return target_mean[0] - rotation.m @ source_mean[0]
 
 
 def weighted_cost(rotation, translation, correspondences):

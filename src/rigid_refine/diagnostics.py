@@ -1,11 +1,19 @@
 """Failure-mode analysis: unconstrained comparison solution, divergence
 summaries and their geometric predictors, constraint-qualification checks, and
-assembler singularity margins."""
+assembler singularity margins.
+
+The divergence and predictor math (G, F, r_u, det(G), column distances and
+angles) is written once, in private kernels with a leading trial axis; a
+near-singular G is a False lane of a mask there. `unconstrained_solution`,
+`normalized_det` and `divergence_report` run them at B = 1. See core for the
+conventions and the matmul-dot rule that keeps each lane bit-identical.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _dot, _scalar_pow
 from .kabsch import _cross_covariance
 from .refiner import constraint_jacobian
 
@@ -37,12 +45,20 @@ class NearSingularG(Exception):
         self.det_g = det_g
 
 
+def _normalized_dets(g):
+    """(det(G) / ||G||_F^3, det(G)) per trial for a (B, 3, 3) stack; the
+    ratio is 0 where G = 0."""
+    flat = g.reshape(len(g), -1)
+    norm = np.sqrt(_dot(flat, flat))
+    cubes = _scalar_pow(norm, 3)
+    det = np.linalg.det(g)
+    return np.divide(det, cubes, out=np.zeros(len(g)), where=norm != 0.0), det
+
+
 def normalized_det(g):
     """Scale-free conditioning measure det(G) / ||G||_F^3."""
-    norm = np.linalg.norm(g)
-    if norm == 0.0:
-        return 0.0
-    return float(np.linalg.det(g) / norm**3)
+    ratio, _ = _normalized_dets(np.asarray(g, dtype=float)[None])
+    return float(ratio[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +86,31 @@ class UnconstrainedSolution:
             raise ValueError("g must be symmetric")
 
 
+@dataclass(frozen=True, eq=False)
+class _Unconstrained:
+    """The unconstrained solution per trial: r_u, g, f (B, 3, 3), det_g and
+    det_g_normalized (B,), and solved (B,), False where G is near singular
+    (r_u is then a placeholder)."""
+
+    r_u: np.ndarray
+    g: np.ndarray
+    f: np.ndarray
+    det_g: np.ndarray
+    det_g_normalized: np.ndarray
+    solved: np.ndarray
+
+
+def _unconstrained(target, source, w):
+    """unconstrained_solution for centered (B, N, 3) clouds and (B, N) weights."""
+    g = _cross_covariance(target, target, w)
+    g = (g + g.swapaxes(1, 2)) / 2.0  # symmetrize away accumulation-order rounding
+    f = _cross_covariance(target, source, w)
+    det_g_normalized, det_g = _normalized_dets(g)
+    solved = det_g_normalized > NEAR_SINGULAR_TOL
+    safe_g = g if solved.all() else np.where(solved[:, None, None], g, np.eye(3))
+    return _Unconstrained(np.linalg.solve(safe_g, f), g, f, det_g, det_g_normalized, solved)
+
+
 def unconstrained_solution(centered):
     """Solve the unconstrained normal equations G r_u = F.
 
@@ -87,21 +128,21 @@ def unconstrained_solution(centered):
         When det(G) / ||G||_F^3 <= 1e-10; r_u is omitted but the exception
         carries g, f, det_g so conditioning can still be reported.
     """
-    t = centered.target_centered.points
-    w = centered.weights
-    g = _cross_covariance(t, t, w)
-    g = (g + g.T) / 2.0  # symmetrize away accumulation-order rounding
-    f = _cross_covariance(t, centered.source_centered.points, w)
-    det_g = float(np.linalg.det(g))
-    if normalized_det(g) <= NEAR_SINGULAR_TOL:
+    sol = _unconstrained(
+        centered.target_centered.points[None],
+        centered.source_centered.points[None],
+        centered.weights[None],
+    )
+    g, f, det_g = sol.g[0], sol.f[0], float(sol.det_g[0])
+    if not sol.solved[0]:
         raise NearSingularG(
-            f"normalized det(G) = {normalized_det(g):.3e} at or below {NEAR_SINGULAR_TOL:.0e}",
+            f"normalized det(G) = {sol.det_g_normalized[0]:.3e} "
+            f"at or below {NEAR_SINGULAR_TOL:.0e}",
             g=g,
             f=f,
             det_g=det_g,
         )
-    r_u = np.linalg.solve(g, f)
-    return UnconstrainedSolution(r_u, g, f, det_g)
+    return UnconstrainedSolution(sol.r_u[0], g, f, det_g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,6 +168,41 @@ class DivergenceReport:
             raise ValueError("divergence must equal the sum of per-iteration entries")
 
 
+def _divergence(rotations, target, source, w):
+    """divergence_report per trial, as a dict of DivergenceReport fields.
+
+    rotations (B, n + 1, 3, 3) hold R_K at index 0 and the refinement outputs
+    after it; target and source are the centered (B, N, 3) clouds the steps
+    were solved on, w their (B, N) weights. Every value is an array with the
+    trial axis first; the column predictors are NaN where G is near singular.
+    """
+    r_k = rotations[:, 0]
+    diff = rotations[:, 1:] - r_k[:, None]
+    flat = diff.reshape(len(diff), -1, 9)
+    per_iteration = np.sqrt(_dot(flat, flat))
+    # Summed step by step, as Python's sum() adds the per-step floats.
+    divergence = per_iteration[:, 0]
+    for k in range(1, per_iteration.shape[1]):
+        divergence = divergence + per_iteration[:, k]
+
+    sol = _unconstrained(target, source, w)
+    # A near-singular lane compares R_K with itself, so no placeholder
+    # reaches the divisions; its predictors are NaN below.
+    r_u = np.where(sol.solved[:, None, None], sol.r_u, r_k)
+    col_diff = r_u - r_k
+    col_dist = np.sqrt((col_diff * col_diff).sum(axis=1)).max(axis=1)
+    # Rows of the transposes are the columns compared.
+    col_angle = np.degrees(_folded_angle(r_u.swapaxes(1, 2), r_k.swapaxes(1, 2)).max(axis=1))
+    return {
+        "divergence": divergence,
+        "per_iteration_chordal": per_iteration,
+        "max_col_distance": np.where(sol.solved, col_dist, np.nan),
+        "max_col_angle_deg": np.where(sol.solved, col_angle, np.nan),
+        "det_g": sol.det_g,
+        "det_g_normalized": sol.det_g_normalized,
+    }
+
+
 def divergence_report(trace):
     """Summarize how far refinement drifted from the pose it started from.
 
@@ -143,36 +219,19 @@ def divergence_report(trace):
     -------
     DivergenceReport
     """
-    r_k = trace.poses[0].rotation.m
-    per_iteration = tuple(
-        float(np.linalg.norm(p.rotation.m - r_k)) for p in trace.poses[1:]
+    cc = trace.centered
+    stats = _divergence(
+        np.array([pose.rotation.m for pose in trace.poses])[None],
+        cc.target_centered.points[None],
+        cc.source_centered.points[None],
+        cc.weights[None],
     )
-    divergence = sum(per_iteration)
-
-    try:
-        sol = unconstrained_solution(trace.centered)
-        col_dist = float(np.linalg.norm(sol.r_u - r_k, axis=0).max())
-        col_angle = float(
-            np.degrees(
-                max(_folded_angle(sol.r_u[:, j], r_k[:, j]) for j in range(3))
-            )
-        )
-        g = sol.g
-        det_g = sol.det_g
-    except NearSingularG as exc:
-        col_dist = None
-        col_angle = None
-        g = exc.g
-        det_g = exc.det_g
-
-    return DivergenceReport(
-        divergence=divergence,
-        per_iteration_chordal=per_iteration,
-        max_col_distance=col_dist,
-        max_col_angle_deg=col_angle,
-        det_g=det_g,
-        det_g_normalized=normalized_det(g),
-    )
+    lane = {name: value[0].tolist() for name, value in stats.items()}
+    for name in ("max_col_distance", "max_col_angle_deg"):
+        if np.isnan(lane[name]):
+            lane[name] = None
+    lane["per_iteration_chordal"] = tuple(lane["per_iteration_chordal"])
+    return DivergenceReport(**lane)
 
 
 def licq_check(r_prev):
@@ -240,18 +299,19 @@ def determinant_redundancy_residual(r, r_prev):
 
 
 def _folded_angle(u, v):
-    """Angle between the lines spanned by u and v, in [0, pi/2] radians.
+    """Angle between the lines spanned by u and v, in [0, pi/2] radians, over
+    the last axis of (..., 3) arrays.
 
     Same value as arccos(|u.v|/(||u|| ||v||)) but evaluated in atan2 form,
     which resolves angles below ~1e-8 where arccos quantizes to 0.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    u = u / np.linalg.norm(u)
-    v = v / np.linalg.norm(v)
-    if u @ v < 0.0:
-        v = -v
-    return float(2.0 * np.arctan2(np.linalg.norm(u - v), np.linalg.norm(u + v)))
+    u = u / np.sqrt(_dot(u, u))[..., None]
+    v = v / np.sqrt(_dot(v, v))[..., None]
+    v = np.where((_dot(u, v) < 0.0)[..., None], -v, v)
+    minus, plus = u - v, u + v
+    return 2.0 * np.arctan2(np.sqrt(_dot(minus, minus)), np.sqrt(_dot(plus, plus)))
 
 
 def singularity_margin(candidate):
@@ -274,4 +334,4 @@ def singularity_margin(candidate):
     n1, n2 = norms[0], norms[1]
     if n1 < np.finfo(float).tiny or n2 < np.finfo(float).tiny:
         return float(norms.min()), 0.0  # a zero column is maximally collinear
-    return float(norms.min()), _folded_angle(c[:, 0], c[:, 1])
+    return float(norms.min()), float(_folded_angle(c[:, 0], c[:, 1]))

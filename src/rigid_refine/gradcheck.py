@@ -22,16 +22,9 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from . import so3
-from .core import CorrespondenceSet, center
-from .kabsch import _kabsch_matrix, cross_covariance, kabsch_rotation
-from .refiner import (
-    CandidateMatrix,
-    _step_factors,
-    _tangent_step,
-    assemble_kkt,
-    assemble_rotation,
-    solve_kkt,
-)
+from .core import CorrespondenceSet, RigidTransform, center
+from .kabsch import cross_covariance, kabsch_rotation
+from .refiner import SingularSystem, assemble_kkt, assemble_rotation, refine, solve_kkt
 
 # Minimum gap between adjacent singular values of the cross-covariance for
 # the SVD-estimator finite differences to be meaningful (data is unit-ball
@@ -114,11 +107,11 @@ def refine_step_outputs(x, n, r_prev):
     check the implicit-differentiation Jacobian of the 15x15 system against
     an independent derivation.
     """
-    cc = center(unflatten_inputs(x, n))
-    candidate, _ = _tangent_step(r_prev.m, _step_factors(cc))
-    rotation = assemble_rotation(CandidateMatrix(candidate))
-    translation = cc.target_mean - rotation.m @ cc.source_mean
-    return np.concatenate([rotation.m.reshape(9, order="F"), translation])
+    trace = refine(unflatten_inputs(x, n), RigidTransform(r_prev, np.zeros(3)), 1)
+    if trace.fallback_count:
+        raise SingularSystem("the refinement step is singular at these inputs")
+    pose = trace.poses[1]
+    return np.concatenate([pose.rotation.m.reshape(9, order="F"), pose.translation])
 
 
 def kabsch_outputs(x, n):
@@ -286,15 +279,15 @@ def jacobian_kabsch(centered, step=FD_STEP):
     DegenerateGeometry
         Propagated when the geometry does not determine a rotation.
     """
-    h = cross_covariance(centered).h
-    s = np.linalg.svd(h, compute_uv=False)
+    cross_cov = cross_covariance(centered)
+    s = np.linalg.svd(cross_cov.h, compute_uv=False)
     gap = min(s[0] - s[1], s[1] - s[2])
     if gap < SVD_GAP_TOL:
         raise IllConditioned(
             f"cross-covariance singular-value gap {gap:.3e} below {SVD_GAP_TOL:.0e}; "
             "SVD derivative is unreliable here"
         )
-    _kabsch_matrix(h)  # propagate degeneracy before probing
+    kabsch_rotation(cross_cov)  # propagate degeneracy before probing
     x0, n = flatten_inputs(centered)
     matrix = finite_difference_jacobian(lambda x: kabsch_outputs(x, n), x0, step)
     return Jacobian(matrix, n)

@@ -3,13 +3,18 @@
 The returned rotation is the global minimizer of the weighted correspondence
 cost over SO(3), including the reflection-corrected case where the plain
 orthogonal Procrustes optimum would have determinant -1.
+
+The private kernels take a leading trial axis, (B, N, 3) points and (B, 3, 3)
+cross-covariances, and report a lane that has no rotation (non-finite or
+degenerate H) in a boolean mask instead of raising; the public functions run
+them at B = 1 and raise (see core for the conventions).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rotation, RigidTransform, _centered
+from .core import Rotation, RigidTransform, _centered, _dot, center
 
 # Two smallest singular values of H below this (relative to ||H||_F) mean a
 # rotation about the remaining axis is unobservable (e.g. collinear points).
@@ -37,31 +42,42 @@ class CrossCovariance:
 
 
 def _cross_covariance(a, b, w):
-    """sum_i w_i a_i b_i^T for (N, 3) arrays a, b and weights w, shape (3, 3)."""
-    return (a * w[:, None]).T @ b
+    """sum_i w_i a_i b_i^T per trial: (B, N, 3) a, b and (B, N) w -> (B, 3, 3)."""
+    return (a * w[:, :, None]).swapaxes(1, 2) @ b
 
 
 def _kabsch_matrix(h):
-    """kabsch_rotation on a plain 3x3 array (ValueError if H is not finite)."""
-    if not np.all(np.isfinite(h)):
-        raise ValueError("cross-covariance must be finite")
+    """Kabsch rotations of a stack of cross-covariances H, shape (B, 3, 3).
+
+    Returns (r, ok). ok[b] is False where H_b is not finite or its two
+    smallest singular values are both at or below 1e-12 ||H_b||_F; r_b is
+    then meaningless. The other lanes hold U diag(1, 1, det(U V^T)) V^T.
+    """
+    flat = h.reshape(len(h), 9)
+    ok = np.isfinite(flat).all(axis=1)
+    if not ok.all():
+        h = np.where(ok[:, None, None], h, 0.0)
+        flat = h.reshape(len(h), 9)
     u, s, vt = np.linalg.svd(h)
-    tol = DEGENERACY_TOL * np.linalg.norm(h)
-    if s[1] <= tol and s[2] <= tol:
-        raise DegenerateGeometry(
-            f"two smallest singular values of H ({s[1]:.3e}, {s[2]:.3e}) below "
-            f"tolerance {tol:.3e}; rotation not determined by the geometry"
-        )
-    d = 1.0 if np.linalg.det(u @ vt) > 0.0 else -1.0
-    return (u * np.array([1.0, 1.0, d])) @ vt
+    tol = DEGENERACY_TOL * np.sqrt(_dot(flat, flat))
+    ok &= ~((s[:, 1] <= tol) & (s[:, 2] <= tol))
+    # U diag(1, 1, -1) where det(U V^T) is not positive; the sign flip is
+    # exact, so it is made in place on those lanes only.
+    reflected = ~(np.linalg.det(u @ vt) > 0.0)
+    if reflected.any():
+        u[reflected, :, 2] *= -1.0
+    return u @ vt, ok
 
 
 def _kabsch_pose(source, target, w):
-    """estimate_pose_kabsch on plain (N, 3) arrays and weights: (R, t) arrays."""
+    """estimate_pose_kabsch per trial: (B, N, 3) clouds and (B, N) weights.
+
+    Returns (r, t, ok) with r (B, 3, 3), t (B, 3) and the _kabsch_matrix mask.
+    """
     source_centered, source_mean = _centered(source, w)
     target_centered, target_mean = _centered(target, w)
-    r = _kabsch_matrix(_cross_covariance(target_centered, source_centered, w))
-    return r, target_mean - r @ source_mean
+    r, ok = _kabsch_matrix(_cross_covariance(target_centered, source_centered, w))
+    return r, target_mean - (r @ source_mean[:, :, None])[:, :, 0], ok
 
 
 def cross_covariance(centered):
@@ -76,7 +92,7 @@ def cross_covariance(centered):
     CrossCovariance
     """
     s, t = centered.source_centered.points, centered.target_centered.points
-    return CrossCovariance(_cross_covariance(t, s, centered.weights))
+    return CrossCovariance(_cross_covariance(t[None], s[None], centered.weights[None])[0])
 
 
 def kabsch_rotation(cross_cov):
@@ -99,7 +115,13 @@ def kabsch_rotation(cross_cov):
         If the two smallest singular values of H are both below
         1e-12 * ||H||_F; the caller decides the fallback.
     """
-    return Rotation(_kabsch_matrix(cross_cov.h))
+    r, ok = _kabsch_matrix(cross_cov.h[None])
+    if not ok[0]:
+        raise DegenerateGeometry(
+            f"two smallest singular values of H at or below {DEGENERACY_TOL:.0e} ||H||_F; "
+            "rotation not determined by the geometry"
+        )
+    return Rotation(r[0])
 
 
 def estimate_pose_kabsch(correspondences):
@@ -121,5 +143,9 @@ def estimate_pose_kabsch(correspondences):
         If the cross-covariance overflows.
     """
     corr = correspondences
-    r, t = _kabsch_pose(corr.source.points, corr.target.points, corr.weights)
-    return RigidTransform(Rotation(r), t)
+    r, t, ok = _kabsch_pose(corr.source.points[None], corr.target.points[None], corr.weights[None])
+    if not ok[0]:
+        # Name the failure: CrossCovariance rejects an overflowed H,
+        # kabsch_rotation a degenerate one.
+        kabsch_rotation(cross_covariance(center(corr)))
+    return RigidTransform(Rotation(r[0]), t[0])

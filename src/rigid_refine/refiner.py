@@ -27,6 +27,13 @@ system of the paper literally and are kept as the reference the closed form
 is tested against; `refine` stores no residual, but its trace carries the
 centered problem they need (see RefinementTrace).
 
+The step kernels (`_step_factors`, `_tangent_step`, `_gram_schmidt`,
+`_refine_steps`) carry a leading trial axis, so one call refines a whole
+stack of trials; a step that falls back is a False entry in a mask, not an
+exception (see core for the conventions and the matmul-dot rule that keeps
+each lane bit-identical to a lone run). `refine` and `assemble_rotation` run
+them at B = 1 and build the trace containers.
+
 Conventions (fixed across the package):
 
 - vec() is column-major: vec(M)[3*n + m] = M[m, n].
@@ -34,12 +41,11 @@ Conventions (fixed across the package):
   triangle of M^T M - I: (0,0), (0,1), (1,1), (0,2), (1,2), (2,2).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CenteredCorrespondences, Rotation, RigidTransform, center
+from .core import CenteredCorrespondences, Rotation, RigidTransform, _dot, center
 from .kabsch import _cross_covariance
 
 # Condition estimate above this raises SingularSystem: degenerate source
@@ -64,7 +70,8 @@ class SingularSystem(Exception):
     """The step is not solvable: the KKT matrix condition estimate (or, in
     closed form, the spread of the eigenvalues of S) exceeds the solvable
     limit, or the solve returned a candidate that violates the column-norm
-    lower bound."""
+    lower bound. solve_kkt raises it; the closed-form kernels report it as a
+    False lane of their mask, and refine falls back there."""
 
 
 class CollinearColumns(Exception):
@@ -82,11 +89,12 @@ def _symmetric_basis(i, j):
 # E^S_k = e_i e_j^T + e_j e_i^T for the k-th pair of CONSTRAINT_PAIRS, read-only.
 CONSTRAINT_BASES = tuple(_symmetric_basis(i, j) for i, j in CONSTRAINT_PAIRS)
 
-# Row k picks entry (i, j) of the k-th pair; _MULTIPLIER_PICK maps the
-# symmetric Lambda = sum_k lambda_k E^S_k back to lambda_k (Lambda_ij for
-# i != j, Lambda_ii / 2).
-_PAIR_PICK = np.eye(9)[[3 * i + j for i, j in CONSTRAINT_PAIRS]]
-_MULTIPLIER_PICK = _PAIR_PICK * np.array([[0.5 if i == j else 1.0] for i, j in CONSTRAINT_PAIRS])
+# lambda_k is entry (i, j) of the symmetric Lambda = sum_k lambda_k E^S_k
+# for the k-th pair, halved on the diagonal (Lambda_ij for i != j,
+# Lambda_ii / 2).
+_PAIR_ROWS, _PAIR_COLS = (np.array(axis) for axis in zip(*CONSTRAINT_PAIRS))
+_PAIR_SCALE = np.where(_PAIR_ROWS == _PAIR_COLS, 0.5, 1.0)
+_DIAGONAL = np.arange(3)
 
 
 def orthogonality_constraint(m, k):
@@ -260,90 +268,118 @@ def kkt_residual(system, candidate, lambdas):
 
 @dataclass(frozen=True, eq=False)
 class _StepFactors:
-    """The parts of a refinement step that do not depend on R_prev, with
-    S = V diag(d) V^T and d ascending."""
+    """The parts of a refinement step that do not depend on R_prev, per
+    trial, with S = V diag(d) V^T and d ascending.
+
+    solvable[b] is False where S or F is not finite (finite[b] False too) or
+    where the spectrum of S makes the step singular; such a lane falls back
+    at every step and its other fields are placeholders.
+    """
 
     v: np.ndarray
     f_v: np.ndarray  # F V
     pair_sums: np.ndarray  # d_i + d_j, with a unit diagonal
     half_gaps: np.ndarray  # (d_j - d_i) / 2
     diag_d: np.ndarray
+    finite: np.ndarray
+    solvable: np.ndarray
 
 
-def _step_factors(centered):
-    """The eigendecomposition of S and F V, as _StepFactors.
+def _step_factors(source, target, w):
+    """The eigendecomposition of S and F V for centered (B, N, 3) clouds and
+    (B, N) weights, as _StepFactors.
 
-    Raises
-    ------
-    SingularSystem
-        If not d_0 + d_1 > 0, or d_2 > CONDITION_LIMIT * (d_0 + d_1): the
-        smallest pair sum the closed form divides by is zero, negative, NaN
-        or below 1e-12 of the largest eigenvalue (collinear or coincident
-        sources).
-    ValueError
-        If S or F is not finite.
+    A lane is not solvable (SingularSystem in closed form) if not
+    d_0 + d_1 > 0, or d_2 > CONDITION_LIMIT * (d_0 + d_1): the smallest pair
+    sum the closed form divides by is zero, negative, NaN or below 1e-12 of
+    the largest eigenvalue (collinear or coincident sources).
     """
-    s_pts = centered.source_centered.points
-    s_mat = _cross_covariance(s_pts, s_pts, centered.weights)
-    f_mat = _cross_covariance(centered.target_centered.points, s_pts, centered.weights)
-    if not (np.all(np.isfinite(s_mat)) and np.all(np.isfinite(f_mat))):
-        raise ValueError("second-moment matrices S and F must be finite")
+    s_mat = _cross_covariance(source, source, w)
+    f_mat = _cross_covariance(target, source, w)
+    finite = np.isfinite(s_mat).all(axis=(1, 2)) & np.isfinite(f_mat).all(axis=(1, 2))
+    if not finite.all():
+        s_mat = np.where(finite[:, None, None], s_mat, np.eye(3))
+        f_mat = np.where(finite[:, None, None], f_mat, 0.0)
     d, v = np.linalg.eigh(s_mat)
-    smallest_pair = d[0] + d[1]
+    smallest_pair = d[:, 0] + d[:, 1]
     # Divided, not multiplied: CONDITION_LIMIT * (d_0 + d_1) overflows at
     # huge input scales.
-    if not smallest_pair > 0.0 or d[2] / CONDITION_LIMIT > smallest_pair:
-        raise SingularSystem(
-            f"eigenvalues {d} of S: d_2 / (d_0 + d_1) exceeds {CONDITION_LIMIT:.0e}"
-        )
-    pair_sums = d[:, None] + d
-    np.fill_diagonal(pair_sums, 1.0)
-    half_gaps = 0.5 * (d - d[:, None])
-    return _StepFactors(v, f_mat @ v, pair_sums, half_gaps, np.diag(d))
+    solvable = finite & (smallest_pair > 0.0) & ~(d[:, 2] / CONDITION_LIMIT > smallest_pair)
+    pair_sums = d[:, :, None] + d[:, None, :]
+    pair_sums[:, _DIAGONAL, _DIAGONAL] = 1.0
+    if not solvable.all():
+        pair_sums[~solvable] = 1.0
+    half_gaps = 0.5 * (d[:, None, :] - d[:, :, None])
+    diag_d = np.zeros_like(v)
+    diag_d[:, _DIAGONAL, _DIAGONAL] = d
+    return _StepFactors(v, f_mat @ v, pair_sums, half_gaps, diag_d, finite, solvable)
+
 
 
 def _tangent_step(r_prev, factors):
-    """One linearized-constraint step in closed form (see the module docstring).
+    """One linearized-constraint step per trial, in closed form (see the
+    module docstring).
 
     Parameters
     ----------
-    r_prev : ndarray, shape (3, 3)
-        Linearization point, a rotation.
+    r_prev : ndarray, shape (B, 3, 3)
+        Linearization points, rotations.
     factors : _StepFactors
 
     Returns
     -------
-    (ndarray, ndarray)
-        The 3x3 candidate R_prev (I + A) and the six multipliers in
-        CONSTRAINT_PAIRS order.
-
-    Raises
-    ------
-    SingularSystem
-        If a candidate column norm is below 1 - 1e-9 (or NaN). The columns of
-        I + A have norm >= 1 because A is antisymmetric, so this holds by
-        construction for finite inputs; the check guards the invariant, not
-        the data.
+    (ndarray, ndarray, ndarray)
+        Candidates R_prev (I + A), shape (B, 3, 3); the six multipliers per
+        trial in CONSTRAINT_PAIRS order, shape (B, 6); and the mask of lanes
+        whose step stands. A lane fails (SingularSystem: refine falls back)
+        if its factors are not solvable or a candidate column norm is below
+        1 - 1e-9, NaN or infinite. The columns of I + A have norm >= 1
+        because A is antisymmetric, so the bound holds by construction for
+        finite inputs; the check guards the invariant, not the data.
     """
     v = factors.v
-    m = v.T @ (r_prev.T @ factors.f_v)
-    a_prime = (m - m.T) / factors.pair_sums
+    v_t = v.swapaxes(1, 2)
+    m = v_t @ (r_prev.swapaxes(1, 2) @ factors.f_v)
+    m_t = m.swapaxes(1, 2)
+    a_prime = (m - m_t) / factors.pair_sums
     # (A' diag(d) - diag(d) A')_ij = A'_ij (d_j - d_i).
-    lam_prime = 0.5 * (m + m.T) - factors.diag_d - a_prime * factors.half_gaps
-    candidate = r_prev + r_prev @ (v @ a_prime @ v.T)
-    norms = np.sqrt(np.einsum("ij,ij->j", candidate, candidate))
-    if not norms.min() >= 1.0 - COLUMN_NORM_SLACK:
-        raise SingularSystem(f"candidate column norms {norms} below 1 - {COLUMN_NORM_SLACK:.0e}")
-    return candidate, _MULTIPLIER_PICK @ (v @ lam_prime @ v.T).ravel()
+    lam_prime = 0.5 * (m + m_t) - factors.diag_d - a_prime * factors.half_gaps
+    candidate = r_prev + r_prev @ (v @ a_prime @ v_t)
+    norms = np.sqrt(np.einsum("bij,bij->bj", candidate, candidate))
+    ok = factors.solvable & ((norms >= 1.0 - COLUMN_NORM_SLACK) & (norms < np.inf)).all(axis=1)
+    lambdas = (v @ lam_prime @ v_t)[:, _PAIR_ROWS, _PAIR_COLS] * _PAIR_SCALE
+    return candidate, lambdas, ok
+
+
+def _gram_schmidt(c):
+    """The assembler per trial: (B, 3, 3) candidates -> (rotations, n1, nu).
+
+    n1 is the norm of column 1 and nu that of the rejection of column 2 from
+    it; a lane with either at or below ASSEMBLER_NORM_FLOOR has no rotation
+    (its entry is a placeholder). Norms are sqrt(_dot), bit-identical to
+    np.linalg.norm, and the cross product is written out, bit-identical to
+    np.cross. Each rotation is the transpose of the row stack (r1, r2, r3),
+    so it is laid out column by column: BLAS picks its matrix-vector kernel
+    by layout, and the translation R s_mean must round as in the per-trial
+    rows pinned in tests/data/golden_rows.csv.
+    """
+    c1, c2 = c[:, :, 0], c[:, :, 1]
+    n1 = np.sqrt(_dot(c1, c1))
+    r1 = c1 / np.where(n1 > ASSEMBLER_NORM_FLOOR, n1, 1.0)[:, None]
+    u = c2 - r1 * _dot(r1, c2)[:, None]
+    nu = np.sqrt(_dot(u, u))
+    r2 = u / np.where(nu > ASSEMBLER_NORM_FLOOR, nu, 1.0)[:, None]
+    a0, a1, a2 = r1.T
+    b0, b1, b2 = r2.T
+    r3 = np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=1)
+    return np.stack((r1, r2, r3), axis=1).swapaxes(1, 2), n1, nu
 
 
 def assemble_rotation(candidate):
     """Project a candidate matrix onto SO(3) by Gram-Schmidt on columns 1-2.
 
     r1 = c1 / ||c1||; r2 = normalized rejection of c2 from r1; r3 = r1 x r2.
-    Column 3 of the input is intentionally ignored. Norms are sqrt(v @ v) and
-    the cross product is written out, bit-identical to np.linalg.norm and
-    np.cross at a fraction of their call cost.
+    Column 3 of the input is intentionally ignored.
 
     Parameters
     ----------
@@ -360,20 +396,72 @@ def assemble_rotation(candidate):
         valid linearization point cannot trigger this; hitting it indicates an
         upstream bug, so refinement is aborted with this diagnostic.
     """
-    c = candidate.m
-    n1 = math.sqrt(c[:, 0] @ c[:, 0])
-    if n1 <= ASSEMBLER_NORM_FLOOR:
-        raise CollinearColumns(f"first candidate column has norm {n1:.3e}")
-    r1 = c[:, 0] / n1
-    u = c[:, 1] - r1 * (r1 @ c[:, 1])
-    nu = math.sqrt(u @ u)
-    if nu <= ASSEMBLER_NORM_FLOOR:
-        raise CollinearColumns(f"candidate columns 1, 2 nearly collinear (rejection norm {nu:.3e})")
-    r2 = u / nu
-    a0, a1, a2 = r1.tolist()
-    b0, b1, b2 = r2.tolist()
-    r3 = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-    return Rotation(np.array((r1, r2, r3)).T)
+    r, n1, nu = _gram_schmidt(candidate.m[None])
+    _check_assembled(n1, nu)
+    return Rotation(r[0])
+
+
+def _check_assembled(n1, nu):
+    """Raise CollinearColumns if any lane's assembler denominator is too small."""
+    if not (n1 > ASSEMBLER_NORM_FLOOR).all():
+        raise CollinearColumns(f"first candidate column has norm {n1.min():.3e}")
+    if not (nu > ASSEMBLER_NORM_FLOOR).all():
+        raise CollinearColumns(
+            f"candidate columns 1, 2 nearly collinear (rejection norm {nu.min():.3e})"
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class _Refinement:
+    """refine's steps for B trials: rotations (B, n + 1, 3, 3) and
+    translations (B, n + 1, 3) with the initialization at index 0, the
+    candidates (B, n, 3, 3) and multipliers (B, n, 6) of each step, and
+    stepped (B, n), False where a step fell back to the previous pose (its
+    candidate is then a placeholder and its multipliers NaN). finite (B,) is
+    False where S or F is not finite; such a lane has no refinement."""
+
+    rotations: np.ndarray
+    translations: np.ndarray
+    candidates: np.ndarray
+    lambdas: np.ndarray
+    stepped: np.ndarray
+    finite: np.ndarray
+
+
+def _refine_steps(source, target, w, source_mean, target_mean, r0, t0, n_refinements):
+    """refine per trial on centered (B, N, 3) clouds, (B, N) weights, their
+    (B, 3) means and initial poses r0 (B, 3, 3), t0 (B, 3); a _Refinement.
+
+    Raises
+    ------
+    CollinearColumns
+        If a step that stands cannot be assembled (an upstream bug).
+    """
+    factors = _step_factors(source, target, w)
+    rotations, translations = [r0], [t0]
+    candidates, lambdas, stepped = [], [], []
+    for _ in range(n_refinements):
+        r_prev, t_prev = rotations[-1], translations[-1]
+        candidate, lam, ok = _tangent_step(r_prev, factors)
+        lane = ok[:, None, None]
+        # A fallen-back lane is assembled from its previous rotation, so no
+        # placeholder reaches the divisions, and then discarded.
+        assembled, n1, nu = _gram_schmidt(np.where(lane, candidate, r_prev))
+        _check_assembled(n1, nu)
+        t = target_mean - (assembled @ source_mean[:, :, None])[:, :, 0]
+        rotations.append(np.where(lane, assembled, r_prev))
+        translations.append(np.where(ok[:, None], t, t_prev))
+        candidates.append(candidate)
+        lambdas.append(np.where(ok[:, None], lam, np.nan))
+        stepped.append(ok)
+    return _Refinement(
+        np.stack(rotations, axis=1),
+        np.stack(translations, axis=1),
+        np.stack(candidates, axis=1),
+        np.stack(lambdas, axis=1),
+        np.stack(stepped, axis=1),
+        factors.finite,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,32 +526,35 @@ def refine(correspondences, init, n_refinements=DEFAULT_REFINEMENTS):
     RefinementTrace
         Its centered field holds the centered correspondences the steps were
         solved on, so diagnostics and the KKT oracle need no second centering.
+
+    Raises
+    ------
+    ValueError
+        If the second-moment matrices S and F are not finite.
     """
     if n_refinements < 1:
         raise ValueError("n_refinements must be >= 1")
     centered = center(correspondences)
-    try:
-        factors = _step_factors(centered)
-    except SingularSystem:
-        factors = None
+    steps = _refine_steps(
+        centered.source_centered.points[None],
+        centered.target_centered.points[None],
+        centered.weights[None],
+        centered.source_mean[None],
+        centered.target_mean[None],
+        init.rotation.m[None],
+        init.translation[None],
+        n_refinements,
+    )
+    if not steps.finite[0]:
+        raise ValueError("second-moment matrices S and F must be finite")
     poses = [init]
-    lambdas = []
     candidates = []
-    for _ in range(n_refinements):
-        r_prev = poses[-1].rotation.m
-        try:
-            if factors is None:
-                raise SingularSystem("degenerate source geometry")
-            candidate, lam = _tangent_step(r_prev, factors)
-        except SingularSystem:
+    for k, stepped in enumerate(steps.stepped[0]):
+        if stepped:
+            rotation = Rotation(steps.rotations[0, k + 1])
+            poses.append(RigidTransform(rotation, steps.translations[0, k + 1]))
+            candidates.append(CandidateMatrix(steps.candidates[0, k]))
+        else:
             poses.append(poses[-1])
-            lambdas.append(np.full(6, np.nan))
             candidates.append(None)
-            continue
-        candidate = CandidateMatrix(candidate)
-        rotation = assemble_rotation(candidate)  # CollinearColumns propagates: upstream bug
-        translation = centered.target_mean - rotation.m @ centered.source_mean
-        poses.append(RigidTransform(rotation, translation))
-        lambdas.append(lam)
-        candidates.append(candidate)
-    return RefinementTrace(tuple(poses), tuple(lambdas), tuple(candidates), centered)
+    return RefinementTrace(tuple(poses), tuple(steps.lambdas[0]), tuple(candidates), centered)

@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 
 from . import so3
 from .core import CorrespondenceSet, PointCloud, RigidTransform, Rotation
-from .kabsch import _kabsch_pose
+from .kabsch import DegenerateGeometry, _kabsch_pose
 from .neighbors import nearest
 
 # Resample-free crops must share at least this fraction of original indices.
@@ -280,11 +280,15 @@ def icp_baseline(src, tgt, init, max_iters=50, tol=1e-9):
         Propagated from neighbors.nearest when squared distances overflow.
     """
     tree = cKDTree(tgt.points)
-    unit_weights = np.ones(src.count)
+    stacked_source = src.points[None]
+    unit_weights = np.ones((1, src.count))
     r, t = init.rotation.m, init.translation
     for _ in range(max_iters):
         index, _ = nearest(src.points @ r.T + t, tgt.points, tree)
-        new_r, new_t = _kabsch_pose(src.points, tgt.points[index], unit_weights)
+        new_r, new_t, ok = _kabsch_pose(stacked_source, tgt.points[index][None], unit_weights)
+        if not ok[0]:
+            raise DegenerateGeometry("matched points do not determine a rotation")
+        new_r, new_t = new_r[0], new_t[0]
         change = np.linalg.norm(new_r - r) + np.linalg.norm(new_t - t)
         r, t = new_r, new_t
         if change < tol:

@@ -307,6 +307,34 @@ def test_run_trial_refined_at_huge_noise_is_finite_and_silent(scale):
     assert all(np.isfinite(record.iso_rot_deg) for record in records)
 
 
+def test_run_aggregates_of_overflow_scale_columns_are_finite_and_silent(tmp_path):
+    # At noise 1e100 every chamfer (~1.5e200) and augmented_loss (~7e198)
+    # cell is finite, but their squares overflow: the rmse and std aggregates
+    # must still be finite numbers, with no warning on stderr.
+    config = tmp_path / "huge.cfg"
+    config.write_text(
+        "method = refined\nproblem.n_points = 32\nproblem.noise_sigma = 1e100\n"
+        "problem.noise_clamp = 1e100\ntrials = 4\n"
+    )
+    result = run_python("-W", "error", "-m", "rigid_refine", "run", "--config", str(config))
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    lines = result.stdout.splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:5]]
+    aggregates = {
+        line.split(",")[1]: dict(zip(header[2:], line.split(",")[2:]))
+        for line in lines
+        if line.startswith("#agg,")
+    }
+    for name in ("chamfer", "augmented_loss"):
+        values = [float(row[name]) for row in rows]
+        rmse = float(aggregates["rmse"][name])
+        std = float(aggregates["std"][name])
+        assert min(values) * (1 - 1e-8) <= rmse <= max(values) * (1 + 1e-8)
+        assert 0.0 < std <= max(values) - min(values)
+
+
 # ---------------------------------------------------------------------------
 # compare_methods
 

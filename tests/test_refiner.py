@@ -276,10 +276,16 @@ def nan_target_factors(factors):
 def test_refine_falls_back_on_column_norm_violation(monkeypatch):
     corr, _ = random_problem(seed=711, n=8)
     init = estimate_pose_kabsch(corr)
-    factors = nan_target_factors(refiner._step_factors(center(corr)))
-    with pytest.raises(SingularSystem, match="column norms"):
-        refiner._tangent_step(init.rotation.m, factors)
-    monkeypatch.setattr(refiner, "_step_factors", lambda centered: factors)
+    cc = center(corr)
+    factors = nan_target_factors(
+        refiner._step_factors(
+            cc.source_centered.points[None], cc.target_centered.points[None], cc.weights[None]
+        )
+    )
+    candidate, _, ok = refiner._tangent_step(init.rotation.m[None], factors)
+    assert factors.solvable[0] and not ok[0]
+    assert np.all(np.isnan(candidate))
+    monkeypatch.setattr(refiner, "_step_factors", lambda source, target, w: factors)
     trace = refine(corr, init, 2)
     assert trace.fallback_count == 2
     assert all(pose is init for pose in trace.poses)

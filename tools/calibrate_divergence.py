@@ -30,29 +30,23 @@ Output of the frozen run (2026-08-16, linux x86-64):
 
 import numpy as np
 
-from rigid_refine.diagnostics import divergence_report
-from rigid_refine.kabsch import estimate_pose_kabsch
-from rigid_refine.refiner import refine
-from rigid_refine.rng import Xoshiro256PlusPlus
-from rigid_refine.synth import ProblemSpec, ball_cloud, make_problem
+from rigid_refine.cli import ExperimentConfig, run_experiment
+from rigid_refine.synth import ProblemSpec
 
 CALIBRATION_SEED = 20260816
 TRIALS = 1000
 
 
 def run():
-    distances = np.empty(TRIALS)
-    divergences = np.empty(TRIALS)
-    for i in range(TRIALS):
-        seed = CALIBRATION_SEED + i
-        rng = Xoshiro256PlusPlus(seed)
-        spec = ProblemSpec(n_points=32, noise_sigma=0.01, seed=seed)
-        problem = make_problem(spec, ball_cloud(32, rng), rng)
-        pose = estimate_pose_kabsch(problem.correspondences)
-        trace = refine(problem.correspondences, pose, 5)
-        report = divergence_report(trace)
-        distances[i] = report.max_col_distance
-        divergences[i] = report.divergence
+    config = ExperimentConfig(
+        problem=ProblemSpec(n_points=32, noise_sigma=0.01, seed=CALIBRATION_SEED),
+        method="refined",
+        refinements=5,
+        trials=TRIALS,
+    )
+    records = run_experiment(config)
+    distances = np.array([r.max_col_distance for r in records])
+    divergences = np.array([r.divergence for r in records])
 
     median_dist = np.median(distances)
     flat = divergences[distances < median_dist]

@@ -9,12 +9,15 @@ are buffered and serialized in trial order, and every trial of a chunk is
 solved bit for bit as it would be alone, so neither the thread count nor the
 chunk size changes output bytes.
 
-A chunk makes each trial's problem with its own generator, in trial order,
-then stacks the problems that were made and solves and scores them at once
-through the package's array kernels (Kabsch, the refine steps, the
-divergence predictors and the pose metrics; see core for the leading trial
-axis). Chamfer and ICP run per trial. A trial that fails, in generation or
-in a kernel's mask, is an NA row.
+A chunk makes each trial's problem with its own generator, in trial order;
+one call of the stacked RNG kernel fills every generator of the chunk with
+the draws a trial takes when nothing is redrawn (synth._trial_draws), and a
+redraw refills through the same kernel. It then stacks the problems that
+were made and solves and scores them at once through the package's array
+kernels (Kabsch, the refine steps, the divergence predictors and the pose
+metrics; see core for the leading trial axis). Chamfer and ICP run per
+trial. A trial that fails, in generation or in a kernel's mask, is an NA
+row.
 """
 
 import argparse
@@ -51,6 +54,7 @@ from .synth import (
     CropOverlapUnsatisfied,
     InsufficientPoints,
     ProblemSpec,
+    _trial_draws,
     ball_cloud,
     icp_baseline,
     make_problem,
@@ -141,10 +145,14 @@ COLUMNS = tuple(f.name for f in fields(TrialRecord))
 _NUMERIC_COLUMNS = COLUMNS[2:]
 
 
-def _base_cloud(config, rng):
+def _cloud_count(config):
     n = config.problem.n_points
     needed = 2 * n if config.problem.independent_resample else n
-    count = config.cloud_points or needed
+    return config.cloud_points or needed
+
+
+def _base_cloud(config, rng):
+    count = _cloud_count(config)
     if config.cloud == "ball":
         return ball_cloud(count, rng)
     if config.cloud == "sphere":
@@ -248,9 +256,9 @@ def _run_chunk(config, indices):
     """Generate, solve and score the trials `indices`; their records, in order."""
     records = {}
     made = {}  # correspondence count -> [(index, seed, problem)]
-    for i in indices:
-        seed = config.problem.seed + i
-        rng = Xoshiro256PlusPlus(seed)
+    seeds = [config.problem.seed + i for i in indices]
+    draws = _trial_draws(config.problem, config.cloud, _cloud_count(config))
+    for i, seed, rng in zip(indices, seeds, Xoshiro256PlusPlus._prefetched(seeds, draws)):
         try:
             base = _base_cloud(config, rng)
             problem = make_problem(config.problem, base, rng)

@@ -20,11 +20,27 @@ Algorithm, specified bit-exactly:
 Every method documents exactly how many raw uint64 draws it consumes, so
 experiment draw orders can be audited and replayed.
 
-Batching. The recurrence exists once, in the private ``_draw(n)``: a loop
-over local Python ints that returns n raw draws and writes the state back
-once. ``next_uint64`` takes one draw from it and ``next_uint64s(n)`` returns n
-as a uint64 array; the vector methods (``uniforms``, ``normals``,
-``unit_vectors``, ``shuffled_prefix``) draw their whole batch at once and
+Batching. The recurrence exists once, in the private stacked kernel
+``_streams(states, n)``: it takes B stream states and returns n raw draws of
+each, with the B end states, stepping every lane together in numpy uint64
+arithmetic (wrapping, hence exact). The xoshiro transition T is linear over
+GF(2) (Blackman & Vigna, ACM TOMS 2021), so the kernel also cuts each stream
+into K segments of one power-of-two length and reaches every segment's start
+state by jump matrices T^(2^i): built once by squaring, kept packed to bits
+(8 KiB per power) and applied through per-nibble XOR lookups. All B * K
+lanes then step together, so the kernel has many lanes even for one stream;
+K is picked per call from a cost model of a step, a jump and a doubling
+level.
+
+A generator hands out draws from a buffer. ``_prefetched(seeds, n)`` fills
+the buffers of many generators with one kernel call (an experiment chunk
+sizes n by the draws a trial takes when nothing is redrawn). A generator that
+runs past its buffer refills through the same kernel, taking at least
+``_LOOKAHEAD`` draws ahead, so one-at-a-time draws stay cheap. ``_s`` is the
+state after the draws handed out so far; when the buffer is part-consumed it
+is derived by a jump. ``next_uint64`` takes one draw and ``next_uint64s(n)``
+returns n as a uint64 array; the vector methods (``uniforms``, ``normals``,
+``unit_vectors``, ``shuffled_prefix``) take their whole batch at once and
 apply the float transforms per array. Their results are bit-identical to
 drawing one value at a time, which fixes two choices:
 
@@ -42,6 +58,8 @@ topping it up, so they consume exactly the draws the one-at-a-time
 definition does.
 """
 
+import threading
+
 import numpy as np
 from scipy.special import ndtri
 
@@ -50,6 +68,24 @@ _MASK = (1 << 64) - 1
 # A Gaussian triple with a norm at or below this is redrawn.
 _NORM_FLOOR = 1e-12
 
+# Draws a generator takes ahead of its callers when it runs past its buffer.
+_LOOKAHEAD = 1024
+
+# At most this many draws per kernel call when filling generators (8 MiB).
+_PREFETCH_DRAWS = 1 << 20
+
+# Kernel cost model, in units of one step of all lanes (about 15 us here):
+# a jump costs this much per segment start, plus this much per doubling level.
+_JUMP_COST = 0.1
+_LEVEL_COST = 3.0
+
+# _JUMPS[i] is T^(2^i), T the state transition, as a GF(2) matrix: row j is
+# the image of state bit j (bit j % 64 of word j // 64), as four uint64 words
+# (8 KiB per power). Built by squaring on first use, under the lock, so
+# threads that meet a short table never see the powers out of order.
+_JUMPS = []
+_JUMPS_LOCK = threading.Lock()
+
 
 def _splitmix64(state):
     state = (state + 0x9E3779B97F4A7C15) & _MASK
@@ -57,6 +93,125 @@ def _splitmix64(state):
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return state, z ^ (z >> 31)
+
+
+def _seed_state(seed):
+    """The four state words of a seed, as a (4,) uint64 array."""
+    state = int(seed) & _MASK
+    words = []
+    for _ in range(4):
+        state, word = _splitmix64(state)
+        words.append(word)
+    if not any(words):  # all-zero state is the one forbidden state
+        words[0] = 1
+    return np.array(words, dtype=np.uint64)
+
+
+def _step(s, out, tmp):
+    """One xoshiro256++ step of every lane of s (4, lanes), in place; the
+    draws go to out and tmp is scratch (both (lanes,))."""
+    np.add(s[0], s[3], out=tmp)
+    np.left_shift(tmp, 23, out=out)
+    tmp >>= 41
+    out |= tmp
+    out += s[0]
+    np.left_shift(s[1], 17, out=tmp)
+    s[2:] ^= s[:2]  # s2 ^= s0, s3 ^= s1
+    s[:2] ^= s[:1:-1]  # s0 ^= s3, s1 ^= s2
+    s[2] ^= tmp
+    np.right_shift(s[3], 19, out=tmp)
+    s[3] <<= 45
+    s[3] |= tmp
+
+
+def _jump(states, table):
+    """Apply a GF(2) matrix (a table of _JUMPS) to (V, 4) states.
+
+    The image of a state is the XOR of the rows of its set bits. Each group of
+    four rows gives a 16-entry lookup of their XORs, so a state XORs one entry
+    per nibble: 64 lookups, in plain uint64 arithmetic.
+    """
+    quads = table.reshape(64, 4, 4)
+    lookup = np.zeros((64, 16, 4), dtype=np.uint64)
+    for i in range(4):
+        lookup[:, 1 << i : 2 << i] = lookup[:, : 1 << i] ^ quads[:, i, None]
+    octets = np.ascontiguousarray(states, dtype="<u8").view(np.uint8).T
+    nibbles = np.empty((64, len(states)), dtype=np.intp)
+    nibbles[0::2] = octets & 15
+    nibbles[1::2] = octets >> 4
+    nibbles += np.arange(0, 1024, 16)[:, None]
+    return np.bitwise_xor.reduce(lookup.reshape(1024, 4)[nibbles], axis=0)
+
+
+def _jump_table(i):
+    """T^(2^i) (see _JUMPS)."""
+    if i >= len(_JUMPS):
+        with _JUMPS_LOCK:
+            if not _JUMPS:  # T: one step of each of the 256 one-bit states
+                eye = np.packbits(np.eye(256, dtype=np.uint8), axis=1, bitorder="little")
+                s = eye.view("<u8").T.astype(np.uint64)
+                _step(s, np.empty(256, dtype=np.uint64), np.empty(256, dtype=np.uint64))
+                _JUMPS.append(s.T.copy())
+            while len(_JUMPS) <= i:
+                _JUMPS.append(_jump(_JUMPS[-1], _JUMPS[-1]))
+    return _JUMPS[i]
+
+
+def _advance(states, count):
+    """(V, 4) states moved on by `count` draws, by jumps."""
+    for i in range(count.bit_length()):
+        if count >> i & 1:
+            states = _jump(states, _jump_table(i))
+    return states
+
+
+def _layout(streams, n):
+    """(log2 of the segment length, segment count) for n draws of each stream,
+    the cheapest under the cost model (n >= 1)."""
+
+    def cost(k):
+        segments = -(-n // (1 << k))
+        levels = (segments - 1).bit_length()
+        return (1 << k) + (segments - 1) * streams * _JUMP_COST + levels * _LEVEL_COST
+
+    k = min(range((n - 1).bit_length() + 1), key=cost)
+    return k, -(-n // (1 << k))
+
+
+def _streams(states, n):
+    """n draws of each of B streams: ((B, n) draws, (B, 4) end states).
+
+    states is a (B, 4) uint64 array of stream states. Each stream is cut into
+    segments of 2^k draws whose start states are found by jumps, and all
+    segments of all streams step together; the last segment's lanes are
+    read off for the end states after its last draw.
+    """
+    states = np.asarray(states, dtype=np.uint64).reshape(-1, 4)
+    b = len(states)
+    if n == 0:
+        return np.empty((b, 0), dtype=np.uint64), states.copy()
+    k, segments = _layout(b, n)
+    steps = 1 << k
+    starts = np.empty((segments, b, 4), dtype=np.uint64)
+    starts[0] = states
+    done = 1
+    while done < segments:  # starts[done:2 done] = T^(done * steps) starts[:done]
+        take = min(done, segments - done)
+        jumped = _jump(starts[:take].reshape(-1, 4), _jump_table(k + done.bit_length() - 1))
+        starts[done : done + take] = jumped.reshape(take, b, 4)
+        done += take
+    s = np.ascontiguousarray(starts.reshape(-1, 4).T)
+    out = np.empty((steps, segments * b), dtype=np.uint64)
+    tmp = np.empty(segments * b, dtype=np.uint64)
+    last = n - (segments - 1) * steps  # draws of the last segment, 1..steps
+    for i in range(steps):
+        if i == last:
+            end = s[:, -b:].T.copy()
+        _step(s, out[i], tmp)
+    if last == steps:
+        end = s[:, -b:].T.copy()
+    draws = out.reshape(steps, segments, b).transpose(2, 1, 0).reshape(b, -1)
+    return draws[:, :n], end
 
 
 def _unit_interval(u):
@@ -82,41 +237,66 @@ class Xoshiro256PlusPlus:
     """Seedable xoshiro256++ stream with uniform, Gaussian, and integer draws."""
 
     def __init__(self, seed):
-        state = int(seed) & _MASK
-        words = []
-        for _ in range(4):
-            state, word = _splitmix64(state)
-            words.append(word)
-        if not any(words):  # all-zero state is the one forbidden state
-            words[0] = 1
-        self._s = words
+        state = _seed_state(seed)
+        self._hold(state, np.empty(0, dtype=np.uint64), state)
 
-    def _draw(self, n):
-        """n raw draws as a list of Python ints (consumes n draws)."""
-        s0, s1, s2, s3 = self._s
-        mask = _MASK
-        out = []
-        append = out.append
-        for _ in range(n):
-            x = (s0 + s3) & mask
-            append((((x << 23) | (x >> 41)) + s0) & mask)
-            t = (s1 << 17) & mask
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & mask
-        self._s = [s0, s1, s2, s3]
-        return out
+    def _hold(self, origin, draws, end):
+        """Hand out `draws` next: origin is the state before them, end the
+        state after."""
+        self._origin, self._skipped = origin, 0  # draws from origin to the buffer
+        self._buf, self._pos, self._end = draws, 0, end
+
+    @classmethod
+    def _prefetched(cls, seeds, n):
+        """A generator per seed, in order, each holding its first n draws;
+        filled by as few kernel calls as _PREFETCH_DRAWS allows."""
+        per_call = max(1, _PREFETCH_DRAWS // max(n, 1))
+        for first in range(0, len(seeds), per_call):
+            states = np.array([_seed_state(seed) for seed in seeds[first : first + per_call]])
+            draws, ends = _streams(states, n)
+            for state, row, end in zip(states, draws, ends):
+                rng = cls.__new__(cls)
+                rng._hold(state, row, end)
+                yield rng
+
+    @property
+    def _s(self):
+        """The state after the draws handed out, as four ints."""
+        if self._pos == self._buf.size:
+            state = self._end
+        else:
+            state = _advance(self._origin[None], self._skipped + self._pos)[0]
+        return [int(word) for word in state]
+
+    def _take(self, n):
+        """The next n raw draws (a view of the buffer; consumes n draws)."""
+        if n < 0:
+            raise ValueError("draw count must be >= 0")
+        pos = self._pos
+        if pos + n > self._buf.size:
+            rest = self._buf[pos:]
+            draws, end = _streams(self._end[None], max(n - rest.size, _LOOKAHEAD))
+            if rest.size:
+                self._skipped += pos
+                self._buf = np.concatenate((rest, draws[0]))
+            else:
+                self._origin, self._skipped, self._buf = self._end, 0, draws[0]
+            self._end = end[0]
+            pos = 0
+        self._pos = pos + n
+        return self._buf[pos : pos + n]
 
     def next_uint64(self):
         """One raw 64-bit draw (consumes 1 draw)."""
-        return self._draw(1)[0]
+        pos = self._pos
+        if pos < self._buf.size:  # the common case, read without a view
+            self._pos = pos + 1
+            return self._buf.item(pos)
+        return int(self._take(1)[0])
 
     def next_uint64s(self, n):
         """n raw 64-bit draws as a uint64 array, in draw order (n draws)."""
-        return np.array(self._draw(n), dtype=np.uint64)
+        return self._take(n).copy()
 
     def random(self):
         """Uniform double in [0, 1) (1 draw)."""
@@ -132,11 +312,11 @@ class Xoshiro256PlusPlus:
 
     def uniforms(self, n, low=0.0, high=1.0):
         """n uniform doubles in [low, high), in draw order (n draws)."""
-        return low + (high - low) * _unit_interval(self.next_uint64s(n))
+        return low + (high - low) * _unit_interval(self._take(n))
 
     def normals(self, n, sigma=1.0):
         """n Gaussian deviates N(0, sigma^2) via inverse CDF (n draws)."""
-        return sigma * ndtri(_open_unit_interval(self.next_uint64s(n)))
+        return sigma * ndtri(_open_unit_interval(self._take(n)))
 
     def _integers_below(self, bounds):
         """One unbiased integer in [0, m) per entry m of `bounds` (uint64, m >= 1).
@@ -147,7 +327,7 @@ class Xoshiro256PlusPlus:
         top = _largest_accepted(bounds)
         out = np.empty(bounds.size, dtype=np.uint64)
         done = 0
-        u = self.next_uint64s(bounds.size)
+        u = self._take(bounds.size)
         while True:
             rejected = np.flatnonzero(u > top[done:])
             stop = rejected[0] if rejected.size else u.size
@@ -155,7 +335,7 @@ class Xoshiro256PlusPlus:
             if not rejected.size:
                 return out
             done += stop
-            u = np.concatenate((u[stop + 1 :], self.next_uint64s(1)))
+            u = np.concatenate((u[stop + 1 :], self._take(1)))
 
     def integer_below(self, n):
         """Unbiased integer in [0, n) by rejection (>= 1 draw; retries are rare).
@@ -194,7 +374,7 @@ class Xoshiro256PlusPlus:
         vectors = np.empty((n, 3))
         uniforms = np.empty((n, extra))
         done = 0
-        u = self.next_uint64s(n * width)
+        u = self._take(n * width)
         while True:
             rows = u.reshape(n - done, width)
             v = ndtri(_open_unit_interval(rows[:, :3]))
@@ -206,7 +386,7 @@ class Xoshiro256PlusPlus:
             if not rejected.size:
                 return vectors, uniforms
             done += stop
-            u = np.concatenate((u[stop * width + 3 :], self.next_uint64s(3)))
+            u = np.concatenate((u[stop * width + 3 :], self._take(3)))
 
     def unit_vector(self):
         """Isotropic unit 3-vector from 3 Gaussian draws (3 draws per attempt)."""

@@ -208,6 +208,28 @@ def make_problem(spec, base_cloud, rng):
     )
 
 
+# Draws per point of each base cloud kind when nothing is redrawn (see
+# ball_cloud, sphere_cloud and slab_cloud below).
+_CLOUD_DRAWS = {"ball": 4, "sphere": 3, "slab": 3}
+
+
+def _trial_draws(spec, cloud, count):
+    """Draws one trial takes when nothing is redrawn: a base cloud of `count`
+    points of kind `cloud` ("ball", "sphere" or "slab"), then make_problem by
+    its draw order (6 for the transform, 2n for the resample shuffle, 3n of
+    noise, 6 for the first crop pair). Integer rejections, norm redraws and
+    crop retries take more."""
+    n = spec.n_points
+    draws = _CLOUD_DRAWS[cloud] * count + 6
+    if spec.independent_resample:
+        draws += 2 * n
+    if spec.noise_sigma > 0.0:
+        draws += 3 * n
+    if spec.crop_keep_fraction < 1.0:
+        draws += 6
+    return draws
+
+
 def ball_cloud(n, rng):
     """n points uniform in the unit ball (4 draws per point: 3 normals + 1 uniform).
 

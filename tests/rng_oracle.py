@@ -2,7 +2,8 @@
 
 ScalarXoshiro256PlusPlus is the generator as it was before batching: every
 draw runs the xoshiro256++ recurrence through one method call, and every
-vector method loops over single draws. The cloud functions are the matching
+vector method loops over single draws. stream() runs the same recurrence over
+local Python ints, fast enough to check long streams of the stacked kernel. The cloud functions are the matching
 per-point loops. The library's batched versions must reproduce their bytes
 and leave the generator in the same state.
 
@@ -28,6 +29,31 @@ def rejection_limit(n):
 
 def _rotl(x, k):
     return ((x << k) | (x >> (64 - k))) & _MASK
+
+
+def stream(state, counts):
+    """Raw draws of one stream from `state` (four ints), one at a time.
+
+    Returns the max(counts) draws and, per count in `counts`, the state after
+    that many draws (a list of four ints).
+    """
+    s0, s1, s2, s3 = state
+    mask = _MASK
+    draws, states = [], {}
+    append = draws.append
+    for count in sorted(counts):
+        for _ in range(count - len(draws)):
+            x = (s0 + s3) & mask
+            append((((x << 23) | (x >> 41)) + s0) & mask)
+            t = (s1 << 17) & mask
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & mask
+        states[count] = [s0, s1, s2, s3]
+    return draws, states
 
 
 class ScalarXoshiro256PlusPlus:

@@ -5,12 +5,16 @@ import pytest
 
 from conftest import run_python
 
+from rigid_refine import rng as rng_module
 from rigid_refine.cli import (
     ComparisonTable,
     ConfigError,
     ExperimentConfig,
     MismatchedSpecs,
     TrialRecord,
+    _base_cloud,
+    _cloud_count,
+    _run_chunk,
     compare_methods,
     config_from_entries,
     load_config,
@@ -20,7 +24,8 @@ from rigid_refine.cli import (
     run_experiment,
     run_trial,
 )
-from rigid_refine.synth import ProblemSpec
+from rigid_refine.rng import Xoshiro256PlusPlus
+from rigid_refine.synth import ProblemSpec, _trial_draws, make_problem
 
 
 def clean_spec(n_points, seed, **kwargs):
@@ -271,6 +276,73 @@ def test_run_experiment_thread_count_does_not_change_bytes(monkeypatch):
     monkeypatch.setenv("RIGID_REFINE_THREADS", "4")
     pooled = records_to_csv(run_experiment(config))
     assert serial == pooled
+
+
+DRAW_COUNT_CASES = [
+    (cloud, resample, sigma, keep, cloud_points)
+    for cloud in ("ball", "sphere", "slab")
+    for resample in (False, True)
+    for sigma in (0.0, 0.01)
+    for keep in (1.0, 0.9)
+    for cloud_points in (0, 90)
+]
+
+
+@pytest.mark.parametrize("cloud, resample, sigma, keep, cloud_points", DRAW_COUNT_CASES)
+def test_predicted_trial_draws_equal_the_draws_taken(cloud, resample, sigma, keep, cloud_points):
+    # A keep fraction of 0.9 shares >= 80% of the points, so the first crop
+    # pair always passes; no other redraw happens on these seeds.
+    spec = ProblemSpec(
+        n_points=20, noise_sigma=sigma, crop_keep_fraction=keep,
+        independent_resample=resample, seed=40,
+    )
+    config = ExperimentConfig(
+        problem=spec, method="refined", trials=3, cloud=cloud, cloud_points=cloud_points
+    )
+    draws = _trial_draws(spec, cloud, _cloud_count(config))
+    for seed in (40, 41, 42):
+        gen = Xoshiro256PlusPlus(seed)
+        make_problem(spec, _base_cloud(config, gen), gen)
+        fresh = Xoshiro256PlusPlus(seed)
+        fresh.next_uint64s(draws)
+        assert gen._s == fresh._s
+
+
+def counted_kernel_calls(monkeypatch):
+    calls = []
+    streams = rng_module._streams
+
+    def counted(states, n):
+        calls.append((len(states), n))
+        return streams(states, n)
+
+    monkeypatch.setattr(rng_module, "_streams", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cloud, resample, sigma, keep, cloud_points", DRAW_COUNT_CASES[::5])
+def test_chunk_draws_come_from_one_kernel_call(monkeypatch, cloud, resample, sigma, keep, cloud_points):
+    spec = ProblemSpec(
+        n_points=20, noise_sigma=sigma, crop_keep_fraction=keep,
+        independent_resample=resample, seed=40,
+    )
+    config = ExperimentConfig(
+        problem=spec, method="refined", trials=5, cloud=cloud, cloud_points=cloud_points
+    )
+    calls = counted_kernel_calls(monkeypatch)
+    _run_chunk(config, range(5))
+    assert calls == [(5, _trial_draws(spec, cloud, _cloud_count(config)))]
+
+
+def test_chunk_generators_refill_past_their_prefetch(monkeypatch):
+    # The failing-crop config of the golden rows: crop retries run past the
+    # prefetched draws and refill through the kernel, one stream at a time.
+    spec = ProblemSpec(n_points=25, noise_sigma=0.01, crop_keep_fraction=0.35)
+    config = ExperimentConfig(problem=spec, method="refined", trials=20)
+    calls = counted_kernel_calls(monkeypatch)
+    _run_chunk(config, range(20))
+    assert calls[0] == (20, _trial_draws(spec, "ball", 25))
+    assert len(calls) > 1 and all(b == 1 for b, _ in calls[1:])
 
 
 def test_worker_count_env_validation(monkeypatch):

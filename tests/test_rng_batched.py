@@ -3,15 +3,21 @@
 Every batched generator must return the bytes of tests/rng_oracle.py and
 leave the stream where the oracle leaves it, including on the rare resample
 paths (forced here by tightening the oracle's and the library's limits
-together) and against digests frozen before batching.
+together) and against digests frozen before batching. The stacked kernel
+behind them is checked directly: draws and end states for many stream and
+draw counts, prefetched generators read in odd pieces past their buffers,
+and its jump table built by racing threads.
 """
 
 import hashlib
+import json
+import pathlib
 
 import numpy as np
 import pytest
 
 import rng_oracle
+from conftest import run_python
 from rigid_refine import ball_cloud, slab_cloud, sphere_cloud
 from rigid_refine import rng as rng_module
 from rigid_refine.rng import Xoshiro256PlusPlus
@@ -153,3 +159,169 @@ def test_integer_below_range_check():
             rng.integer_below(bad)
     assert rng._s == Xoshiro256PlusPlus(0)._s
     assert rng.integer_below((1 << 64) - 1) < (1 << 64) - 1
+
+
+KERNEL_STREAMS = (1, 3, 8, 500)
+KERNEL_LENGTHS = (0, 1, 2, 7, 8, 9, 230, 7174, 9333)
+
+
+@pytest.fixture(scope="module")
+def oracle_streams():
+    """Per seed 0..499: the oracle's first 9333 draws and its state after
+    each length in KERNEL_LENGTHS."""
+    counts = set(KERNEL_LENGTHS)
+    streams = []
+    for seed in range(max(KERNEL_STREAMS)):
+        draws, states = rng_oracle.stream(rng_oracle.ScalarXoshiro256PlusPlus(seed)._s, counts)
+        streams.append((np.array(draws, dtype=np.uint64), states))
+    return streams
+
+
+def seed_states(count):
+    return np.array([rng_module._seed_state(seed) for seed in range(count)])
+
+
+@pytest.mark.parametrize("streams", KERNEL_STREAMS)
+def test_stacked_kernel_matches_oracle(streams, oracle_streams):
+    states = seed_states(streams)
+    for n in KERNEL_LENGTHS:
+        draws, ends = rng_module._streams(states, n)
+        assert draws.shape == (streams, n) and draws.dtype == np.uint64
+        assert ends.shape == (streams, 4) and ends.dtype == np.uint64
+        want = np.array([oracle_streams[b][0][:n] for b in range(streams)], dtype=np.uint64)
+        assert draws.tobytes() == want.reshape(streams, n).tobytes()
+        want_ends = np.array([oracle_streams[b][1][n] for b in range(streams)], dtype=np.uint64)
+        assert ends.tobytes() == want_ends.tobytes()
+
+
+def test_prefetched_generators_in_odd_pieces_match_oracle():
+    # Pieces cross the 50-draw prefetch, the look-ahead refills, and come in
+    # every method; _s must be the oracle's state after every piece.
+    pieces = (1, 7, 0, 13, 29, 1, 3, 1500, 2, rng_module._LOOKAHEAD + 5, 1)
+    seeds = list(range(10, 17))
+    for seed, rng in zip(seeds, Xoshiro256PlusPlus._prefetched(seeds, 50)):
+        oracle = rng_oracle.ScalarXoshiro256PlusPlus(seed)
+        assert rng._s == oracle._s
+        for k, size in enumerate(pieces):
+            if k % 3 == 0:
+                got = rng.next_uint64s(size)
+                want = np.array([oracle.next_uint64() for _ in range(size)], dtype=np.uint64)
+            elif k % 3 == 1:
+                got, want = rng.uniforms(size, -1.0, 2.0), oracle.uniforms(size, -1.0, 2.0)
+            else:
+                got, want = rng.normals(size), oracle.normals(size)
+            same_bytes_and_state(got, want, rng, oracle)
+            assert rng.next_uint64() == oracle.next_uint64()
+            assert rng._s == oracle._s
+
+
+def test_prefetch_is_split_into_bounded_kernel_calls(monkeypatch):
+    calls = []
+    streams = rng_module._streams
+
+    def counted(states, n):
+        calls.append(len(states))
+        return streams(states, n)
+
+    monkeypatch.setattr(rng_module, "_streams", counted)
+    monkeypatch.setattr(rng_module, "_PREFETCH_DRAWS", 100)
+    seeds = list(range(7))
+    rngs = list(Xoshiro256PlusPlus._prefetched(seeds, 30))
+    assert calls == [3, 3, 1]
+    for seed, rng in zip(seeds, rngs):
+        oracle = rng_oracle.ScalarXoshiro256PlusPlus(seed)
+        same_bytes_and_state(
+            rng.next_uint64s(30),
+            np.array([oracle.next_uint64() for _ in range(30)], dtype=np.uint64),
+            rng,
+            oracle,
+        )
+    assert len(calls) == 3  # the prefetched draws were enough
+
+
+def test_jump_ahead_matches_stepping():
+    states = seed_states(5)
+    for count in (0, 1, 2, 3, 64, 1000, 4097):
+        jumped = rng_module._advance(states, count)
+        assert jumped.tobytes() == rng_module._streams(states, count)[1].tobytes()
+
+
+def test_negative_draw_count_is_rejected():
+    rng = Xoshiro256PlusPlus(0)
+    with pytest.raises(ValueError, match="draw count"):
+        rng.uniforms(-1)
+    assert rng._s == Xoshiro256PlusPlus(0)._s
+
+
+COLD_TABLE_SCRIPT = """
+import sys, threading
+sys.path.insert(0, {tests!r})
+sys.setswitchinterval(1e-6)
+import numpy as np
+import rng_oracle
+from rigid_refine import rng
+
+assert not rng._JUMPS
+lengths = (9333, 20000, 700, 40000)
+barrier = threading.Barrier(len(lengths))
+results = {{}}
+
+def work(t, n):
+    states = np.array([rng._seed_state(100 * t + b) for b in range(3)])
+    barrier.wait(timeout=60)
+    results[t] = rng._streams(states, n)
+
+threads = [threading.Thread(target=work, args=(t, n)) for t, n in enumerate(lengths)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+for t, n in enumerate(lengths):
+    draws, ends = results[t]
+    for b in range(3):
+        state = rng_oracle.ScalarXoshiro256PlusPlus(100 * t + b)._s
+        want, states = rng_oracle.stream(state, {{n}})
+        assert draws[b].tobytes() == np.array(want, dtype=np.uint64).tobytes()
+        assert [int(w) for w in ends[b]] == states[n]
+built = [table.copy() for table in rng._JUMPS]
+rng._JUMPS.clear()
+rng._jump_table(len(built) - 1)
+assert all(np.array_equal(a, b) for a, b in zip(built, rng._JUMPS))
+print("ok", len(built))
+"""
+
+
+def test_cold_jump_table_is_thread_safe():
+    # A fresh interpreter, so the jump table starts empty; four threads then
+    # need different powers of it at once.
+    tests = str(pathlib.Path(__file__).resolve().parent)
+    result = run_python("-c", COLD_TABLE_SCRIPT.format(tests=tests))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("ok")
+
+
+KERNEL_MEMORY_SCRIPT = """
+import json, tracemalloc
+tracemalloc.start()
+from rigid_refine import rng
+base = tracemalloc.get_traced_memory()[0]
+tracemalloc.reset_peak()
+rng._streams(rng._seed_state(1)[None], 7174)
+current, peak = tracemalloc.get_traced_memory()
+shapes = sorted({str((table.shape, table.dtype.name)) for table in rng._JUMPS})
+print(json.dumps([len(rng._JUMPS), shapes, current - base, peak - base]))
+"""
+
+
+def test_jump_tables_stay_packed():
+    # The tables for one N=1024 trial's draws (13 powers) are kept as bits,
+    # 8 KiB each, where a float32 table would take 256 KiB. A fresh
+    # interpreter, so the tables are built inside the measurement.
+    result = run_python("-c", KERNEL_MEMORY_SCRIPT)
+    assert result.returncode == 0, result.stderr
+    count, shapes, retained, peak = json.loads(result.stdout)
+    assert count >= 13
+    assert shapes == ["((256, 4), 'uint64')"]
+    assert retained < 256 * 1024
+    assert peak < 1536 * 1024

@@ -1,5 +1,6 @@
 """The demos and the calibration tool run end to end without warnings."""
 
+import ast
 import pathlib
 
 import pytest
@@ -26,7 +27,13 @@ def test_demo_runs_without_warnings(demo):
 
 
 def test_calibration_tool_reproduces_the_frozen_constants():
-    stdout = run_script(ROOT / "tools" / "calibrate_divergence.py")
+    tool = ROOT / "tools" / "calibrate_divergence.py"
+    stdout = run_script(tool)
+    # The docstring quotes the run's summary block, indented, line for line.
+    docstring = ast.get_docstring(ast.parse(tool.read_text(encoding="utf-8")))
+    quoted = [line[2:] for line in docstring.splitlines() if line.startswith("  ")]
+    summary = stdout.split("\n\n")[0].splitlines()
+    assert quoted[-len(summary) :] == summary
     printed = dict(
         line.split(" = ") for line in stdout.splitlines() if line.startswith("DIVERGENCE_")
     )

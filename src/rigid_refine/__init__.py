@@ -36,7 +36,6 @@ from .gradcheck import (
     kabsch_outputs,
     max_relative_error,
     refine_step_outputs,
-    unflatten_inputs,
 )
 from .kabsch import (
     CrossCovariance,

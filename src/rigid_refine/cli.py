@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import RigidTransform, _centered, center
+from .core import CHUNK_POINTS, RigidTransform, _centered, center
 from .diagnostics import _divergence
 from .gradcheck import (
     finite_difference_jacobian,
@@ -67,10 +67,6 @@ NA = "NA"
 METHODS = ("kabsch", "refined", "icp")
 
 GRADCHECK_TOL = 1e-5
-
-# A chunk stacks at most this many points per cloud (B * n_points), so its
-# arrays stay within a few MiB whatever the trial count.
-CHUNK_POINTS = 1 << 15
 
 
 class ConfigError(Exception):
@@ -189,9 +185,10 @@ def _lanes(mask, *arrays):
 
 
 def _solve_and_score(config, problems):
-    """Solve and score problems that have the same number of
-    correspondences, stacked; one record dict per problem, None for a trial
-    whose solve failed (an NA row)."""
+    """Solve and score the problems of one config, stacked (make_problem
+    gives each of them n_points correspondences, or floor(f * n_points) with
+    a crop); one record dict per problem, None for a trial whose solve failed
+    (an NA row)."""
     corrs = [p.correspondences for p in problems]
     src = np.stack([c.source.points for c in corrs])
     tgt = np.stack([c.target.points for c in corrs])
@@ -255,7 +252,7 @@ def _solve_and_score(config, problems):
 def _run_chunk(config, indices):
     """Generate, solve and score the trials `indices`; their records, in order."""
     records = {}
-    made = {}  # correspondence count -> [(index, seed, problem)]
+    made = []  # (index, seed, problem)
     seeds = [config.problem.seed + i for i in indices]
     draws = _trial_draws(config.problem, config.cloud, _cloud_count(config))
     for i, seed, rng in zip(indices, seeds, Xoshiro256PlusPlus._prefetched(seeds, draws)):
@@ -265,10 +262,10 @@ def _run_chunk(config, indices):
         except (InsufficientPoints, CropOverlapUnsatisfied):
             records[i] = TrialRecord(seed=seed, method=config.method)
         else:
-            made.setdefault(problem.correspondences.count, []).append((i, seed, problem))
-    for group in made.values():
-        scored = _solve_and_score(config, [problem for _, _, problem in group])
-        for (i, seed, _), values in zip(group, scored):
+            made.append((i, seed, problem))
+    if made:
+        scored = _solve_and_score(config, [problem for _, _, problem in made])
+        for (i, seed, _), values in zip(made, scored):
             records[i] = TrialRecord(seed=seed, method=config.method, **(values or {}))
     return [records[i] for i in indices]
 

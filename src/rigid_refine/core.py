@@ -32,6 +32,11 @@ ROTATION_TOL = 1e-9
 # Centered clouds must have weighted mean below this, relative to cloud scale.
 CENTERING_TOL = 1e-12
 
+# The chunk runner and the finite-difference probes stack at most this many
+# points per cloud (B * N) in one array-kernel call, so its arrays stay within
+# a few MiB however many trials or probes there are.
+CHUNK_POINTS = 1 << 15
+
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:

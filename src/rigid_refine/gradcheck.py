@@ -6,14 +6,14 @@ The refinement-step Jacobian is analytic: implicit differentiation of the
 one right-hand side per input), chained through the closed-form Gram-Schmidt
 assembler and the closed-form translation. The SVD-estimator Jacobian is
 finite-difference only, by design: near-equal singular values make the SVD
-derivative blow up, and this module's job is to expose that, not paper over
-it.
+derivative blow up, and this module's job is to expose that, not hide it.
 
 Inputs are flattened as (3N raw source coordinates, 3N raw target
-coordinates, N weights), point-major. Derivatives are taken with respect to
-the raw (uncentered) coordinates; mean subtraction is part of the
-differentiated map. Output rows are the rotation entries in column-major
-order (9), then the translation (3) where applicable.
+coordinates, N weights), point-major; derivatives are taken with respect to
+these raw (uncentered) coordinates, so mean subtraction is part of the
+differentiated map. Output rows are vec R (column-major, 9), then t (3) where
+applicable. The flat maps run a stack of input rows, (B, 7N), through the
+array kernels at once; finite differences pass at most CHUNK_POINTS points.
 """
 
 from dataclasses import dataclass
@@ -22,9 +22,10 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from . import so3
-from .core import CorrespondenceSet, RigidTransform, center
+from .core import CHUNK_POINTS, _centered
+from .kabsch import CrossCovariance, _cross_covariance, _kabsch_matrix
 from .kabsch import cross_covariance, kabsch_rotation
-from .refiner import SingularSystem, assemble_kkt, assemble_rotation, refine, solve_kkt
+from .refiner import SingularSystem, _refine_steps, assemble_kkt, assemble_rotation, solve_kkt
 
 # Minimum gap between adjacent singular values of the cross-covariance for
 # the SVD-estimator finite differences to be meaningful (data is unit-ball
@@ -48,9 +49,7 @@ class Jacobian:
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[1] != 7 * self.n_points or m.shape[0] not in (9, 12):
-            raise ValueError(
-                f"expected (9 or 12, {7 * self.n_points}) matrix, got {m.shape}"
-            )
+            raise ValueError(f"expected (9 or 12, {7 * self.n_points}) matrix, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("jacobian entries must be finite")
         m.setflags(write=False)
@@ -86,52 +85,58 @@ def flatten_inputs(centered):
     differences can perturb them freely without violating the centering
     invariant; re-centering happens inside the differentiated map.
     """
-    n = centered.count
     src = centered.source_centered.points + centered.source_mean
     tgt = centered.target_centered.points + centered.target_mean
-    return np.concatenate([src.ravel(), tgt.ravel(), centered.weights]), n
+    return np.concatenate([src.ravel(), tgt.ravel(), centered.weights]), centered.count
 
 
-def unflatten_inputs(x, n):
-    """Inverse of flatten_inputs."""
+def _split_rows(x, n):
+    """Input rows (B, 7n) -> centered source, target (B, n, 3), weights, means."""
     x = np.asarray(x, dtype=float)
-    src = x[: 3 * n].reshape(n, 3)
-    tgt = x[3 * n : 6 * n].reshape(n, 3)
-    return CorrespondenceSet.from_arrays(src, tgt, x[6 * n :])
+    w = x[:, 6 * n :]
+    source, source_mean = _centered(x[:, : 3 * n].reshape(len(x), n, 3), w)
+    target, target_mean = _centered(x[:, 3 * n : 6 * n].reshape(len(x), n, 3), w)
+    return source, target, w, source_mean, target_mean
 
 
 def refine_step_outputs(x, n, r_prev):
-    """One refinement step as a flat map: raw inputs -> (vec R, t), 12-vector.
-
-    Runs the closed-form step that `refine` runs, so finite differences of it
-    check the implicit-differentiation Jacobian of the 15x15 system against
-    an independent derivation.
-    """
-    trace = refine(unflatten_inputs(x, n), RigidTransform(r_prev, np.zeros(3)), 1)
-    if trace.fallback_count:
+    """One refinement step as a row map, raw inputs (B, 7n) -> (vec R, t) (B, 12):
+    the closed-form step `refine` runs, so its finite differences check the
+    implicit-differentiation Jacobian of the 15x15 system independently."""
+    r0, t0 = np.tile(r_prev.m, (len(x), 1, 1)), np.zeros((len(x), 3))
+    steps = _refine_steps(*_split_rows(x, n), r0, t0, 1)
+    if not steps.finite.all():
+        raise ValueError("second-moment matrices S and F must be finite")
+    if not steps.stepped.all():
         raise SingularSystem("the refinement step is singular at these inputs")
-    pose = trace.poses[1]
-    return np.concatenate([pose.rotation.m.reshape(9, order="F"), pose.translation])
+    r, t = steps.rotations[:, 1], steps.translations[:, 1]
+    return np.concatenate([r.swapaxes(1, 2).reshape(-1, 9), t], axis=1)
 
 
 def kabsch_outputs(x, n):
-    """The SVD rotation as a flat map: raw inputs -> vec R, 9-vector."""
-    cc = center(unflatten_inputs(x, n))
-    return kabsch_rotation(cross_covariance(cc)).m.reshape(9, order="F")
+    """The SVD rotation as a row map: raw inputs (B, 7n) -> vec R, (B, 9)."""
+    source, target, w, _, _ = _split_rows(x, n)
+    h = _cross_covariance(target, source, w)
+    r, ok = _kabsch_matrix(h)
+    if not ok.all():
+        kabsch_rotation(CrossCovariance(h[np.argmin(ok)]))  # names the first failed row
+    return r.swapaxes(1, 2).reshape(-1, 9)
 
 
 def finite_difference_jacobian(fn, x0, step=FD_STEP):
-    """Central differences, one probe pair per input, fixed input ordering."""
+    """Central differences, one probe pair per input, fixed input ordering:
+    fn maps (B, m) input rows to (B, k) outputs, and the probes x0 +- step e_i
+    go to it as rows, at most 7 CHUNK_POINTS inputs (CHUNK_POINTS points) a call."""
     x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(fn(x0), dtype=float)
-    jac = np.empty((y0.size, x0.size))
-    for i in range(x0.size):
-        xp = x0.copy()
-        xp[i] += step
-        xm = x0.copy()
-        xm[i] -= step
-        jac[:, i] = (np.asarray(fn(xp)) - np.asarray(fn(xm))) / (2.0 * step)
-    return jac
+    per_slice = max(1, 7 * CHUNK_POINTS // (2 * x0.size))
+    columns = []
+    for lo in range(0, x0.size, per_slice):
+        i = np.arange(lo, min(lo + per_slice, x0.size))
+        probes = np.tile(x0, (2, i.size, 1))
+        probes[:, i - lo, i] += [[step], [-step]]  # x - step is x + (-step), exactly
+        y = np.asarray(fn(probes.reshape(2 * i.size, -1)), dtype=float)
+        columns.append((y[: i.size] - y[i.size :]) / (2.0 * step))
+    return np.concatenate(columns).T.copy()
 
 
 def _assembler_jacobian(c):
@@ -157,13 +162,8 @@ def _assembler_jacobian(c):
     d_r3_v1 = -so3.skew(r2) @ d_r1_v1 + so3.skew(r1) @ d_r2_v1
     d_r3_v2 = so3.skew(r1) @ d_r2_v2
 
-    jac = np.zeros((9, 9))
-    jac[0:3, 0:3] = d_r1_v1
-    jac[3:6, 0:3] = d_r2_v1
-    jac[6:9, 0:3] = d_r3_v1
-    jac[3:6, 3:6] = d_r2_v2
-    jac[6:9, 3:6] = d_r3_v2
-    return jac
+    zero = np.zeros((3, 3))
+    return np.block([[d_r1_v1, zero, zero], [d_r2_v1, d_r2_v2, zero], [d_r3_v1, d_r3_v2, zero]])
 
 
 def jacobian_refine_step(centered, r_prev):
@@ -289,8 +289,7 @@ def jacobian_kabsch(centered, step=FD_STEP):
         )
     kabsch_rotation(cross_cov)  # propagate degeneracy before probing
     x0, n = flatten_inputs(centered)
-    matrix = finite_difference_jacobian(lambda x: kabsch_outputs(x, n), x0, step)
-    return Jacobian(matrix, n)
+    return Jacobian(finite_difference_jacobian(lambda x: kabsch_outputs(x, n), x0, step), n)
 
 
 def max_relative_error(j_test, j_ref, rel=1e-5, floor=1e-8):

@@ -5,21 +5,29 @@ import pytest
 
 from rigid_refine import (
     CorrespondenceSet,
+    DegenerateGeometry,
     IllConditioned,
     Jacobian,
     PointCloud,
+    RigidTransform,
+    SingularSystem,
     Xoshiro256PlusPlus,
     center,
+    cross_covariance,
     estimate_pose_kabsch,
     finite_difference_jacobian,
     flatten_inputs,
+    gradcheck,
     jacobian_kabsch,
     jacobian_refine_step,
     kabsch_outputs,
+    kabsch_rotation,
     max_relative_error,
+    refine,
     refine_step_outputs,
-    unflatten_inputs,
 )
+from rigid_refine.core import CHUNK_POINTS
+from rigid_refine.gradcheck import FD_STEP
 
 from conftest import random_problem
 
@@ -31,19 +39,85 @@ def prepared(seed, n, noise=0.02):
     return cc, r_prev
 
 
-def test_flatten_unflatten_roundtrip():
-    cc, _ = prepared(50, 6)
+# The per-probe path the stacked finite differences replaced, kept as their
+# byte oracle: one public refine / Kabsch call per probe, each on its own
+# CorrespondenceSet.
+
+
+def raw_correspondences(x, n):
+    return CorrespondenceSet.from_arrays(
+        x[: 3 * n].reshape(n, 3), x[3 * n : 6 * n].reshape(n, 3), x[6 * n :]
+    )
+
+
+def refine_probe(x, n, r_prev):
+    pose = refine(raw_correspondences(x, n), RigidTransform(r_prev, np.zeros(3)), 1).poses[1]
+    return np.concatenate([pose.rotation.m.reshape(9, order="F"), pose.translation])
+
+
+def kabsch_probe(x, n):
+    return kabsch_rotation(cross_covariance(center(raw_correspondences(x, n)))).m.reshape(
+        9, order="F"
+    )
+
+
+def per_probe_jacobian(fn, x0, step=FD_STEP):
+    columns = []
+    for i in range(x0.size):
+        xp = x0.copy()
+        xp[i] += step
+        xm = x0.copy()
+        xm[i] -= step
+        columns.append((fn(xp) - fn(xm)) / (2.0 * step))
+    return np.array(columns).T
+
+
+def oracle_inputs(cc):
+    # Raw points rebuilt from the centered problem, independently of
+    # flatten_inputs, which must agree to the byte.
+    src = cc.source_centered.points + cc.source_mean
+    tgt = cc.target_centered.points + cc.target_mean
+    x0 = np.concatenate([src.ravel(), tgt.ravel(), cc.weights])
     x, n = flatten_inputs(cc)
-    assert n == 6
-    assert x.shape == (7 * 6,)
-    rebuilt = unflatten_inputs(x, n)  # raw (uncentered) correspondences
-    assert np.allclose(
-        rebuilt.source.points, cc.source_centered.points + cc.source_mean
-    )
-    assert np.allclose(
-        rebuilt.target.points, cc.target_centered.points + cc.target_mean
-    )
-    assert np.allclose(rebuilt.weights, cc.weights)
+    assert n == cc.count and x.tobytes() == x0.tobytes()
+    return x0, n
+
+
+def test_stacked_finite_differences_match_the_per_probe_public_path():
+    cases = [prepared(14_000 + n, n) for n in (4, 16, 64)]
+    spectrum = designed_spectrum(3.0, 1.1, -1.0)
+    cases.append((spectrum, kabsch_rotation(cross_covariance(spectrum))))
+    for cc, r_prev in cases:
+        x0, n = oracle_inputs(cc)
+        stacked = finite_difference_jacobian(lambda x: refine_step_outputs(x, n, r_prev), x0)
+        oracle = per_probe_jacobian(lambda x: refine_probe(x, n, r_prev), x0)
+        assert stacked.shape == (12, 7 * n)
+        assert stacked.tobytes() == oracle.tobytes()
+        stacked = finite_difference_jacobian(lambda x: kabsch_outputs(x, n), x0)
+        oracle = per_probe_jacobian(lambda x: kabsch_probe(x, n), x0)
+        assert stacked.tobytes() == oracle.tobytes()
+
+
+def test_finite_difference_probes_are_sliced_by_chunk_points(monkeypatch):
+    # 896 probe rows of 64 points are 57344 points: two calls of <= 2^15.
+    cc, r_prev = prepared(14_064, 64)
+    x0, n = flatten_inputs(cc)
+    run = gradcheck._refine_steps
+    stacked_points = []
+
+    def recorded(source, *args):
+        stacked_points.append(source.shape[0] * source.shape[1])
+        return run(source, *args)
+
+    monkeypatch.setattr(gradcheck, "_refine_steps", recorded)
+    sliced = finite_difference_jacobian(lambda x: refine_step_outputs(x, n, r_prev), x0)
+    assert len(stacked_points) >= 2
+    assert max(stacked_points) <= CHUNK_POINTS
+    assert sum(stacked_points) == 2 * x0.size * n
+    monkeypatch.setattr(gradcheck, "CHUNK_POINTS", 1 << 30)
+    whole = finite_difference_jacobian(lambda x: refine_step_outputs(x, n, r_prev), x0)
+    assert len(stacked_points) == 3
+    assert sliced.tobytes() == whole.tobytes()
 
 
 def test_jacobian_shape_and_block_accessors():
@@ -91,7 +165,7 @@ def test_jacobian_translation_gauge_sums():
     jac = jacobian_refine_step(cc, r_prev)
     n = cc.weights.size
     x0, count = flatten_inputs(cc)
-    out = refine_step_outputs(x0, count, r_prev)
+    out = refine_step_outputs(x0[None], count, r_prev)[0]
     r_new = out[:9].reshape(3, 3, order="F")
     tr = jac.translation_rows
     src_block = sum(tr[:, 3 * j : 3 * j + 3] for j in range(n))
@@ -125,7 +199,7 @@ def test_jacobian_rotation_rows_tangent_space():
     cc, r_prev = prepared(59, 8)
     jac = jacobian_refine_step(cc, r_prev)
     x0, count = flatten_inputs(cc)
-    out = refine_step_outputs(x0, count, r_prev)
+    out = refine_step_outputs(x0[None], count, r_prev)[0]
     r_new = out[:9].reshape(3, 3, order="F")
     rng = Xoshiro256PlusPlus(60)
     for _ in range(10):
@@ -136,9 +210,9 @@ def test_jacobian_rotation_rows_tangent_space():
 
 
 def test_finite_difference_jacobian_on_quadratic():
-    # Exact for quadratics up to roundoff: f(x) = (x0^2, x0*x1).
+    # Exact for quadratics up to roundoff: f(x) = (x0^2, x0*x1), row-wise.
     def fn(x):
-        return np.array([x[0] ** 2, x[0] * x[1]])
+        return np.stack([x[:, 0] ** 2, x[:, 0] * x[:, 1]], axis=1)
 
     x0 = np.array([1.5, -2.0])
     jac = finite_difference_jacobian(fn, x0)
@@ -242,6 +316,39 @@ def test_kabsch_outputs_consistent_with_estimator():
     corr, _ = random_problem(seed=62, n=9, noise=0.03, weighted=True)
     cc = center(corr)
     x0, n = flatten_inputs(cc)
-    out = kabsch_outputs(x0, n)
+    out = kabsch_outputs(x0[None], n)[0]
     pose = estimate_pose_kabsch(corr)
     assert np.allclose(out.reshape(3, 3, order="F"), pose.rotation.m)
+
+
+def stack_with(cc, source=None, target=None):
+    # Two input rows: the problem as is, then with its raw clouds replaced.
+    x0, n = flatten_inputs(cc)
+    row = x0.copy()
+    if source is not None:
+        row[: 3 * n] = source.ravel()
+    if target is not None:
+        row[3 * n : 6 * n] = target.ravel()
+    return np.stack([x0, row]), n
+
+
+def test_refine_step_outputs_raise_on_a_failed_row():
+    cc, r_prev = prepared(63, 6)
+    line = np.outer(np.arange(6.0), [1.0, 0.0, 0.0])
+    x, n = stack_with(cc, source=line)
+    with pytest.raises(SingularSystem):
+        refine_step_outputs(x, n, r_prev)
+    x, n = stack_with(cc, source=1e200 * line)  # S overflows
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+        refine_step_outputs(x, n, r_prev)
+
+
+def test_kabsch_outputs_raise_on_a_failed_row():
+    cc, _ = prepared(64, 6)
+    line = np.outer(np.arange(6.0), [1.0, 2.0, 0.0])
+    x, n = stack_with(cc, source=line, target=line)
+    with pytest.raises(DegenerateGeometry):
+        kabsch_outputs(x, n)
+    x, n = stack_with(cc, source=1e200 * line, target=1e200 * line)  # H overflows
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+        kabsch_outputs(x, n)

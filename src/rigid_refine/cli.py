@@ -452,11 +452,8 @@ class ComparisonTable:
             cells = [str(self.seeds[i])]
             for metric in self.COMPARED:
                 arr = self.metrics[metric]
-                cells.extend(_fmt(arr[j, i] if np.isfinite(arr[j, i]) else None) for j in range(len(self.labels)))
-                cells.extend(
-                    _fmt(arr[j, i] - arr[0, i] if np.isfinite(arr[j, i] - arr[0, i]) else None)
-                    for j in range(1, len(self.labels))
-                )
+                cells.extend(_fmt(arr[j, i]) for j in range(len(self.labels)))
+                cells.extend(_fmt(arr[j, i] - arr[0, i]) for j in range(1, len(self.labels)))
             lines.append(",".join(cells))
         for metric in self.COMPARED:
             for j in range(1, len(self.labels)):

@@ -1,12 +1,12 @@
 """Jacobians of the refinement step and the SVD estimator, with finite
 differences as the ground truth.
 
-The refinement-step Jacobian is analytic: implicit differentiation of the
-15x15 saddle-point system (the already-factorized matrix is reused against
-one right-hand side per input), chained through the closed-form Gram-Schmidt
-assembler and the closed-form translation. The SVD-estimator Jacobian is
-finite-difference only, by design: near-equal singular values make the SVD
-derivative blow up, and this module's job is to expose that, not hide it.
+The refinement-step Jacobian is analytic: the closed form of the step `refine`
+takes, applied to one dF - R' dS per input (raising SingularSystem wherever
+`refine` falls back), chained through the Gram-Schmidt assembler and the
+translation. The SVD-estimator Jacobian is finite-difference only, by design:
+near-equal singular values make the SVD derivative blow up, and this module's
+job is to expose that, not hide it.
 
 Inputs are flattened as (3N raw source coordinates, 3N raw target
 coordinates, N weights), point-major; derivatives are taken with respect to
@@ -19,13 +19,13 @@ array kernels at once; finite differences pass at most CHUNK_POINTS points.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from . import so3
 from .core import CHUNK_POINTS, _centered
 from .kabsch import CrossCovariance, _cross_covariance, _kabsch_matrix
 from .kabsch import cross_covariance, kabsch_rotation
-from .refiner import SingularSystem, _refine_steps, assemble_kkt, assemble_rotation, solve_kkt
+from .refiner import CandidateMatrix, SingularSystem, _refine_steps, _step_factors
+from .refiner import _tangent_increment, _tangent_step, assemble_rotation
 
 # Minimum gap between adjacent singular values of the cross-covariance for
 # the SVD-estimator finite differences to be meaningful (data is unit-ball
@@ -169,10 +169,10 @@ def _assembler_jacobian(c):
 def jacobian_refine_step(centered, r_prev):
     """Analytic Jacobian of one refinement step w.r.t. points and weights.
 
-    Differentiates candidate and multipliers through the saddle-point system
-    by the implicit function theorem (d z = K^{-1} d rhs with the system
-    matrix K factorized once; only the cost blocks depend on the inputs,
-    the constraint blocks are functions of r_prev alone), then chains
+    Differentiates the closed-form step `refine` takes (see refiner): with
+    R_prev fixed the constraints stay linear with a zero right-hand side, so
+    dR' solves the step's own system with F replaced by F~ = dF - R' dS,
+    dR' = R_prev V A'(F~) V^T, one F~ per input. The result is chained
     through the assembler and the closed-form translation.
 
     Parameters
@@ -189,48 +189,45 @@ def jacobian_refine_step(centered, r_prev):
     Raises
     ------
     SingularSystem
-        Propagated from the underlying solve.
+        Where `refine` falls back at this step, from the same mask.
+    ValueError
+        If the second-moment matrices S and F are not finite.
     """
     n = centered.count
     s_pts = centered.source_centered.points
     t_pts = centered.target_centered.points
     w = centered.weights
     total_w = w.sum()
-    source_mean = centered.source_mean
 
-    system = assemble_kkt(centered, r_prev)
-    candidate, _ = solve_kkt(system)
-    cand = candidate.m
-    rotation = assemble_rotation(candidate)
+    factors = _step_factors(s_pts[None], t_pts[None], w[None])
+    if not factors.finite[0]:
+        raise ValueError("second-moment matrices S and F must be finite")
+    candidate, _, ok = _tangent_step(r_prev.m[None], factors)
+    if not ok[0]:
+        raise SingularSystem("the refinement step is singular at these inputs")
+    cand = candidate[0]
+    rotation = assemble_rotation(CandidateMatrix(cand))
 
     m = 7 * n
     eye = np.eye(3)
-    # d(rhs)/d(input), one column per input. Thanks to the weighted centered
-    # sums vanishing, mean-shift terms cancel and each input touches only its
-    # own point's outer products:
+    # F~ = dF - R' dS per input. Thanks to the weighted centered sums
+    # vanishing, mean-shift terms cancel and each input touches only its own
+    # point's outer products:
     #   source (j,a): dS = w_j (e_a s_j^T + s_j e_a^T), dF = w_j t_j e_a^T
     #   target (j,a): dS = 0,                            dF = w_j e_a s_j^T
     #   weight  j   : dS = s_j s_j^T,                    dF = t_j s_j^T
-    # and the stationarity rows get vec(dF - R' dS). With r_j = t_j - R' s_j
-    # these are w_j (r_j e_a^T - R'[:, a] s_j^T), w_j e_a s_j^T and r_j s_j^T.
-    # Blocks are indexed [point, input axis, column p, row q] so that the
-    # trailing (p, q) flattens to the column-major vec index 3p + q.
+    # With r_j = t_j - R' s_j these are w_j (r_j e_a^T - R'[:, a] s_j^T),
+    # w_j e_a s_j^T and r_j s_j^T, indexed [point, input axis, row, column].
     r_pts = t_pts - s_pts @ cand.T
-    d_source = np.einsum("j,pa,jq->japq", w, eye, r_pts) - np.einsum(
-        "j,qa,jp->japq", w, cand, s_pts
+    d_source = np.einsum("j,pa,jq->jaqp", w, eye, r_pts) - np.einsum(
+        "j,qa,jp->jaqp", w, cand, s_pts
     )
-    d_target = np.einsum("j,qa,jp->japq", w, eye, s_pts)
-    d_weight = np.einsum("jq,jp->jpq", r_pts, s_pts)
-    rhs = np.zeros((15, m))
-    rhs[:9, : 3 * n] = d_source.reshape(3 * n, 9).T
-    rhs[:9, 3 * n : 6 * n] = d_target.reshape(3 * n, 9).T
-    rhs[:9, 6 * n :] = d_weight.reshape(n, 9).T
-
-    factor = lu_factor(system.matrix())
-    d_z = lu_solve(factor, rhs)
-    d_vec_candidate = d_z[:9]
-
-    d_vec_rotation = _assembler_jacobian(cand) @ d_vec_candidate
+    d_target = np.einsum("j,qa,jp->jaqp", w, eye, s_pts)
+    d_weight = np.einsum("jq,jp->jqp", r_pts, s_pts)
+    f_tilde = np.vstack([d_source.reshape(-1, 3, 3), d_target.reshape(-1, 3, 3), d_weight])
+    d_candidate, _, _ = _tangent_increment(r_prev.m, f_tilde @ factors.v, factors)
+    # Column i is vec dR' (column-major) for input i.
+    d_vec_rotation = _assembler_jacobian(cand) @ d_candidate.swapaxes(1, 2).reshape(m, 9).T
 
     # Translation rows: t = mean_t - R mean_s.
     d_source_mean = np.zeros((3, m))
@@ -242,11 +239,7 @@ def jacobian_refine_step(centered, r_prev):
     d_target_mean[:, 6 * n :] = t_pts.T / total_w
 
     # (dR) mean_s, exploiting column-major layout: rows 3c..3c+2 hold dR[:, c].
-    d_rot_mean = (
-        d_vec_rotation[0:3] * source_mean[0]
-        + d_vec_rotation[3:6] * source_mean[1]
-        + d_vec_rotation[6:9] * source_mean[2]
-    )
+    d_rot_mean = sum(d_vec_rotation[3 * c : 3 * c + 3] * centered.source_mean[c] for c in range(3))
     d_translation = d_target_mean - d_rot_mean - rotation.m @ d_source_mean
 
     return Jacobian(np.vstack([d_vec_rotation, d_translation]), n)

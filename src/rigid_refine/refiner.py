@@ -23,9 +23,10 @@ depend on R_prev, so a step costs a few 3x3 products. The closed form divides
 by d_i + d_j, never by d_i alone, so it stays accurate when S is nearly rank
 2 (thin or planar sources); the equivalent Sylvester form in S^-1 does not.
 `assemble_kkt` / `solve_kkt` / `kkt_residual` build and solve the 15x15
-system of the paper literally and are kept as the reference the closed form
-is tested against; `refine` stores no residual, but its trace carries the
-centered problem they need (see RefinementTrace).
+system of the paper literally, only as the oracle the closed form is tested
+against; the step Jacobian (gradcheck) differentiates the closed form through
+`_tangent_increment`. `refine` stores no residual, but its trace carries the
+centered problem the oracle needs (see RefinementTrace).
 
 The step kernels (`_step_factors`, `_tangent_step`, `_gram_schmidt`,
 `_refine_steps`) carry a leading trial axis, so one call refines a whole
@@ -49,9 +50,9 @@ from .core import CenteredCorrespondences, Rotation, RigidTransform, _dot, cente
 from .kabsch import _cross_covariance
 
 # Condition estimate above this raises SingularSystem: degenerate source
-# geometry interacting with the constraints. The 15x15 solve compares it with
-# the KKT matrix's 2-norm condition number; the closed form with the spread
-# d_2 / (d_0 + d_1) of the eigenvalue pair sums it divides by.
+# geometry interacting with the constraints. The closed form compares it with
+# the spread d_2 / (d_0 + d_1) of the eigenvalue pair sums it divides by; only
+# the 15x15 oracle, solve_kkt, with the KKT matrix's 2-norm condition number.
 CONDITION_LIMIT = 1e12
 
 # Gram-Schmidt denominators at or below this raise CollinearColumns.
@@ -70,8 +71,9 @@ class SingularSystem(Exception):
     """The step is not solvable: the KKT matrix condition estimate (or, in
     closed form, the spread of the eigenvalues of S) exceeds the solvable
     limit, or the solve returned a candidate that violates the column-norm
-    lower bound. solve_kkt raises it; the closed-form kernels report it as a
-    False lane of their mask, and refine falls back there."""
+    lower bound. The closed-form kernels report it as a False lane of their
+    mask: refine falls back there and jacobian_refine_step raises it, as
+    does solve_kkt."""
 
 
 class CollinearColumns(Exception):
@@ -315,6 +317,16 @@ def _step_factors(source, target, w):
     return _StepFactors(v, f_mat @ v, pair_sums, half_gaps, diag_d, finite, solvable)
 
 
+def _tangent_increment(r_prev, f_v, factors):
+    """(R_prev V A' V^T, M', A') for a stack of F-like matrices given as F V
+    (see the module docstring): refine's step passes F, the step Jacobian
+    F~ = dF - R' dS."""
+    v = factors.v
+    v_t = v.swapaxes(-1, -2)
+    m = v_t @ (r_prev.swapaxes(-1, -2) @ f_v)
+    a_prime = (m - m.swapaxes(-1, -2)) / factors.pair_sums
+    return r_prev @ (v @ a_prime @ v_t), m, a_prime
+
 
 def _tangent_step(r_prev, factors):
     """One linearized-constraint step per trial, in closed form (see the
@@ -337,17 +349,14 @@ def _tangent_step(r_prev, factors):
         because A is antisymmetric, so the bound holds by construction for
         finite inputs; the check guards the invariant, not the data.
     """
-    v = factors.v
-    v_t = v.swapaxes(1, 2)
-    m = v_t @ (r_prev.swapaxes(1, 2) @ factors.f_v)
-    m_t = m.swapaxes(1, 2)
-    a_prime = (m - m_t) / factors.pair_sums
+    increment, m, a_prime = _tangent_increment(r_prev, factors.f_v, factors)
     # (A' diag(d) - diag(d) A')_ij = A'_ij (d_j - d_i).
-    lam_prime = 0.5 * (m + m_t) - factors.diag_d - a_prime * factors.half_gaps
-    candidate = r_prev + r_prev @ (v @ a_prime @ v_t)
+    lam_prime = 0.5 * (m + m.swapaxes(1, 2)) - factors.diag_d - a_prime * factors.half_gaps
+    candidate = r_prev + increment
     norms = np.sqrt(np.einsum("bij,bij->bj", candidate, candidate))
     ok = factors.solvable & ((norms >= 1.0 - COLUMN_NORM_SLACK) & (norms < np.inf)).all(axis=1)
-    lambdas = (v @ lam_prime @ v_t)[:, _PAIR_ROWS, _PAIR_COLS] * _PAIR_SCALE
+    v = factors.v
+    lambdas = (v @ lam_prime @ v.swapaxes(1, 2))[:, _PAIR_ROWS, _PAIR_COLS] * _PAIR_SCALE
     return candidate, lambdas, ok
 
 

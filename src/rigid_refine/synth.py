@@ -41,8 +41,9 @@ def _per_axis_ranges(value, name):
         arr = np.tile(arr, (3, 1))
     if arr.shape != (3, 2):
         raise ValueError(f"{name} must be (lo, hi) or three (lo, hi) pairs")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
+    # Python floats, so an overflowing width hi - lo is inf without a warning.
+    if not all(np.isfinite(hi - lo) for lo, hi in arr.tolist()):
+        raise ValueError(f"{name} must be finite, and so must each width hi - lo")
     if np.any(arr[:, 0] > arr[:, 1]):
         raise ValueError(f"{name} ranges must be ordered lo <= hi")
     return tuple((float(lo), float(hi)) for lo, hi in arr)
@@ -71,11 +72,11 @@ class ProblemSpec:
             raise ValueError("n_points must be >= 1")
         object.__setattr__(self, "rot_range_deg", _per_axis_ranges(self.rot_range_deg, "rot_range_deg"))
         object.__setattr__(self, "trans_range", _per_axis_ranges(self.trans_range, "trans_range"))
-        # Written so that NaN fails too: NaN < 0 is false.
-        if not (self.noise_sigma >= 0.0):
-            raise ValueError("noise_sigma must be >= 0")
-        if not (self.noise_clamp >= 0.0):
-            raise ValueError("noise_clamp must be >= 0")
+        # Written so that NaN fails too: every comparison with NaN is false.
+        if not (0.0 <= self.noise_sigma < np.inf):
+            raise ValueError("noise_sigma must be finite and >= 0")
+        if not (0.0 <= self.noise_clamp < np.inf):
+            raise ValueError("noise_clamp must be finite and >= 0")
         if not 0.0 < self.crop_keep_fraction <= 1.0:
             raise ValueError("crop_keep_fraction must lie in (0, 1]")
 

@@ -140,6 +140,12 @@ def test_config_value_errors_become_config_errors():
         config_from_entries({**base, "problem.noise_sigma": "nan"})
     with pytest.raises(ConfigError):
         config_from_entries({**base, "problem.noise_clamp": "nan"})
+    for key in ("problem.trans_range", "problem.rot_range_deg"):
+        with pytest.raises(ConfigError, match="width"):
+            config_from_entries({**base, key: "-1e308,1e308"})
+    for sigma in ("1e308", "inf"):
+        with pytest.raises(ConfigError, match="must be finite"):
+            config_from_entries({**base, "problem.noise_sigma": sigma, "problem.noise_clamp": "inf"})
 
 
 def test_experiment_config_validation():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from rigid_refine import (
     CorrespondenceSet,
@@ -10,8 +11,11 @@ from rigid_refine import (
     Jacobian,
     PointCloud,
     RigidTransform,
+    Rotation,
     SingularSystem,
     Xoshiro256PlusPlus,
+    assemble_kkt,
+    assemble_rotation,
     center,
     cross_covariance,
     estimate_pose_kabsch,
@@ -25,15 +29,22 @@ from rigid_refine import (
     max_relative_error,
     refine,
     refine_step_outputs,
+    rotation_zyx,
+    solve_kkt,
 )
 from rigid_refine.core import CHUNK_POINTS
-from rigid_refine.gradcheck import FD_STEP
+from rigid_refine.gradcheck import FD_STEP, _assembler_jacobian
+from rigid_refine.refiner import CONDITION_LIMIT
 
 from conftest import random_problem
 
 
-def prepared(seed, n, noise=0.02):
+def prepared(seed, n, noise=0.02, scale=1.0):
     corr, _ = random_problem(seed=seed, n=n, noise=noise, weighted=True)
+    if scale != 1.0:
+        corr = CorrespondenceSet.from_arrays(
+            scale * corr.source.points, scale * corr.target.points, corr.weights
+        )
     cc = center(corr)
     r_prev = estimate_pose_kabsch(corr).rotation
     return cc, r_prev
@@ -98,6 +109,65 @@ def test_stacked_finite_differences_match_the_per_probe_public_path():
         assert stacked.tobytes() == oracle.tobytes()
 
 
+# The implicit-differentiation Jacobian through the paper's 15x15 system,
+# which the closed-form jacobian_refine_step replaced, kept as its oracle:
+# d z = K^-1 d rhs with K LU-factored once; only the cost blocks depend on
+# the inputs, so the right-hand side is vec(dF - R' dS) over a zero
+# constraint block.
+
+
+def lu_jacobian_refine_step(centered, r_prev):
+    n = centered.count
+    s_pts = centered.source_centered.points
+    t_pts = centered.target_centered.points
+    w = centered.weights
+    total_w = w.sum()
+    system = assemble_kkt(centered, r_prev)
+    candidate, _ = solve_kkt(system)
+    cand = candidate.m
+    rotation = assemble_rotation(candidate)
+
+    m = 7 * n
+    eye = np.eye(3)
+    # Blocks indexed [point, input axis, column p, row q]: the trailing
+    # (p, q) flattens to the column-major vec index 3p + q.
+    r_pts = t_pts - s_pts @ cand.T
+    d_source = np.einsum("j,pa,jq->japq", w, eye, r_pts) - np.einsum(
+        "j,qa,jp->japq", w, cand, s_pts
+    )
+    d_target = np.einsum("j,qa,jp->japq", w, eye, s_pts)
+    d_weight = np.einsum("jq,jp->jpq", r_pts, s_pts)
+    rhs = np.zeros((15, m))
+    rhs[:9, : 3 * n] = d_source.reshape(3 * n, 9).T
+    rhs[:9, 3 * n : 6 * n] = d_target.reshape(3 * n, 9).T
+    rhs[:9, 6 * n :] = d_weight.reshape(n, 9).T
+    d_vec_candidate = lu_solve(lu_factor(system.matrix()), rhs)[:9]
+    d_vec_rotation = _assembler_jacobian(cand) @ d_vec_candidate
+
+    # t = mean_t - R mean_s.
+    d_source_mean = np.zeros((3, m))
+    d_target_mean = np.zeros((3, m))
+    mean_weights = np.einsum("j,ab->ajb", w / total_w, eye).reshape(3, 3 * n)
+    d_source_mean[:, : 3 * n] = mean_weights
+    d_target_mean[:, 3 * n : 6 * n] = mean_weights
+    d_source_mean[:, 6 * n :] = s_pts.T / total_w
+    d_target_mean[:, 6 * n :] = t_pts.T / total_w
+    d_rot_mean = sum(d_vec_rotation[3 * c : 3 * c + 3] * centered.source_mean[c] for c in range(3))
+    d_translation = d_target_mean - d_rot_mean - rotation.m @ d_source_mean
+    return np.vstack([d_vec_rotation, d_translation])
+
+
+def test_closed_form_jacobian_matches_the_lu_oracle():
+    # Gate 08's 150 problems.
+    worst = 0.0
+    for seed in range(50):
+        for n in (4, 16, 64):
+            cc, r_prev = prepared(14_000 + 10 * seed + n, n)
+            jac = jacobian_refine_step(cc, r_prev)
+            worst = max(worst, max_relative_error(jac, lu_jacobian_refine_step(cc, r_prev)))
+    assert worst <= 1e-10
+
+
 def test_finite_difference_probes_are_sliced_by_chunk_points(monkeypatch):
     # 896 probe rows of 64 points are 57344 points: two calls of <= 2^15.
     cc, r_prev = prepared(14_064, 64)
@@ -132,14 +202,38 @@ def test_jacobian_shape_and_block_accessors():
 
 
 def test_jacobian_matches_finite_differences():
-    for seed, n in ((52, 4), (53, 10), (54, 24)):
-        cc, r_prev = prepared(seed, n)
-        jac = jacobian_refine_step(cc, r_prev)
-        x0, count = flatten_inputs(cc)
-        fd = finite_difference_jacobian(
-            lambda x: refine_step_outputs(x, count, r_prev), x0
-        )
-        assert max_relative_error(jac.matrix, fd) <= 1e-5
+    # Coordinates scaled by up to 1e3, where the 15x15 KKT matrix is too
+    # ill-conditioned to solve. The step grows with the data as sqrt(scale):
+    # the coordinate columns' roundoff wants a step that grows like scale,
+    # the unscaled weight columns' truncation error one that stays put.
+    for scale in (1.0, 1e2, 1e3):
+        for seed, n in ((52, 4), (53, 10), (54, 24)):
+            cc, r_prev = prepared(seed, n, scale=scale)
+            jac = jacobian_refine_step(cc, r_prev)
+            x0, count = flatten_inputs(cc)
+            step = FD_STEP * np.sqrt(scale)
+            fd = finite_difference_jacobian(
+                lambda x: refine_step_outputs(x, count, r_prev), x0, step
+            )
+            assert max_relative_error(jac.matrix, fd) <= 1e-5
+
+
+@pytest.mark.parametrize("spread", [1e11, 1e13, np.inf], ids=["thin", "thinner", "collinear"])
+def test_jacobian_raises_exactly_where_refine_falls_back(spread):
+    # +-pairs on the axes give S = diag(2, 2 h^2, 2 h^2), so
+    # d_2 / (d_0 + d_1) = spread; h = 0 is a collinear source.
+    h = np.sqrt(0.5 / spread)
+    src = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, h, 0], [0, -h, 0], [0, 0, h], [0, 0, -h]])
+    tgt = src @ rotation_zyx(10.0, -5.0, 3.0, degrees=True).T
+    corr = CorrespondenceSet.from_arrays(src, tgt)
+    trace = refine(corr, RigidTransform.identity(), 3)
+    if spread < CONDITION_LIMIT:
+        assert trace.fallback_count == 0
+        jacobian_refine_step(center(corr), Rotation.identity())
+    else:
+        assert trace.fallback_count == 3
+        with pytest.raises(SingularSystem):
+            jacobian_refine_step(center(corr), Rotation.identity())
 
 
 def test_jacobian_common_translation_gauge():

@@ -44,6 +44,14 @@ def test_problem_spec_validation():
         ProblemSpec(n_points=8, crop_keep_fraction=1.5)
     with pytest.raises(ValueError):
         ProblemSpec(n_points=8, rot_range_deg=(45.0, 0.0))
+    # Finite ends whose width hi - lo overflows, and unbounded noise.
+    with pytest.raises(ValueError, match="width"):
+        ProblemSpec(n_points=8, rot_range_deg=(-1e308, 1e308))
+    with pytest.raises(ValueError, match="width"):
+        ProblemSpec(n_points=8, trans_range=[(0.0, 1.0), (-1e308, 1e308), (0.0, 1.0)])
+    for sigma, clamp in ((1e308, float("inf")), (float("inf"), float("inf")), (float("inf"), 0.05)):
+        with pytest.raises(ValueError, match="must be finite"):
+            ProblemSpec(n_points=8, noise_sigma=sigma, noise_clamp=clamp)
 
 
 def test_per_axis_ranges_forms():

@@ -15,9 +15,11 @@ the draws a trial takes when nothing is redrawn (synth._trial_draws), and a
 redraw refills through the same kernel. It then stacks the problems that
 were made and solves and scores them at once through the package's array
 kernels (Kabsch, the refine steps, the divergence predictors and the pose
-metrics; see core for the leading trial axis). Chamfer and ICP run per
-trial. A trial that fails, in generation or in a kernel's mask, is an NA
-row.
+metrics; see core for the leading trial axis), and ICP as one stacked loop
+over the chunk (synth._icp_lanes). Chamfer queries one k-d tree per trial
+and direction, searching no farther than the trial's largest
+correspondence gap. A trial that fails, in generation or in a kernel's
+mask, is an NA row.
 """
 
 import argparse
@@ -29,7 +31,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import CHUNK_POINTS, RigidTransform, _centered, center
+from .core import CHUNK_POINTS, _centered, center
 from .diagnostics import _divergence
 from .gradcheck import (
     finite_difference_jacobian,
@@ -38,7 +40,7 @@ from .gradcheck import (
     max_relative_error,
     refine_step_outputs,
 )
-from .kabsch import DegenerateGeometry, _kabsch_pose, estimate_pose_kabsch
+from .kabsch import _kabsch_pose, estimate_pose_kabsch
 from .metrics import (
     _augmented_losses,
     _chamfer,
@@ -46,7 +48,6 @@ from .metrics import (
     _rotation_errors,
     _translation_errors,
 )
-from .neighbors import NonFiniteDistance
 from .refiner import DEFAULT_REFINEMENTS, _refine_steps
 from .rng import Xoshiro256PlusPlus
 from .synth import (
@@ -54,9 +55,9 @@ from .synth import (
     CropOverlapUnsatisfied,
     InsufficientPoints,
     ProblemSpec,
+    _icp_lanes,
     _trial_draws,
     ball_cloud,
-    icp_baseline,
     make_problem,
     slab_cloud,
     sphere_cloud,
@@ -156,27 +157,6 @@ def _base_cloud(config, rng):
     return slab_cloud(count, rng, thickness=config.slab_thickness)
 
 
-def _icp_poses(config, correspondences):
-    """ICP from the identity per trial: (r (B, 3, 3), t (B, 3), ok (B,))."""
-    r = np.tile(np.eye(3), (len(correspondences), 1, 1))
-    t = np.zeros((len(correspondences), 3))
-    ok = np.ones(len(correspondences), dtype=bool)
-    for b, corr in enumerate(correspondences):
-        try:
-            pose = icp_baseline(
-                corr.source,
-                corr.target,
-                RigidTransform.identity(),
-                max_iters=config.icp_max_iters,
-                tol=config.icp_tol,
-            )
-        except (DegenerateGeometry, NonFiniteDistance):
-            ok[b] = False
-        else:
-            r[b], t[b] = pose.rotation.m, pose.translation
-    return r, t, ok
-
-
 def _lanes(mask, *arrays):
     """The entries of each array (trial axis first) where mask holds."""
     if mask.all():
@@ -194,8 +174,10 @@ def _solve_and_score(config, problems):
     tgt = np.stack([c.target.points for c in corrs])
     w = np.stack([c.weights for c in corrs])
     lanes = np.arange(len(problems))
-    if config.method == "icp":
-        r, t, ok = _icp_poses(config, corrs)
+    if config.method == "icp":  # from the identity
+        start_r = np.tile(np.eye(3), (len(problems), 1, 1))
+        start_t = np.zeros((len(problems), 3))
+        r, t, ok, _ = _icp_lanes(src, tgt, start_r, start_t, config.icp_max_iters, config.icp_tol)
     else:
         r, t, ok = _kabsch_pose(src, tgt, w)
     lanes, src, tgt, w, r, t = _lanes(ok, lanes, src, tgt, w, r, t)
@@ -222,6 +204,10 @@ def _solve_and_score(config, problems):
     iso, aniso = _rotation_errors(r, gt_r)
     trans_l1, trans_l2 = _translation_errors(t - gt_t)
     moved = src @ r.swapaxes(1, 2) + t[:, None, :]
+    # Each point's correspondent bounds its nearest distance in the other
+    # cloud; an overflowed (inf or NaN) bound searches everything.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = np.sqrt(((moved - tgt) ** 2).sum(axis=2).max(axis=1)).tolist()
     columns = {
         "iso_rot_deg": iso.tolist(),
         "aniso_z_deg": aniso[:, 0].tolist(),
@@ -229,7 +215,7 @@ def _solve_and_score(config, problems):
         "aniso_x_deg": aniso[:, 2].tolist(),
         "trans_l1": trans_l1.tolist(),
         "trans_l2": trans_l2.tolist(),
-        "chamfer": [float(_chamfer(m, c)) for m, c in zip(moved, tgt)],
+        "chamfer": [float(_chamfer(m, c, gap)) for m, c, gap in zip(moved, tgt, gaps)],
         "mean_point_dist": _mean_point_distances(src, r, t, gt_r, gt_t).tolist(),
         "augmented_loss": _augmented_losses(poses_r, poses_t, gt_r, gt_t).tolist(),
     }
@@ -278,10 +264,9 @@ def run_trial(config, trial_index):
 
 def _chunk_size(config, workers):
     """Trials per chunk: the trials split evenly over the workers, capped at
-    CHUNK_POINTS stacked points. ICP trials take 29 to 50 iterations each, so
-    they are handed to the workers one at a time."""
-    if config.method == "icp":
-        return 1
+    CHUNK_POINTS stacked points. For every method, ICP included (its lanes
+    iterate together until the last converges), so chunk boundaries depend
+    on the worker count, and the bytes do not."""
     per_worker = -(-config.trials // workers)
     return max(1, min(per_worker, CHUNK_POINTS // config.problem.n_points))
 

@@ -4,8 +4,9 @@ point distance, and the multi-pose augmented loss.
 The pose metrics are written once, in private kernels with a leading trial
 axis ((B, 3, 3) rotations, (B, 3) translations, (B, N, 3) clouds), which the
 experiment harness calls on a whole chunk of trials and the public functions
-call at B = 1. Chamfer is per problem: `_chamfer` takes one pair of clouds.
-See core for the conventions and the matmul-dot rule that keeps each lane
+call at B = 1. Chamfer is per problem: `_chamfer` takes one pair of clouds,
+and a bound on their nearest distances when the caller has one. See core
+for the conventions and the matmul-dot rule that keeps each lane
 bit-identical.
 """
 
@@ -132,10 +133,16 @@ def pose_error(est, gt, p=2):
     )
 
 
-def _chamfer(a, b):
-    """chamfer_distance of two (N, 3) / (M, 3) point arrays."""
-    _, d2_ab = nearest(a, b)
-    _, d2_ba = nearest(b, a)
+def _chamfer(a, b, bound=np.inf):
+    """chamfer_distance of two (N, 3) / (M, 3) point arrays.
+
+    bound, if given, is at least every point's distance to the nearest point
+    of the other cloud; for correspondence-aligned clouds (N = M, a_i matched
+    to b_i) max_i ||a_i - b_i|| is one. It only saves tree work (see
+    neighbors.nearest); the value is the same.
+    """
+    _, d2_ab = nearest(a, b, bound=bound)
+    _, d2_ba = nearest(b, a, bound=bound)
     return d2_ab.mean() + d2_ba.mean()
 
 

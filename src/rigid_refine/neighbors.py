@@ -5,6 +5,13 @@ expected time and O(N + M) memory. The result is bit-identical to the
 brute-force scan over every (query, reference) pair: the returned index is
 the lowest-index minimizer of the elementwise squared distance, and the
 returned squared distance is that same elementwise formula.
+
+A query skips work it can prove unneeded, and stays exact. Given a bound on
+every query's nearest distance, the tree stops searching beyond it
+(Chamfer of correspondence-aligned clouds, where each point's correspondent
+bounds its nearest distance). ICP keeps a row's match while the pose moves
+that row less than half the gap to its second-nearest point, and asks the
+tree only about the other rows (synth._icp_lanes).
 """
 
 import numpy as np
@@ -17,12 +24,40 @@ from scipy.spatial import cKDTree
 # this gap.
 TIE_GAP = 1e-9
 
+# Relative margin on a tree distance, far above the tree's rounding: a bound
+# is widened by it (the tree's bound is strict), and a cached ICP match is
+# kept only if it wins by it.
+TREE_SLACK = 1e-6
+
 
 class NonFiniteDistance(Exception):
     """A nearest squared distance overflowed, so no nearest point is defined."""
 
 
-def nearest(query, ref, tree=None):
+def _query(tree, query, ref, bound=np.inf):
+    """(index, dist): the exact nearest index of every query point (as
+    `nearest`) and the tree's two nearest distances, shape (N, 2).
+
+    A second neighbor beyond the bound comes back as inf. Raises
+    NonFiniteDistance as `nearest` does.
+    """
+    limit = bound * (1.0 + TREE_SLACK)
+    if 0.0 < limit < np.inf:
+        dist, idx = tree.query(query, k=2, distance_upper_bound=limit)
+    else:  # exact data (a zero bound), overflow or no bound: search it all
+        dist, idx = tree.query(query, k=2)
+    index = idx[:, 0].copy()
+    near2 = dist[:, 0] ** 2
+    if not np.all(np.isfinite(near2)):
+        raise NonFiniteDistance("nearest squared distance overflowed to inf")
+    # With M = 1, or a second neighbor beyond the bound, the second distance
+    # is inf, so the row is not flagged: the bound is above near (1 + TIE_GAP).
+    for row in np.flatnonzero(dist[:, 1] ** 2 - near2 <= TIE_GAP * near2):
+        index[row] = np.sum((query[row] - ref) ** 2, axis=1).argmin()
+    return index, dist
+
+
+def nearest(query, ref, bound=np.inf):
     """Nearest reference point of every query point.
 
     Parameters
@@ -30,9 +65,9 @@ def nearest(query, ref, tree=None):
     query : ndarray, shape (N, 3)
     ref : ndarray, shape (M, 3)
         Finite points, M >= 1.
-    tree : cKDTree, optional
-        A tree built over `ref`, for callers that query one reference
-        repeatedly.
+    bound : float, optional
+        At least every query point's nearest distance; the tree searches no
+        farther. A bound of 0 or a non-finite one searches everything.
 
     Returns
     -------
@@ -45,15 +80,6 @@ def nearest(query, ref, tree=None):
     NonFiniteDistance
         If a query's nearest squared tree distance is not finite.
     """
-    if tree is None:
-        tree = cKDTree(ref)
-    dist, idx = tree.query(query, k=2)
-    index = idx[:, 0].copy()
-    near2 = dist[:, 0] ** 2
-    if not np.all(np.isfinite(near2)):
-        raise NonFiniteDistance("nearest squared distance overflowed to inf")
-    # With M = 1 the second distance is inf, so no row is flagged.
-    for row in np.flatnonzero(dist[:, 1] ** 2 - near2 <= TIE_GAP * near2):
-        index[row] = np.sum((query[row] - ref) ** 2, axis=1).argmin()
+    index, _ = _query(cKDTree(ref), query, ref, bound)
     d2 = np.sum((query - ref[index]) ** 2, axis=1)
     return index, d2

@@ -35,14 +35,15 @@ level.
 A generator hands out draws from a buffer. ``_prefetched(seeds, n)`` fills
 the buffers of many generators with one kernel call (an experiment chunk
 sizes n by the draws a trial takes when nothing is redrawn). A generator that
-runs past its buffer refills through the same kernel, taking at least
-``_LOOKAHEAD`` draws ahead, so one-at-a-time draws stay cheap. ``_s`` is the
-state after the draws handed out so far; when the buffer is part-consumed it
-is derived by a jump. ``next_uint64`` takes one draw and ``next_uint64s(n)``
-returns n as a uint64 array; the vector methods (``uniforms``, ``normals``,
-``unit_vectors``, ``shuffled_prefix``) take their whole batch at once and
-apply the float transforms per array. Their results are bit-identical to
-drawing one value at a time, which fixes two choices:
+runs past its buffer refills through the same kernel, taking draws ahead: one
+on its first refill, four times more on each next, up to ``_LOOKAHEAD``, so a
+fresh generator's first draw and long runs of one-at-a-time draws both stay
+cheap. ``_s`` is the state after the draws handed out so far; when the
+buffer is part-consumed it is derived by a jump. ``next_uint64`` takes one
+draw and ``next_uint64s(n)`` returns n as a uint64 array; the vector methods
+(``uniforms``, ``normals``, ``unit_vectors``, ``shuffled_prefix``) take their
+whole batch at once and apply the float transforms per array. Their results
+are bit-identical to drawing one value at a time, which fixes two choices:
 
 - Norms are taken as ``sqrt(v @ v)`` over stacked (1, 3) @ (3, 1) products,
   the same dot product a per-vector ``np.linalg.norm`` computes.
@@ -68,8 +69,13 @@ _MASK = (1 << 64) - 1
 # A Gaussian triple with a norm at or below this is redrawn.
 _NORM_FLOOR = 1e-12
 
-# Draws a generator takes ahead of its callers when it runs past its buffer.
+# Draws a generator takes ahead of its callers when it runs past its buffer:
+# one the first time, this factor more each next time, at most _LOOKAHEAD. A
+# kernel call costs about 45 us for one draw and 1 ms for 1024, so a fresh
+# generator's first draw stays cheap and a long run of single draws still
+# refills rarely.
 _LOOKAHEAD = 1024
+_LOOKAHEAD_GROWTH = 4
 
 # At most this many draws per kernel call when filling generators (8 MiB).
 _PREFETCH_DRAWS = 1 << 20
@@ -245,6 +251,7 @@ class Xoshiro256PlusPlus:
         state after."""
         self._origin, self._skipped = origin, 0  # draws from origin to the buffer
         self._buf, self._pos, self._end = draws, 0, end
+        self._ahead = 1  # draws the next refill takes ahead
 
     @classmethod
     def _prefetched(cls, seeds, n):
@@ -275,7 +282,8 @@ class Xoshiro256PlusPlus:
         pos = self._pos
         if pos + n > self._buf.size:
             rest = self._buf[pos:]
-            draws, end = _streams(self._end[None], max(n - rest.size, _LOOKAHEAD))
+            draws, end = _streams(self._end[None], max(n - rest.size, self._ahead))
+            self._ahead = min(self._ahead * _LOOKAHEAD_GROWTH, _LOOKAHEAD)
             if rest.size:
                 self._skipped += pos
                 self._buf = np.concatenate((rest, draws[0]))
@@ -315,8 +323,13 @@ class Xoshiro256PlusPlus:
         return low + (high - low) * _unit_interval(self._take(n))
 
     def normals(self, n, sigma=1.0):
-        """n Gaussian deviates N(0, sigma^2) via inverse CDF (n draws)."""
-        return sigma * ndtri(_open_unit_interval(self._take(n)))
+        """n Gaussian deviates N(0, sigma^2) via inverse CDF (n draws).
+
+        A deviate beyond the float range is +-inf, without a warning (an
+        overflow-scale sigma; make_problem clamps it).
+        """
+        with np.errstate(over="ignore"):
+            return sigma * ndtri(_open_unit_interval(self._take(n)))
 
     def _integers_below(self, bounds):
         """One unbiased integer in [0, m) per entry m of `bounds` (uint64, m >= 1).

@@ -2,7 +2,9 @@
 (Gaussian noise with symmetric clamp, independent resampling, half-space
 crops), base-cloud generators, and a point-to-point ICP baseline. Matching
 uses the exact k-d tree search of neighbors.nearest, so its nearest points
-and ties (lowest target index) equal those of a brute-force scan.
+and ties (lowest target index) equal those of a brute-force scan; the ICP
+kernel, _icp_lanes, runs a stack of trials at once and re-queries only the
+rows whose match the last pose change may have moved.
 
 Randomness is drawn exclusively from rng.Xoshiro256PlusPlus so that problems
 are bit-identical across platforms. Draw orders are documented per function.
@@ -14,9 +16,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import so3
-from .core import CorrespondenceSet, PointCloud, RigidTransform, Rotation
+from .core import CorrespondenceSet, PointCloud, RigidTransform, Rotation, _dot
 from .kabsch import DegenerateGeometry, _kabsch_pose
-from .neighbors import nearest
+from .neighbors import TREE_SLACK, NonFiniteDistance, _query, nearest
 
 # Resample-free crops must share at least this fraction of original indices.
 CROP_MIN_OVERLAP = 0.3
@@ -272,15 +274,99 @@ def matching_cost(src, tgt, pose):
     return float(d2.mean())
 
 
+# Rounding headroom of the ICP match cache, relative to the coordinate scale
+# max|src| + max|tgt| + 1: the summed row moves and the tree's distances are
+# off by a few ulps of it, so a row kept with this margin has its match
+# exact, even at a nearest distance of 0.
+_CACHE_SLACK = 1e-12
+
+# A cached match is kept only while its nearest distance stays below this:
+# the tree squares distances, so past about 1.3e154 it overflows, and the
+# row must reach the tree to raise NonFiniteDistance as a full query would.
+_CACHE_MAX_DISTANCE = 1e154
+
+
+def _icp_lanes(src, tgt, r0, t0, max_iters, tol):
+    """icp_baseline per trial: (B, N, 3) sources and (B, M, 3) targets from
+    (B, 3, 3) / (B, 3) start poses.
+
+    Returns (r, t, ok, iters): the final poses, a mask that is False where a
+    lane stopped on an overflowed match (NonFiniteDistance) or a matched set
+    without a rotation (DegenerateGeometry), r and t then holding the pose
+    it stopped at, and the iterations each lane ran.
+
+    Every lane keeps running until its pose changes by less than tol or it
+    has run max_iters; each iteration matches the active lanes and solves
+    their poses in one stacked Kabsch call. A lane's matches are cached: the
+    tree distances d1 and d2 of each row's nearest and second-nearest target
+    point are kept, and when the pose moves the row by delta, d1 grows and
+    d2 shrinks by delta. While d1 (1 + TREE_SLACK) + s < d2 (1 - TREE_SLACK) - s
+    (s = _CACHE_SLACK times the lane's coordinate scale), the cached point is
+    still the row's unique nearest, so only the other rows are queried. The
+    pose change is a sum of two norms taken with core._dot, the dot product
+    np.linalg.norm takes, so every lane is bit-identical to running it alone
+    and to ICP that matches every row on every iteration.
+    """
+    b, n = src.shape[:2]
+    r, t = np.array(r0, dtype=float), np.array(t0, dtype=float)
+    ok = np.ones(b, dtype=bool)
+    iters = np.zeros(b, dtype=np.intp)
+    trees = [cKDTree(points) for points in tgt]
+    slack = _CACHE_SLACK * (np.abs(src).max(axis=(1, 2)) + np.abs(tgt).max(axis=(1, 2)) + 1.0)
+    index = np.zeros((b, n), dtype=np.intp)
+    d1 = np.full((b, n), np.inf)  # nothing cached: every row is queried first
+    d2 = np.zeros((b, n))
+    last = np.empty((b, n, 3))
+    lanes = np.arange(b)
+    for iteration in range(max_iters):
+        if not lanes.size:
+            break
+        moved = src[lanes] @ r[lanes].swapaxes(1, 2) + t[lanes][:, None, :]
+        if iteration:  # an overflowed (inf or NaN) move makes the row stale
+            with np.errstate(over="ignore", invalid="ignore"):
+                step = moved - last[lanes]
+                step = np.sqrt((step * step).sum(axis=2))
+                d1[lanes] += step
+                d2[lanes] -= step
+        last[lanes] = moved
+        low = d1[lanes] * (1.0 + TREE_SLACK) + slack[lanes, None]
+        high = d2[lanes] * (1.0 - TREE_SLACK) - slack[lanes, None]
+        stale = ~((low < high) & (low < _CACHE_MAX_DISTANCE))
+        for k, lane in enumerate(lanes.tolist()):
+            rows = np.flatnonzero(stale[k])
+            if rows.size:
+                try:
+                    found, dist = _query(trees[lane], moved[k, rows], tgt[lane])
+                except NonFiniteDistance:
+                    ok[lane] = False
+                    continue
+                index[lane, rows] = found
+                d1[lane, rows], d2[lane, rows] = dist.T
+        lanes = lanes[ok[lanes]]
+        matched = np.take_along_axis(tgt[lanes], index[lanes][:, :, None], axis=1)
+        new_r, new_t, solved = _kabsch_pose(src[lanes], matched, np.ones((len(lanes), n)))
+        ok[lanes[~solved]] = False
+        lanes, new_r, new_t = lanes[solved], new_r[solved], new_t[solved]
+        turn = (new_r - r[lanes]).reshape(-1, 9)
+        shift = new_t - t[lanes]
+        change = np.sqrt(_dot(turn, turn)) + np.sqrt(_dot(shift, shift))
+        r[lanes], t[lanes] = new_r, new_t
+        iters[lanes] += 1
+        lanes = lanes[~(change < tol)]
+    return r, t, ok, iters
+
+
 def icp_baseline(src, tgt, init, max_iters=50, tol=1e-9):
     """Point-to-point ICP: alternate nearest-neighbor matching and the
     closed-form pose solve.
 
     Matching is the exact nearest-neighbor search of neighbors.nearest over
-    one k-d tree of the target, built once per call; ties go to the lowest
-    target index, so runs are deterministic and match a brute-force scan bit
-    for bit. Stops when the pose change (chordal rotation distance plus
-    translation distance) drops below tol, or after max_iters.
+    one k-d tree of the target, built once per call, with each row's match
+    cached while the pose provably keeps it (see _icp_lanes, which this runs
+    at B = 1); ties go to the lowest target index, so runs are deterministic
+    and match a brute-force scan bit for bit. Stops when the pose change
+    (chordal rotation distance plus translation distance) drops below tol,
+    or after max_iters.
     The per-iteration matching cost is monotone nonincreasing because each
     half-step minimizes the same objective.
 
@@ -302,18 +388,13 @@ def icp_baseline(src, tgt, init, max_iters=50, tol=1e-9):
     NonFiniteDistance
         Propagated from neighbors.nearest when squared distances overflow.
     """
-    tree = cKDTree(tgt.points)
-    stacked_source = src.points[None]
-    unit_weights = np.ones((1, src.count))
-    r, t = init.rotation.m, init.translation
-    for _ in range(max_iters):
-        index, _ = nearest(src.points @ r.T + t, tgt.points, tree)
-        new_r, new_t, ok = _kabsch_pose(stacked_source, tgt.points[index][None], unit_weights)
-        if not ok[0]:
-            raise DegenerateGeometry("matched points do not determine a rotation")
-        new_r, new_t = new_r[0], new_t[0]
-        change = np.linalg.norm(new_r - r) + np.linalg.norm(new_t - t)
-        r, t = new_r, new_t
-        if change < tol:
-            break
-    return RigidTransform(Rotation(r), t)
+    r, t, ok, _ = _icp_lanes(
+        src.points[None], tgt.points[None], init.rotation.m[None], init.translation[None],
+        max_iters, tol,
+    )
+    if not ok[0]:
+        # Name the failure: matching at the pose the lane stopped at
+        # overflows, or the set it matched does not determine a rotation.
+        nearest(src.points @ r[0].T + t[0], tgt.points)
+        raise DegenerateGeometry("matched points do not determine a rotation")
+    return RigidTransform(Rotation(r[0]), t[0])

@@ -272,16 +272,33 @@ def test_run_experiment_repeat_is_byte_identical():
     assert first == second
 
 
-def test_run_experiment_thread_count_does_not_change_bytes(monkeypatch):
-    config = ExperimentConfig(
+THREAD_COUNT_CONFIGS = {
+    "refined": ExperimentConfig(
         problem=clean_spec(16, 77, noise_sigma=0.02), method="refined",
         refinements=3, trials=8,
-    )
-    monkeypatch.setenv("RIGID_REFINE_THREADS", "1")
-    serial = records_to_csv(run_experiment(config))
-    monkeypatch.setenv("RIGID_REFINE_THREADS", "4")
-    pooled = records_to_csv(run_experiment(config))
-    assert serial == pooled
+    ),
+    "kabsch": ExperimentConfig(
+        problem=clean_spec(16, 77, noise_sigma=0.02), method="kabsch", trials=8
+    ),
+    # ICP lanes of one chunk iterate together, and chunk boundaries follow
+    # the worker count.
+    "icp": ExperimentConfig(
+        problem=clean_spec(
+            60, 77, noise_sigma=0.01, crop_keep_fraction=0.7, independent_resample=True
+        ),
+        method="icp", trials=8,
+    ),
+}
+
+
+@pytest.mark.parametrize("method", THREAD_COUNT_CONFIGS)
+def test_run_experiment_thread_count_does_not_change_bytes(monkeypatch, method):
+    config = THREAD_COUNT_CONFIGS[method]
+    texts = []
+    for threads in ("1", "3", "4"):
+        monkeypatch.setenv("RIGID_REFINE_THREADS", threads)
+        texts.append(records_to_csv(run_experiment(config)))
+    assert texts[1:] == texts[:1] * 2
 
 
 DRAW_COUNT_CASES = [
@@ -411,6 +428,23 @@ def test_run_aggregates_of_overflow_scale_columns_are_finite_and_silent(tmp_path
         std = float(aggregates["std"][name])
         assert min(values) * (1 - 1e-8) <= rmse <= max(values) * (1 + 1e-8)
         assert 0.0 < std <= max(values) - min(values)
+
+
+def test_run_at_overflow_scale_noise_sigma_is_silent(tmp_path):
+    # sigma * ndtri(u) overflows to +-inf for every deviate; the clamp brings
+    # them back to +-0.05, so the rows are ordinary numbers and nothing may
+    # reach stderr.
+    config = tmp_path / "sigma.cfg"
+    config.write_text(
+        "method = refined\nproblem.n_points = 16\nproblem.noise_sigma = 1e308\n"
+        "problem.noise_clamp = 0.05\ntrials = 3\n"
+    )
+    result = run_python("-W", "error", "-m", "rigid_refine", "run", "--config", str(config))
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    rows = [line.split(",") for line in result.stdout.splitlines()[1:4]]
+    assert [row[:2] for row in rows] == [["0", "refined"], ["1", "refined"], ["2", "refined"]]
+    assert all(np.isfinite(float(cell)) for row in rows for cell in row[2:])
 
 
 # ---------------------------------------------------------------------------

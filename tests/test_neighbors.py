@@ -1,12 +1,15 @@
 """The k-d tree nearest-neighbor kernel and its three callers (Chamfer distance,
-matching cost, ICP) against the brute-force oracle in nn_oracle.py, bit for bit."""
+matching cost, ICP) against the brute-force oracle in nn_oracle.py, bit for bit,
+with and without the work they skip: bounded queries and cached ICP matches."""
 
 import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from rigid_refine import (
+    DegenerateGeometry,
     PointCloud,
     ProblemSpec,
     RigidTransform,
@@ -17,9 +20,12 @@ from rigid_refine import (
     make_problem,
     matching_cost,
     so3,
+    synth,
 )
+from rigid_refine.metrics import _chamfer
 from rigid_refine.neighbors import NonFiniteDistance, nearest
 from rigid_refine.rng import Xoshiro256PlusPlus
+from rigid_refine.synth import _icp_lanes
 
 from nn_oracle import brute_chamfer, brute_icp, brute_matching_cost, brute_nearest
 
@@ -31,8 +37,8 @@ def assert_bitwise(actual, expected):
     assert actual.tobytes() == expected.tobytes()
 
 
-def assert_matches_oracle(query, ref):
-    index, d2 = nearest(query, ref)
+def assert_matches_oracle(query, ref, bound=np.inf):
+    index, d2 = nearest(query, ref, bound=bound)
     oracle_index, oracle_d2 = brute_nearest(query, ref)
     assert_bitwise(index, oracle_index)
     assert_bitwise(d2, oracle_d2)
@@ -52,6 +58,9 @@ def tie_heavy_clouds(rng, n, m):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_nearest_matches_brute_force(n):
+    # Unbounded, and bounded: the tightest bound puts the farthest query's
+    # nearest point exactly at it (scipy's own bound is strict); looser
+    # bounds drop fewer candidates.
     for seed in range(200):
         rng = np.random.default_rng([n, seed])
         m = SIZES[seed % len(SIZES)]
@@ -60,7 +69,48 @@ def test_nearest_matches_brute_force(n):
         else:
             query = rng.uniform(-1.0, 1.0, size=(n, 3))
             ref = rng.uniform(-1.0, 1.0, size=(m, 3)) * rng.uniform(0.1, 10.0)
-        assert_matches_oracle(query, ref)
+        oracle_index, oracle_d2 = brute_nearest(query, ref)
+        tightest = float(np.sqrt(oracle_d2.max()))
+        for bound in (np.inf, tightest, 1.5 * tightest, 1e3 * tightest):
+            index, d2 = nearest(query, ref, bound=bound)
+            assert_bitwise(index, oracle_index)
+            assert_bitwise(d2, oracle_d2)
+
+
+def test_bounded_nearest_hand_cases():
+    # A point exactly at the bound is found, and so is a tie at the bound.
+    ref = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    index, d2 = nearest(np.zeros((1, 3)), ref, bound=1.0)
+    assert index.tolist() == [0] and d2.tolist() == [1.0]
+    index, d2 = nearest(np.array([[1.5, 0.0, 0.0], [0.0, 0.0, 0.0]]), ref, bound=1.0)
+    assert index.tolist() == [0, 0] and d2.tolist() == [0.25, 1.0]
+    # Duplicates of the nearest point, the second one beyond a tight bound.
+    assert_matches_oracle(np.array([[1.0, 0.1, 0.0], [0.0, 0.9, 0.0]]), ref, 0.1)
+
+
+def test_zero_bound_searches_everything_on_exact_data():
+    # Queries that are reference points, duplicates included: every nearest
+    # distance is 0, and a bound of 0 must still find the lowest index.
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            _, ref = tie_heavy_clouds(rng, 1, int(rng.integers(1, 200)))
+        else:
+            ref = rng.standard_normal((int(rng.integers(1, 200)), 3))
+        query = ref[rng.permutation(len(ref))]
+        assert_matches_oracle(query, ref, 0.0)
+        assert not nearest(query, ref, bound=0.0)[1].any()
+
+
+@pytest.mark.parametrize("bound", [np.inf, np.nan, 1e300, 0.0, 1.0])
+def test_bounded_nearest_still_rejects_overflowing_distances(bound):
+    # An overflowed gap gives an infinite (or NaN) bound: the search is
+    # unbounded, and the overflowed row is named as before, silently.
+    query = np.array([[0.0, 0.0, 0.0], [1e300, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteDistance):
+            nearest(query, np.eye(3), bound=bound)
 
 
 def test_nearest_ties_go_to_lowest_index():
@@ -84,6 +134,32 @@ def test_chamfer_matches_oracle_bitwise():
         a, b = PointCloud(pa), PointCloud(pb)
         assert chamfer_distance(a, b) == brute_chamfer(a, b)
         assert chamfer_distance(b, a) == brute_chamfer(b, a)
+
+
+def test_bounded_chamfer_matches_oracle_bitwise():
+    # Equal-length clouds bounded by their largest correspondence gap, as the
+    # experiment harness does (exact and overflowing cases included), and
+    # unequal-length clouds bounded by their Hausdorff distance.
+    for seed in range(200):
+        rng = np.random.default_rng([7, seed])
+        n = int(rng.integers(1, 300))
+        if seed % 4 == 3:
+            pa, pb = tie_heavy_clouds(rng, n, n)
+            pb = pb[:n] if len(pb) >= n else np.resize(pb, (n, 3))
+        else:
+            pa = rng.standard_normal((n, 3))
+            pb = pa + rng.uniform(0.0, 0.3) * rng.standard_normal((n, 3))
+        if seed % 10 == 0:
+            pb = pa.copy()
+        gap = float(np.sqrt(((pa - pb) ** 2).sum(axis=1).max()))
+        a, b = PointCloud(pa), PointCloud(pb)
+        assert _chamfer(pa, pb, gap) == brute_chamfer(a, b)
+        assert _chamfer(pb, pa, gap) == brute_chamfer(b, a)
+        m = int(rng.integers(1, 300))
+        pc = rng.standard_normal((m, 3))
+        d2 = brute_nearest(pa, pc)[1].max(), brute_nearest(pc, pa)[1].max()
+        hausdorff = float(np.sqrt(max(d2)))
+        assert _chamfer(pa, pc, hausdorff) == brute_chamfer(a, PointCloud(pc))
 
 
 def test_chamfer_duplicates_and_ties_match_oracle():
@@ -132,6 +208,81 @@ def test_icp_matches_oracle_on_benchmark_problems(seed, init):
     oracle = brute_icp(corr.source, corr.target, init)
     assert_bitwise(pose.rotation.m, oracle.rotation.m)
     assert_bitwise(pose.translation, oracle.translation)
+
+
+def start_poses(init, lanes):
+    return np.tile(init.rotation.m, (lanes, 1, 1)), np.tile(init.translation, (lanes, 1))
+
+
+def test_icp_lanes_match_oracle_on_ties_and_exact_data():
+    # Tie-heavy lattices (near and exact ties at every iteration) and exact
+    # data (nearest distances reach 0): each lane of one stacked call, and
+    # icp_baseline on it alone, equal brute_icp bit for bit.
+    clouds = [tie_heavy_clouds(np.random.default_rng([11, seed]), 120, 80) for seed in range(4)]
+    for seed in range(2):
+        rng = Xoshiro256PlusPlus(seed)
+        problem = make_problem(ProblemSpec(n_points=120, seed=seed), ball_cloud(120, rng), rng)
+        clouds.append((problem.correspondences.source.points, problem.correspondences.target.points))
+    src, tgt = np.stack([c[0] for c in clouds]), np.stack([c[1] for c in clouds])
+    for init in (RigidTransform.identity(), TURNED_INIT):
+        r, t, ok, iters = _icp_lanes(src, tgt, *start_poses(init, len(clouds)), 50, 1e-9)
+        assert ok.all() and len(set(iters.tolist())) > 1
+        for k, (s, g) in enumerate(clouds):
+            oracle = brute_icp(PointCloud(s), PointCloud(g), init)
+            alone = icp_baseline(PointCloud(s), PointCloud(g), init)
+            for pose_r, pose_t in ((r[k], t[k]), (alone.rotation.m, alone.translation)):
+                assert_bitwise(pose_r, oracle.rotation.m)
+                assert_bitwise(pose_t, oracle.translation)
+
+
+def test_icp_lanes_mask_failed_lanes_and_keep_the_others_exact():
+    # One chunk holds good lanes, a collinear lane (its matched set has no
+    # rotation) and a lane whose squared distances overflow: the bad lanes are
+    # masked, silently, and the good ones keep the bytes of running alone;
+    # alone, the bad ones raise what icp_baseline always raised.
+    good = []
+    for seed in (3, 4):
+        rng = Xoshiro256PlusPlus(seed)
+        spec = ProblemSpec(n_points=64, noise_sigma=0.01, seed=seed)
+        corr = make_problem(spec, ball_cloud(64, rng), rng).correspondences
+        good.append((corr.source.points, corr.target.points))
+    line = np.linspace(-1.0, 1.0, 64)[:, None] * np.array([1.0, 2.0, 3.0])
+    collinear = (line, line[::-1] + 0.5)
+    overflow = (good[0][0] + np.array([1e300, 0.0, 0.0]), good[0][1])
+    lanes = [good[0], collinear, overflow, good[1]]
+    src, tgt = np.stack([c[0] for c in lanes]), np.stack([c[1] for c in lanes])
+    init = RigidTransform.identity()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r, t, ok, _ = _icp_lanes(src, tgt, *start_poses(init, len(lanes)), 50, 1e-9)
+        assert ok.tolist() == [True, False, False, True]
+        for k in (0, 3):
+            alone = icp_baseline(PointCloud(src[k]), PointCloud(tgt[k]), init)
+            assert_bitwise(r[k], alone.rotation.m)
+            assert_bitwise(t[k], alone.translation)
+        with pytest.raises(DegenerateGeometry):
+            icp_baseline(PointCloud(src[1]), PointCloud(tgt[1]), init)
+        with pytest.raises(NonFiniteDistance):
+            icp_baseline(PointCloud(src[2]), PointCloud(tgt[2]), init)
+
+
+def test_icp_cache_sends_few_rows_to_the_tree(monkeypatch):
+    # Without the cache every row reaches the tree on every iteration.
+    counted = []
+
+    class CountingTree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            counted.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(synth, "cKDTree", CountingTree)
+    spec = ProblemSpec(seed=0, **ICP_SPEC)
+    rng = Xoshiro256PlusPlus(0)
+    corr = make_problem(spec, ball_cloud(2 * spec.n_points, rng), rng).correspondences
+    src, tgt = corr.source.points[None], corr.target.points[None]
+    _, _, ok, iters = _icp_lanes(src, tgt, *start_poses(RigidTransform.identity(), 1), 50, 1e-9)
+    assert ok[0] and iters[0] > 10
+    assert sum(counted) < 0.7 * corr.count * iters[0]
 
 
 def test_nearest_rejects_overflowing_distances():

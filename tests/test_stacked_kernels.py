@@ -7,6 +7,8 @@ refine step falls back. `run_experiment` relies on this to give the same
 bytes at any thread count and chunk size.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -263,5 +265,7 @@ def test_chunk_size_follows_trials_workers_and_points():
     assert cli._chunk_size(refined_config(1024, 1000), 1) == cli.CHUNK_POINTS // 1024
     assert cli._chunk_size(refined_config(32, 1), 4) == 1
     assert cli._chunk_size(refined_config(10**6, 5), 1) == 1
+    # ICP chunks like every method: its lanes iterate together.
     icp = ExperimentConfig(problem=ProblemSpec(n_points=717), method="icp", trials=1000)
-    assert cli._chunk_size(icp, 1) == 1
+    assert cli._chunk_size(icp, 1) == cli.CHUNK_POINTS // 717
+    assert cli._chunk_size(replace(icp, trials=8), 2) == 4

@@ -4,10 +4,9 @@ Subcommands: `run` (batch trials to CSV), `compare` (aligned per-seed method
 comparison), `gradcheck` (analytic-vs-FD Jacobian check). Configs are flat
 `key = value` text files with dotted keys; see the README for the key table
 and the CSV schema. All output is deterministic for a fixed config: trials
-run in chunks, possibly on a worker pool (RIGID_REFINE_THREADS), but records
-are buffered and serialized in trial order, and every trial of a chunk is
-solved bit for bit as it would be alone, so neither the thread count nor the
-chunk size changes output bytes.
+run in chunks on the calling thread, records are serialized in trial order,
+and every trial of a chunk is solved bit for bit as it would be alone, so the
+chunk size does not change output bytes.
 
 A chunk makes each trial's problem with its own generator, in trial order;
 one call of the stacked RNG kernel fills every generator of the chunk with
@@ -24,9 +23,7 @@ mask, is an NA row.
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -111,6 +108,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"slab_thickness must be in [0, {SLAB_EXTENT}], got {self.slab_thickness!r}"
             )
+        # Without one iteration ICP would report its identity start as a pose.
+        if self.icp_max_iters < 1:
+            raise ConfigError("icp_max_iters must be >= 1")
+        # Written so that NaN fails too: every comparison with NaN is false.
+        if not 0.0 <= self.icp_tol < math.inf:
+            raise ConfigError(f"icp_tol must be finite and >= 0, got {self.icp_tol!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,50 +265,29 @@ def run_trial(config, trial_index):
     return _run_chunk(config, [trial_index])[0]
 
 
-def _chunk_size(config, workers):
-    """Trials per chunk: the trials split evenly over the workers, capped at
-    CHUNK_POINTS stacked points. For every method, ICP included (its lanes
-    iterate together until the last converges), so chunk boundaries depend
-    on the worker count, and the bytes do not."""
-    per_worker = -(-config.trials // workers)
-    return max(1, min(per_worker, CHUNK_POINTS // config.problem.n_points))
-
-
-def _worker_count():
-    raw = os.environ.get("RIGID_REFINE_THREADS", "").strip()
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"RIGID_REFINE_THREADS must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ConfigError("RIGID_REFINE_THREADS must be >= 0")
-    return value or (os.cpu_count() or 1)
+def _chunk_size(config):
+    """Trials per chunk: all of them, capped at CHUNK_POINTS stacked points,
+    for every method (ICP lanes of a chunk iterate together until the last
+    converges). It depends on the config alone."""
+    return max(1, min(config.trials, CHUNK_POINTS // config.problem.n_points))
 
 
 def run_experiment(config):
     """All trials of one config, in trial order.
 
-    Trials run in chunks (see the module docstring) on a thread pool sized by
-    RIGID_REFINE_THREADS (0/unset = hardware default). The chunk size follows
-    from the trial count, the worker count and n_points (_chunk_size);
-    results are collected per index, and a trial's record does not depend on
-    its chunk, so the output is identical whatever the pool size.
+    Trials run on the calling thread in chunks of _chunk_size(config) (see
+    the module docstring); a trial's record does not depend on its chunk.
 
     Returns
     -------
     list of TrialRecord
     """
-    workers = _worker_count()
-    size = _chunk_size(config, workers)
-    chunks = [range(i, min(i + size, config.trials)) for i in range(0, config.trials, size)]
-    if workers == 1 or len(chunks) == 1:
-        done = [_run_chunk(config, chunk) for chunk in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(lambda chunk: _run_chunk(config, chunk), chunks))
-    return [record for records in done for record in records]
+    size = _chunk_size(config)
+    return [
+        record
+        for i in range(0, config.trials, size)
+        for record in _run_chunk(config, range(i, min(i + size, config.trials)))
+    ]
 
 
 def _fmt(value):

@@ -146,6 +146,12 @@ def test_config_value_errors_become_config_errors():
     for sigma in ("1e308", "inf"):
         with pytest.raises(ConfigError, match="must be finite"):
             config_from_entries({**base, "problem.noise_sigma": sigma, "problem.noise_clamp": "inf"})
+    for value in ("0", "-5"):
+        with pytest.raises(ConfigError, match="icp_max_iters"):
+            config_from_entries({**base, "method": "icp", "icp.max_iters": value})
+    for value in ("nan", "-1", "inf"):
+        with pytest.raises(ConfigError, match="icp_tol"):
+            config_from_entries({**base, "method": "icp", "icp.tol": value})
 
 
 def test_experiment_config_validation():
@@ -163,6 +169,14 @@ def test_experiment_config_validation():
     for bad in (float("nan"), float("inf"), -1.0, 1e308, 3.0):
         with pytest.raises(ConfigError, match="slab_thickness"):
             ExperimentConfig(problem=spec, method="kabsch", slab_thickness=bad)
+    for bad in (0, -5):
+        with pytest.raises(ConfigError, match="icp_max_iters"):
+            ExperimentConfig(problem=spec, method="icp", icp_max_iters=bad)
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ConfigError, match="icp_tol"):
+            ExperimentConfig(problem=spec, method="icp", icp_tol=bad)
+    edges = ExperimentConfig(problem=spec, method="icp", icp_max_iters=1, icp_tol=0.0)
+    assert (edges.icp_max_iters, edges.icp_tol) == (1, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,35 +286,6 @@ def test_run_experiment_repeat_is_byte_identical():
     assert first == second
 
 
-THREAD_COUNT_CONFIGS = {
-    "refined": ExperimentConfig(
-        problem=clean_spec(16, 77, noise_sigma=0.02), method="refined",
-        refinements=3, trials=8,
-    ),
-    "kabsch": ExperimentConfig(
-        problem=clean_spec(16, 77, noise_sigma=0.02), method="kabsch", trials=8
-    ),
-    # ICP lanes of one chunk iterate together, and chunk boundaries follow
-    # the worker count.
-    "icp": ExperimentConfig(
-        problem=clean_spec(
-            60, 77, noise_sigma=0.01, crop_keep_fraction=0.7, independent_resample=True
-        ),
-        method="icp", trials=8,
-    ),
-}
-
-
-@pytest.mark.parametrize("method", THREAD_COUNT_CONFIGS)
-def test_run_experiment_thread_count_does_not_change_bytes(monkeypatch, method):
-    config = THREAD_COUNT_CONFIGS[method]
-    texts = []
-    for threads in ("1", "3", "4"):
-        monkeypatch.setenv("RIGID_REFINE_THREADS", threads)
-        texts.append(records_to_csv(run_experiment(config)))
-    assert texts[1:] == texts[:1] * 2
-
-
 DRAW_COUNT_CASES = [
     (cloud, resample, sigma, keep, cloud_points)
     for cloud in ("ball", "sphere", "slab")
@@ -366,16 +351,6 @@ def test_chunk_generators_refill_past_their_prefetch(monkeypatch):
     _run_chunk(config, range(20))
     assert calls[0] == (20, _trial_draws(spec, "ball", 25))
     assert len(calls) > 1 and all(b == 1 for b, _ in calls[1:])
-
-
-def test_worker_count_env_validation(monkeypatch):
-    config = ExperimentConfig(problem=clean_spec(8, 0), method="kabsch", trials=1)
-    monkeypatch.setenv("RIGID_REFINE_THREADS", "abc")
-    with pytest.raises(ConfigError):
-        run_experiment(config)
-    monkeypatch.setenv("RIGID_REFINE_THREADS", "-2")
-    with pytest.raises(ConfigError):
-        run_experiment(config)
 
 
 def test_run_trial_records_degenerate_problem_as_na_row():

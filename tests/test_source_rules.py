@@ -8,14 +8,34 @@ import rigid_refine
 PACKAGE = pathlib.Path(rigid_refine.__file__).resolve().parent
 
 
-def test_library_has_no_assert_statements():
-    # `python -O` strips asserts, so a check the library relies on must raise.
+def _library_nodes(predicate):
+    """`file:line` of every AST node in the package source that matches."""
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
-    found = [
+    return [
         f"{path.name}:{node.lineno}"
         for path in sources
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
+        if predicate(node)
     ]
-    assert found == []
+
+
+def test_library_has_no_assert_statements():
+    # `python -O` strips asserts, so a check the library relies on must raise.
+    assert _library_nodes(lambda node: isinstance(node, ast.Assert)) == []
+
+
+def _reads_environment(node):
+    """True for `os.environ`, `os.getenv` and `from os import environ/getenv`."""
+    names = {"environ", "getenv"}
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id == "os" and node.attr in names
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(alias.name in names for alias in node.names)
+    return False
+
+
+def test_library_reads_no_environment_variables():
+    # Every option is a config key or a command-line flag, so the config and
+    # the flags alone fix what a run does.
+    assert _library_nodes(_reads_environment) == []

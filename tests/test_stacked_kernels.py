@@ -4,7 +4,7 @@ Every lane of a stacked kernel call must equal, bit for bit, the same kernel
 run on that lane alone (B = 1), whatever the other lanes hold: reflections,
 nearly rank-2 sources, lanes masked as degenerate and lanes whose every
 refine step falls back. `run_experiment` relies on this to give the same
-bytes at any thread count and chunk size.
+bytes at any chunk size.
 """
 
 from dataclasses import replace
@@ -234,38 +234,53 @@ def refined_config(n_points, trials, **spec):
     )
 
 
-# 37 is prime: no chunk size at 1 to 4 threads divides it, so every run
-# ends with a short chunk. At N = 1024 one chunk holds at most 32 trials.
-@pytest.mark.parametrize(
-    "config, chunk_points, na_rows",
-    [
-        (refined_config(1024, 37), cli.CHUNK_POINTS, 0),
-        # 12 of these crops fail; chunks of 6 put NA rows among solved ones.
-        (refined_config(25, 37, crop_keep_fraction=0.35), 6 * 25, 12),
-    ],
-    ids=["n1024", "n25_failing_crops"],
-)
-def test_run_experiment_bytes_do_not_depend_on_threads_or_chunks(
-    monkeypatch, config, chunk_points, na_rows
-):
-    monkeypatch.setattr(cli, "CHUNK_POINTS", chunk_points)
+SPEC_16 = ProblemSpec(n_points=16, noise_sigma=0.02, seed=77)
+
+CHUNK_CONFIGS = {
+    # At N = 1024 a default chunk holds at most 32 trials.
+    "n1024": (refined_config(1024, 37), 0),
+    # 12 of these crops fail: NA rows among solved ones at every chunk size.
+    "n25_failing_crops": (refined_config(25, 37, crop_keep_fraction=0.35), 12),
+    "refined": (
+        ExperimentConfig(problem=SPEC_16, method="refined", refinements=3, trials=11), 0
+    ),
+    "kabsch": (ExperimentConfig(problem=SPEC_16, method="kabsch", trials=11), 0),
+    # The ICP lanes of one chunk iterate together until the last one stops.
+    "icp": (
+        ExperimentConfig(
+            problem=ProblemSpec(
+                n_points=60, noise_sigma=0.01, crop_keep_fraction=0.7,
+                independent_resample=True, seed=77,
+            ),
+            method="icp", trials=11,
+        ),
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CHUNK_CONFIGS)
+def test_run_experiment_bytes_do_not_depend_on_chunks(monkeypatch, name):
+    config, na_rows = CHUNK_CONFIGS[name]
     texts = []
-    for threads in ("1", "2", "3", "4"):
-        monkeypatch.setenv("RIGID_REFINE_THREADS", threads)
-        assert config.trials % cli._chunk_size(config, int(threads))
+    # Chunks of 1, 3 and 4 trials, then all of them; 3 and 4 divide no trial
+    # count here, so those runs end with a short chunk.
+    for size in (1, 3, 4, config.trials):
+        monkeypatch.setattr(cli, "CHUNK_POINTS", size * config.problem.n_points)
+        assert cli._chunk_size(config) == size
+        assert size in (1, config.trials) or config.trials % size
         texts.append(records_to_csv(run_experiment(config)))
     assert texts[1:] == texts[:1] * 3
     assert texts[0] == records_to_csv([run_trial(config, i) for i in range(config.trials)])
     assert texts[0].count(",NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA") == na_rows
 
 
-def test_chunk_size_follows_trials_workers_and_points():
-    assert cli._chunk_size(refined_config(32, 1000), 2) == 500
-    assert cli._chunk_size(refined_config(32, 1000), 1) == 1000
-    assert cli._chunk_size(refined_config(1024, 1000), 1) == cli.CHUNK_POINTS // 1024
-    assert cli._chunk_size(refined_config(32, 1), 4) == 1
-    assert cli._chunk_size(refined_config(10**6, 5), 1) == 1
+def test_chunk_size_follows_trials_and_points():
+    assert cli._chunk_size(refined_config(32, 1000)) == 1000
+    assert cli._chunk_size(refined_config(1024, 1000)) == cli.CHUNK_POINTS // 1024
+    assert cli._chunk_size(refined_config(32, 1)) == 1
+    assert cli._chunk_size(refined_config(10**6, 5)) == 1
     # ICP chunks like every method: its lanes iterate together.
     icp = ExperimentConfig(problem=ProblemSpec(n_points=717), method="icp", trials=1000)
-    assert cli._chunk_size(icp, 1) == cli.CHUNK_POINTS // 717
-    assert cli._chunk_size(replace(icp, trials=8), 2) == 4
+    assert cli._chunk_size(icp) == cli.CHUNK_POINTS // 717
+    assert cli._chunk_size(replace(icp, trials=8)) == 8

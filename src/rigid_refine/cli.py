@@ -8,17 +8,15 @@ run in chunks on the calling thread, records are serialized in trial order,
 and every trial of a chunk is solved bit for bit as it would be alone, so the
 chunk size does not change output bytes.
 
-A chunk makes each trial's problem with its own generator, in trial order;
-one call of the stacked RNG kernel fills every generator of the chunk with
-the draws a trial takes when nothing is redrawn (synth._trial_draws), and a
-redraw refills through the same kernel. It then stacks the problems that
-were made and solves and scores them at once through the package's array
-kernels (Kabsch, the refine steps, the divergence predictors and the pose
-metrics; see core for the leading trial axis), and ICP as one stacked loop
-over the chunk (synth._icp_lanes). Chamfer queries one k-d tree per trial
-and direction, searching no farther than the trial's largest
-correspondence gap. A trial that fails, in generation or in a kernel's
-mask, is an NA row.
+A chunk takes its trials' problems from synth._problems (one generator per
+trial seed, filled by one call of the stacked RNG kernel), then stacks the
+problems that were made and solves and scores them at once through the
+package's array kernels (Kabsch, the refine steps, the divergence
+predictors and the pose metrics; see core for the leading trial axis), and
+ICP as one stacked loop over the chunk (synth._icp_lanes). Chamfer queries
+one k-d tree per trial and direction, searching no farther than the trial's
+largest correspondence gap. A trial that fails, in generation or in a
+kernel's mask, is an NA row.
 """
 
 import argparse
@@ -46,19 +44,7 @@ from .metrics import (
     _translation_errors,
 )
 from .refiner import DEFAULT_REFINEMENTS, _refine_steps
-from .rng import Xoshiro256PlusPlus
-from .synth import (
-    SLAB_EXTENT,
-    CropOverlapUnsatisfied,
-    InsufficientPoints,
-    ProblemSpec,
-    _icp_lanes,
-    _trial_draws,
-    ball_cloud,
-    make_problem,
-    slab_cloud,
-    sphere_cloud,
-)
+from .synth import ProblemSpec, _icp_lanes, _problems
 
 NA = "NA"
 
@@ -85,9 +71,6 @@ class ExperimentConfig:
     trials: int = 1
     output_path: str = ""
     report_diagnostics: bool = True
-    cloud: str = "ball"
-    cloud_points: int = 0  # 0 = smallest count the problem needs
-    slab_thickness: float = 1e-3
     icp_max_iters: int = 50
     icp_tol: float = 1e-9
 
@@ -98,16 +81,6 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.method == "refined" and self.refinements < 1:
             raise ConfigError("refinements must be >= 1 for method = refined")
-        if self.cloud not in ("ball", "sphere", "slab"):
-            raise ConfigError(f"unknown cloud kind {self.cloud!r}")
-        if self.cloud_points < 0:
-            raise ConfigError("cloud_points must be >= 0")
-        # Thicker than its in-plane extent, a slab is no longer thin; it also
-        # keeps overflow-scale values away from the centering arithmetic.
-        if not 0.0 <= self.slab_thickness <= SLAB_EXTENT:
-            raise ConfigError(
-                f"slab_thickness must be in [0, {SLAB_EXTENT}], got {self.slab_thickness!r}"
-            )
         # Without one iteration ICP would report its identity start as a pose.
         if self.icp_max_iters < 1:
             raise ConfigError("icp_max_iters must be >= 1")
@@ -143,21 +116,6 @@ COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 # Numeric columns, in schema order, used for the aggregate rows.
 _NUMERIC_COLUMNS = COLUMNS[2:]
-
-
-def _cloud_count(config):
-    n = config.problem.n_points
-    needed = 2 * n if config.problem.independent_resample else n
-    return config.cloud_points or needed
-
-
-def _base_cloud(config, rng):
-    count = _cloud_count(config)
-    if config.cloud == "ball":
-        return ball_cloud(count, rng)
-    if config.cloud == "sphere":
-        return sphere_cloud(count, rng)
-    return slab_cloud(count, rng, thickness=config.slab_thickness)
 
 
 def _lanes(mask, *arrays):
@@ -240,23 +198,15 @@ def _solve_and_score(config, problems):
 
 def _run_chunk(config, indices):
     """Generate, solve and score the trials `indices`; their records, in order."""
-    records = {}
-    made = []  # (index, seed, problem)
     seeds = [config.problem.seed + i for i in indices]
-    draws = _trial_draws(config.problem, config.cloud, _cloud_count(config))
-    for i, seed, rng in zip(indices, seeds, Xoshiro256PlusPlus._prefetched(seeds, draws)):
-        try:
-            base = _base_cloud(config, rng)
-            problem = make_problem(config.problem, base, rng)
-        except (InsufficientPoints, CropOverlapUnsatisfied):
-            records[i] = TrialRecord(seed=seed, method=config.method)
-        else:
-            made.append((i, seed, problem))
-    if made:
-        scored = _solve_and_score(config, [problem for _, _, problem in made])
-        for (i, seed, _), values in zip(made, scored):
-            records[i] = TrialRecord(seed=seed, method=config.method, **(values or {}))
-    return [records[i] for i in indices]
+    problems = _problems(config.problem, seeds)
+    made = [problem for problem in problems if problem is not None]
+    scored = iter(_solve_and_score(config, made) if made else ())
+    records = []
+    for seed, problem in zip(seeds, problems):
+        values = next(scored) if problem is not None else None
+        records.append(TrialRecord(seed=seed, method=config.method, **(values or {})))
+    return records
 
 
 def run_trial(config, trial_index):
@@ -437,8 +387,8 @@ def compare_methods(configs):
     Parameters
     ----------
     configs : sequence of ExperimentConfig
-        Must share the problem spec, trial count, and base-cloud settings
-        (everything except method/refinements/icp knobs/output bookkeeping).
+        Must share the problem spec and trial count (everything except
+        method/refinements/icp knobs/output bookkeeping).
 
     Returns
     -------
@@ -452,13 +402,8 @@ def compare_methods(configs):
     if len(configs) < 2:
         raise MismatchedSpecs("need at least two configs to compare")
     first = configs[0]
-    shared = ("cloud", "cloud_points", "slab_thickness", "trials")
     for other in configs[1:]:
-        spec_a, spec_b = first.problem, other.problem
-        same_problem = all(
-            getattr(spec_a, f.name) == getattr(spec_b, f.name) for f in fields(ProblemSpec)
-        )
-        if not same_problem or any(getattr(first, k) != getattr(other, k) for k in shared):
+        if other.problem != first.problem or other.trials != first.trials:
             raise MismatchedSpecs("configs must share the problem spec and trial count")
 
     labels = []
@@ -523,34 +468,25 @@ def _parse_ranges(value, key):
     raise ConfigError(f"{key} must be 'lo,hi' or three ';'-separated pairs")
 
 
-def _plain(convert):
-    """Adapt a one-argument converter to the (value, key) signature."""
-    return lambda value, key: convert(value)
+def _converter(kind):
+    """The (value, key) converter of a field of type `kind`."""
+    if kind is bool:
+        return _parse_bool
+    if kind is tuple:
+        return _parse_ranges
+    return lambda value, key: kind(value)
 
 
-# Config key -> (field, converter); every converter is called as (value, key).
-_PROBLEM_KEYS = {
-    "problem.n_points": ("n_points", _plain(int)),
-    "problem.rot_range_deg": ("rot_range_deg", _parse_ranges),
-    "problem.trans_range": ("trans_range", _parse_ranges),
-    "problem.noise_sigma": ("noise_sigma", _plain(float)),
-    "problem.noise_clamp": ("noise_clamp", _plain(float)),
-    "problem.crop_keep_fraction": ("crop_keep_fraction", _plain(float)),
-    "problem.independent_resample": ("independent_resample", _parse_bool),
-    "problem.seed": ("seed", _plain(int)),
-}
-
-_EXPERIMENT_KEYS = {
-    "method": ("method", _plain(str)),
-    "refinements": ("refinements", _plain(int)),
-    "trials": ("trials", _plain(int)),
-    "output_path": ("output_path", _plain(str)),
-    "report_diagnostics": ("report_diagnostics", _parse_bool),
-    "problem.cloud": ("cloud", _plain(str)),
-    "problem.cloud_points": ("cloud_points", _plain(int)),
-    "problem.slab_thickness": ("slab_thickness", _plain(float)),
-    "icp.max_iters": ("icp_max_iters", _plain(int)),
-    "icp.tol": ("icp_tol", _plain(float)),
+# Config key -> (dataclass, field, converter), derived from the dataclasses:
+# `problem.<field>` for each ProblemSpec field, every other ExperimentConfig
+# field by its name with `icp_` written `icp.`.
+_KEYS = {
+    **{f"problem.{f.name}": (ProblemSpec, f.name, _converter(f.type)) for f in fields(ProblemSpec)},
+    **{
+        f.name.replace("icp_", "icp.", 1): (ExperimentConfig, f.name, _converter(f.type))
+        for f in fields(ExperimentConfig)
+        if f.name != "problem"
+    },
 }
 
 
@@ -562,27 +498,21 @@ def config_from_entries(entries):
     if "method" not in entries:
         raise ConfigError("method is required")
 
-    problem_kwargs = {}
-    experiment_kwargs = {}
+    kwargs = {ProblemSpec: {}, ExperimentConfig: {}}
     for key, value in entries.items():
-        if key in _PROBLEM_KEYS:
-            field, convert = _PROBLEM_KEYS[key]
-            target = problem_kwargs
-        elif key in _EXPERIMENT_KEYS:
-            field, convert = _EXPERIMENT_KEYS[key]
-            target = experiment_kwargs
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
+        owner, field, convert = _KEYS[key]
         try:
-            target[field] = convert(value, key)
+            kwargs[owner][field] = convert(value, key)
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{key}: {exc}") from exc
 
     try:
-        problem = ProblemSpec(**problem_kwargs)
-        return ExperimentConfig(problem=problem, **experiment_kwargs)
+        problem = ProblemSpec(**kwargs[ProblemSpec])
+        return ExperimentConfig(problem=problem, **kwargs[ExperimentConfig])
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -604,8 +534,6 @@ def _write_text(path, text):
 def _cmd_run(args):
     config = load_config(args.config)
     if args.trials is not None:
-        if args.trials < 1:
-            raise ConfigError("--trials must be >= 1")
         config = replace(config, trials=args.trials)
     if args.seed is not None:
         config = replace(config, problem=replace(config.problem, seed=args.seed))
@@ -634,8 +562,7 @@ def _cmd_gradcheck(args):
     if args.n_points < 3:
         raise ConfigError("--n-points must be >= 3")
     spec = ProblemSpec(n_points=args.n_points, noise_sigma=0.01, seed=args.seed)
-    rng = Xoshiro256PlusPlus(args.seed)
-    problem = make_problem(spec, ball_cloud(args.n_points, rng), rng)
+    (problem,) = _problems(spec, [args.seed])
     cc = center(problem.correspondences)
     r_prev = estimate_pose_kabsch(problem.correspondences).rotation
 

@@ -8,6 +8,13 @@ rows whose match the last pose change may have moved.
 
 Randomness is drawn exclusively from rng.Xoshiro256PlusPlus so that problems
 are bit-identical across platforms. Draw orders are documented per function.
+
+The experiment runner gets a chunk's problems from _problems(spec, seeds):
+each seed's problem is made with its own generator, in seed order; one call
+of the stacked RNG kernel fills every generator of the chunk with the draws
+a trial takes when nothing is redrawn (_trial_draws), and a redraw refills
+through the same kernel. A problem that cannot be made (InsufficientPoints,
+CropOverlapUnsatisfied) is None.
 """
 
 from dataclasses import dataclass
@@ -19,6 +26,7 @@ from . import so3
 from .core import CorrespondenceSet, PointCloud, RigidTransform, Rotation, _dot
 from .kabsch import DegenerateGeometry, _kabsch_pose
 from .neighbors import TREE_SLACK, NonFiniteDistance, _query, nearest
+from .rng import Xoshiro256PlusPlus
 
 # Resample-free crops must share at least this fraction of original indices.
 CROP_MIN_OVERLAP = 0.3
@@ -26,6 +34,10 @@ CROP_MAX_ATTEMPTS = 100
 
 # In-plane side of the slab cloud, [-1, 1]^2.
 SLAB_EXTENT = 2.0
+
+# Draws per point of each base cloud kind when nothing is redrawn (see
+# ball_cloud, sphere_cloud and slab_cloud).
+_CLOUD_DRAWS = {"ball": 4, "sphere": 3, "slab": 3}
 
 
 class InsufficientPoints(Exception):
@@ -51,13 +63,18 @@ def _per_axis_ranges(value, name):
     return tuple((float(lo), float(hi)) for lo, hi in arr)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ProblemSpec:
-    """Parameters of one synthetic problem family.
+    """Parameters of one synthetic problem family; specs compare by value.
 
     rot_range_deg / trans_range accept a single (lo, hi) pair applied to all
     three axes, or one pair per axis (z, y, x order for rotations; x, y, z
     for translation).
+
+    cloud ("ball", "sphere" or "slab"), cloud_points (0 = the smallest count
+    the problem needs) and slab_thickness choose the base cloud the
+    experiment runner draws per seed (_problems); make_problem uses the base
+    cloud it is given.
     """
 
     n_points: int
@@ -68,6 +85,9 @@ class ProblemSpec:
     crop_keep_fraction: float = 1.0
     independent_resample: bool = False
     seed: int = 0
+    cloud: str = "ball"
+    cloud_points: int = 0
+    slab_thickness: float = 1e-3
 
     def __post_init__(self):
         if self.n_points < 1:
@@ -81,6 +101,16 @@ class ProblemSpec:
             raise ValueError("noise_clamp must be finite and >= 0")
         if not 0.0 < self.crop_keep_fraction <= 1.0:
             raise ValueError("crop_keep_fraction must lie in (0, 1]")
+        if self.cloud not in _CLOUD_DRAWS:
+            raise ValueError(f"unknown cloud kind {self.cloud!r}")
+        if self.cloud_points < 0:
+            raise ValueError("cloud_points must be >= 0")
+        # Thicker than its in-plane extent, a slab is no longer thin; it also
+        # keeps overflow-scale values away from the centering arithmetic.
+        if not 0.0 <= self.slab_thickness <= SLAB_EXTENT:
+            raise ValueError(
+                f"slab_thickness must be in [0, {SLAB_EXTENT}], got {self.slab_thickness!r}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,28 +241,6 @@ def make_problem(spec, base_cloud, rng):
     )
 
 
-# Draws per point of each base cloud kind when nothing is redrawn (see
-# ball_cloud, sphere_cloud and slab_cloud below).
-_CLOUD_DRAWS = {"ball": 4, "sphere": 3, "slab": 3}
-
-
-def _trial_draws(spec, cloud, count):
-    """Draws one trial takes when nothing is redrawn: a base cloud of `count`
-    points of kind `cloud` ("ball", "sphere" or "slab"), then make_problem by
-    its draw order (6 for the transform, 2n for the resample shuffle, 3n of
-    noise, 6 for the first crop pair). Integer rejections, norm redraws and
-    crop retries take more."""
-    n = spec.n_points
-    draws = _CLOUD_DRAWS[cloud] * count + 6
-    if spec.independent_resample:
-        draws += 2 * n
-    if spec.noise_sigma > 0.0:
-        draws += 3 * n
-    if spec.crop_keep_fraction < 1.0:
-        draws += 6
-    return draws
-
-
 def ball_cloud(n, rng):
     """n points uniform in the unit ball (4 draws per point: 3 normals + 1 uniform).
 
@@ -266,6 +274,51 @@ def slab_cloud(n, rng, thickness=1e-3):
     low = np.array([-half, -half, -thickness / 2.0])
     high = np.array([half, half, thickness / 2.0])
     return PointCloud(low + (high - low) * rng.uniforms(3 * n).reshape(n, 3))
+
+
+def _cloud_count(spec):
+    """Points in the base cloud: cloud_points, or the smallest count the
+    problem needs (2 n_points when resampling, else n_points)."""
+    needed = 2 * spec.n_points if spec.independent_resample else spec.n_points
+    return spec.cloud_points or needed
+
+
+def _base_cloud(spec, rng):
+    """The base cloud of kind spec.cloud, _cloud_count(spec) points."""
+    count = _cloud_count(spec)
+    if spec.cloud == "ball":
+        return ball_cloud(count, rng)
+    if spec.cloud == "sphere":
+        return sphere_cloud(count, rng)
+    return slab_cloud(count, rng, thickness=spec.slab_thickness)
+
+
+def _trial_draws(spec):
+    """Draws one trial takes when nothing is redrawn: the base cloud, then
+    make_problem by its draw order (6 for the transform, 2n for the resample
+    shuffle, 3n of noise, 6 for the first crop pair). Integer rejections,
+    norm redraws and crop retries take more."""
+    n = spec.n_points
+    draws = _CLOUD_DRAWS[spec.cloud] * _cloud_count(spec) + 6
+    if spec.independent_resample:
+        draws += 2 * n
+    if spec.noise_sigma > 0.0:
+        draws += 3 * n
+    if spec.crop_keep_fraction < 1.0:
+        draws += 6
+    return draws
+
+
+def _problems(spec, seeds):
+    """The problem of each seed, in order: a base cloud, then make_problem,
+    from the seed's generator; None where one cannot be made."""
+    problems = []
+    for rng in Xoshiro256PlusPlus._prefetched(seeds, _trial_draws(spec)):
+        try:
+            problems.append(make_problem(spec, _base_cloud(spec, rng), rng))
+        except (InsufficientPoints, CropOverlapUnsatisfied):
+            problems.append(None)
+    return problems
 
 
 def matching_cost(src, tgt, pose):
@@ -383,11 +436,19 @@ def icp_baseline(src, tgt, init, max_iters=50, tol=1e-9):
 
     Raises
     ------
+    ValueError
+        max_iters < 1, or tol not finite and >= 0.
     DegenerateGeometry
         Propagated when a matched set does not determine a rotation.
     NonFiniteDistance
         Propagated from neighbors.nearest when squared distances overflow.
     """
+    # Without one iteration the start pose would be reported as ICP's.
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    # Written so that NaN fails too: every comparison with NaN is false.
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     r, t, ok, _ = _icp_lanes(
         src.points[None], tgt.points[None], init.rotation.m[None], init.translation[None],
         max_iters, tol,

@@ -1,3 +1,5 @@
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -12,8 +14,7 @@ from rigid_refine.cli import (
     ExperimentConfig,
     MismatchedSpecs,
     TrialRecord,
-    _base_cloud,
-    _cloud_count,
+    _KEYS,
     _run_chunk,
     compare_methods,
     config_from_entries,
@@ -25,7 +26,7 @@ from rigid_refine.cli import (
     run_trial,
 )
 from rigid_refine.rng import Xoshiro256PlusPlus
-from rigid_refine.synth import ProblemSpec, _trial_draws, make_problem
+from rigid_refine.synth import ProblemSpec, _base_cloud, _trial_draws, make_problem
 
 
 def clean_spec(n_points, seed, **kwargs):
@@ -96,9 +97,9 @@ def test_config_from_entries_full():
     assert config.refinements == 3
     assert config.trials == 5
     assert config.report_diagnostics is False
-    assert config.cloud == "slab"
-    assert config.cloud_points == 96
-    assert config.slab_thickness == 0.002
+    assert config.problem.cloud == "slab"
+    assert config.problem.cloud_points == 96
+    assert config.problem.slab_thickness == 0.002
     assert config.icp_max_iters == 12
     assert config.icp_tol == 1e-6
 
@@ -111,6 +112,15 @@ def test_config_per_axis_rotation_range():
     }
     config = config_from_entries(entries)
     assert config.problem.rot_range_deg == ((40.0, 40.0), (0.0, 0.0), (0.0, 0.0))
+
+
+def test_readme_config_table_lists_every_key():
+    # The key table is derived from the dataclasses, so a field added to
+    # either of them needs its README row.
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("### Config format", 1)[1]
+    section = section.split("\n### ", 1)[0]
+    assert set(re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)) == set(_KEYS)
 
 
 def test_config_unknown_key_rejected():
@@ -162,13 +172,13 @@ def test_experiment_config_validation():
         ExperimentConfig(problem=spec, method="kabsch", trials=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(problem=spec, method="refined", refinements=0)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(problem=spec, method="kabsch", cloud="torus")
-    with pytest.raises(ConfigError):
-        ExperimentConfig(problem=spec, method="kabsch", cloud_points=-1)
+    with pytest.raises(ValueError):
+        ProblemSpec(n_points=8, cloud="torus")
+    with pytest.raises(ValueError):
+        ProblemSpec(n_points=8, cloud_points=-1)
     for bad in (float("nan"), float("inf"), -1.0, 1e308, 3.0):
-        with pytest.raises(ConfigError, match="slab_thickness"):
-            ExperimentConfig(problem=spec, method="kabsch", slab_thickness=bad)
+        with pytest.raises(ValueError, match="slab_thickness"):
+            ProblemSpec(n_points=8, slab_thickness=bad)
     for bad in (0, -5):
         with pytest.raises(ConfigError, match="icp_max_iters"):
             ExperimentConfig(problem=spec, method="icp", icp_max_iters=bad)
@@ -302,15 +312,12 @@ def test_predicted_trial_draws_equal_the_draws_taken(cloud, resample, sigma, kee
     # pair always passes; no other redraw happens on these seeds.
     spec = ProblemSpec(
         n_points=20, noise_sigma=sigma, crop_keep_fraction=keep,
-        independent_resample=resample, seed=40,
+        independent_resample=resample, seed=40, cloud=cloud, cloud_points=cloud_points,
     )
-    config = ExperimentConfig(
-        problem=spec, method="refined", trials=3, cloud=cloud, cloud_points=cloud_points
-    )
-    draws = _trial_draws(spec, cloud, _cloud_count(config))
+    draws = _trial_draws(spec)
     for seed in (40, 41, 42):
         gen = Xoshiro256PlusPlus(seed)
-        make_problem(spec, _base_cloud(config, gen), gen)
+        make_problem(spec, _base_cloud(spec, gen), gen)
         fresh = Xoshiro256PlusPlus(seed)
         fresh.next_uint64s(draws)
         assert gen._s == fresh._s
@@ -332,14 +339,12 @@ def counted_kernel_calls(monkeypatch):
 def test_chunk_draws_come_from_one_kernel_call(monkeypatch, cloud, resample, sigma, keep, cloud_points):
     spec = ProblemSpec(
         n_points=20, noise_sigma=sigma, crop_keep_fraction=keep,
-        independent_resample=resample, seed=40,
+        independent_resample=resample, seed=40, cloud=cloud, cloud_points=cloud_points,
     )
-    config = ExperimentConfig(
-        problem=spec, method="refined", trials=5, cloud=cloud, cloud_points=cloud_points
-    )
+    config = ExperimentConfig(problem=spec, method="refined", trials=5)
     calls = counted_kernel_calls(monkeypatch)
     _run_chunk(config, range(5))
-    assert calls == [(5, _trial_draws(spec, cloud, _cloud_count(config)))]
+    assert calls == [(5, _trial_draws(spec))]
 
 
 def test_chunk_generators_refill_past_their_prefetch(monkeypatch):
@@ -349,7 +354,7 @@ def test_chunk_generators_refill_past_their_prefetch(monkeypatch):
     config = ExperimentConfig(problem=spec, method="refined", trials=20)
     calls = counted_kernel_calls(monkeypatch)
     _run_chunk(config, range(20))
-    assert calls[0] == (20, _trial_draws(spec, "ball", 25))
+    assert calls[0] == (20, _trial_draws(spec))
     assert len(calls) > 1 and all(b == 1 for b, _ in calls[1:])
 
 
@@ -460,9 +465,10 @@ def test_compare_icp_loses_at_forty_degrees():
         rot_range_deg=((40.0, 40.0), (0.0, 0.0), (0.0, 0.0)),
         trans_range=(0.0, 0.0),
         seed=300,
+        cloud="sphere",
     )
-    kabsch = ExperimentConfig(problem=spec, method="kabsch", trials=20, cloud="sphere")
-    icp = ExperimentConfig(problem=spec, method="icp", trials=20, cloud="sphere")
+    kabsch = ExperimentConfig(problem=spec, method="kabsch", trials=20)
+    icp = ExperimentConfig(problem=spec, method="icp", trials=20)
     table = compare_methods([kabsch, icp])
     wins, ties, losses, p_value = table.sign_test("iso_rot_deg", 1)
     assert losses >= 10
@@ -478,7 +484,7 @@ def test_compare_mismatched_specs_rejected():
     c = ExperimentConfig(problem=clean_spec(16, 0), method="icp", trials=6)
     with pytest.raises(MismatchedSpecs):
         compare_methods([a, c])
-    d = ExperimentConfig(problem=clean_spec(16, 0), method="icp", trials=5, cloud="sphere")
+    d = ExperimentConfig(problem=clean_spec(16, 0, cloud="sphere"), method="icp", trials=5)
     with pytest.raises(MismatchedSpecs):
         compare_methods([a, d])
     with pytest.raises(MismatchedSpecs):
@@ -571,7 +577,9 @@ def test_main_bad_trials_override_exits_nonzero(tmp_path, capsys):
     config_path = tmp_path / "exp.cfg"
     write_config(config_path)
     assert main(["run", "--config", str(config_path), "--trials", "0"]) == 1
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err == "error: trials must be >= 1\n"
+    assert "Traceback" not in err
 
 
 def test_main_compare(tmp_path):

@@ -39,3 +39,26 @@ def test_library_reads_no_environment_variables():
     # Every option is a config key or a command-line flag, so the config and
     # the flags alone fix what a run does.
     assert _library_nodes(_reads_environment) == []
+
+
+# Trial generation has one owner, synth: the command line takes its problems
+# from synth._problems and draws none itself.
+_GENERATION = {
+    "ball_cloud", "sphere_cloud", "slab_cloud", "make_problem", "_trial_draws", "_base_cloud",
+}
+
+
+def _imports_generation(node):
+    """True for an import of or from the rng module, or of a generation name."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[-1] == "rng" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        names = {alias.name for alias in node.names}
+        from_rng = (node.module or "").split(".")[-1] == "rng"
+        return from_rng or bool(names & (_GENERATION | {"rng"}))
+    return False
+
+
+def test_cli_leaves_trial_generation_to_synth():
+    hits = _library_nodes(_imports_generation)
+    assert [hit for hit in hits if hit.startswith("cli.py:")] == []

@@ -304,6 +304,20 @@ def test_icp_identity_on_identical_clouds():
     assert np.allclose(pose.translation, 0.0, atol=1e-12)
 
 
+def test_icp_rejects_bad_iteration_cap_and_tolerance():
+    # Without an iteration ICP would hand back its start pose as a result.
+    cloud = ball_cloud(20, Xoshiro256PlusPlus(0))
+    identity = RigidTransform.identity()
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_iters"):
+            icp_baseline(cloud, cloud, identity, max_iters=bad)
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="tol"):
+            icp_baseline(cloud, cloud, identity, tol=bad)
+    pose = icp_baseline(cloud, cloud, identity, max_iters=1, tol=0.0)
+    assert np.allclose(pose.rotation.m, np.eye(3), atol=1e-12)
+
+
 def test_icp_small_rotation_recovery():
     rng = Xoshiro256PlusPlus(21)
     src = ball_cloud(64, rng)

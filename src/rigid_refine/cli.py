@@ -13,10 +13,12 @@ trial seed, filled by one call of the stacked RNG kernel), then stacks the
 problems that were made and solves and scores them at once through the
 package's array kernels (Kabsch, the refine steps, the divergence
 predictors and the pose metrics; see core for the leading trial axis), and
-ICP as one stacked loop over the chunk (synth._icp_lanes). Chamfer queries
-one k-d tree per trial and direction, searching no farther than the trial's
-largest correspondence gap. A trial that fails, in generation or in a
-kernel's mask, is an NA row.
+ICP as one stacked loop over the chunk (synth._icp_lanes). Chamfer is one
+stacked call over the chunk (metrics._chamfers): one lane-tagged k-d tree
+per direction answers a group of trials, searching no farther than the
+largest correspondence gap of its trials. A trial that fails, in
+generation or in a kernel's mask, is an NA row; a trial whose Chamfer
+overflows has an NA `chamfer` cell.
 """
 
 import argparse
@@ -38,7 +40,7 @@ from .gradcheck import (
 from .kabsch import _kabsch_pose, estimate_pose_kabsch
 from .metrics import (
     _augmented_losses,
-    _chamfer,
+    _chamfers,
     _mean_point_distances,
     _rotation_errors,
     _translation_errors,
@@ -168,7 +170,7 @@ def _solve_and_score(config, problems):
     # Each point's correspondent bounds its nearest distance in the other
     # cloud; an overflowed (inf or NaN) bound searches everything.
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps = np.sqrt(((moved - tgt) ** 2).sum(axis=2).max(axis=1)).tolist()
+        gaps = np.sqrt(((moved - tgt) ** 2).sum(axis=2).max(axis=1))
     columns = {
         "iso_rot_deg": iso.tolist(),
         "aniso_z_deg": aniso[:, 0].tolist(),
@@ -176,7 +178,8 @@ def _solve_and_score(config, problems):
         "aniso_x_deg": aniso[:, 2].tolist(),
         "trans_l1": trans_l1.tolist(),
         "trans_l2": trans_l2.tolist(),
-        "chamfer": [float(_chamfer(m, c, gap)) for m, c, gap in zip(moved, tgt, gaps)],
+        # NaN (an NA cell) where a nearest squared distance overflows.
+        "chamfer": _chamfers(moved, tgt, gaps).tolist(),
         "mean_point_dist": _mean_point_distances(src, r, t, gt_r, gt_t).tolist(),
         "augmented_loss": _augmented_losses(poses_r, poses_t, gt_r, gt_t).tolist(),
     }

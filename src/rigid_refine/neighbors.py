@@ -1,10 +1,18 @@
 """Exact nearest-neighbor search shared by Chamfer, matching cost and ICP.
 
-A k-d tree finds each query's two nearest reference points in O(log M)
-expected time and O(N + M) memory. The result is bit-identical to the
-brute-force scan over every (query, reference) pair: the returned index is
-the lowest-index minimizer of the elementwise squared distance, and the
-returned squared distance is that same elementwise formula.
+A k-d tree (Friedman, Bentley & Finkel, ACM TOMS 1977) finds each query's
+two nearest reference points in O(log M) expected time and O(N + M) memory.
+The result is bit-identical to the brute-force scan over every (query,
+reference) pair: the returned index is the lowest-index minimizer of the
+elementwise squared distance, and the returned squared distance is that same
+elementwise formula.
+
+The kernel, _LaneTrees, searches a stack of lanes (trials) at once: one tree
+holds the reference clouds of a group of lanes, each point tagged with its
+lane in a fourth coordinate, and one query of the tagged rows answers every
+lane of the group (see _LaneTrees). A lane whose nearest squared distance
+overflows is a False entry of a per-lane mask. nearest is the kernel at one
+lane, where no tag is needed.
 
 A query skips work it can prove unneeded, and stays exact. Given a bound on
 every query's nearest distance, the tree stops searching beyond it
@@ -29,32 +37,171 @@ TIE_GAP = 1e-9
 # kept only if it wins by it.
 TREE_SLACK = 1e-6
 
+# The tree squares coordinate differences, so a distance past about 1.3e154
+# overflows. Lane tags stay below this, and a cached ICP match is kept only
+# below it.
+_TREE_MAX_DISTANCE = 1e154
+
+# Reference points per tagged tree: a stack of lanes with M reference points
+# each is searched in groups of max(1, _GROUP_POINTS // M) lanes. Chosen by
+# measurement (see CHANGES.md); below 1002, so that the benchmark's ICP
+# targets (501 points) and N=1024 Chamfer keep one untagged lane per tree.
+_GROUP_POINTS = 1000
+
 
 class NonFiniteDistance(Exception):
     """A nearest squared distance overflowed, so no nearest point is defined."""
 
 
-def _query(tree, query, ref, bound=np.inf):
-    """(index, dist): the exact nearest index of every query point (as
-    `nearest`) and the tree's two nearest distances, shape (N, 2).
+def _lanes_per_tree(m):
+    """Lanes of M = m reference points that _LaneTrees searches with one tree."""
+    return max(1, _GROUP_POINTS // m)
 
-    A second neighbor beyond the bound comes back as inf. Raises
-    NonFiniteDistance as `nearest` does.
+
+class _LaneTrees:
+    """Exact nearest-neighbor search in each lane's own cloud, for a stack of
+    (B, M, 3) reference clouds.
+
+    Lanes are searched in groups of _lanes_per_tree(M) consecutive lanes,
+    one cKDTree per group. In a group of
+    more than one lane every point gets a fourth coordinate, slot * L, where
+    slot is its lane's place in the group and L = 4 S + 1 for the group's
+    largest scale S. The tag difference of a lane's own points is exactly 0,
+    so their tree distances are the 3-D ones; another lane's points are at
+    least L away, beyond every in-lane distance between points whose
+    coordinates are at most S in absolute value (at most 2 sqrt(3) S). A row
+    whose nearest point still lies in another lane is re-scanned against its
+    own lane, like a tie. The overall second neighbor is never farther than
+    the in-lane one, so the tie flags can only grow and ICP's cached second
+    distance can only shrink: both stay exact. A group whose tags would
+    reach _TREE_MAX_DISTANCE (or whose S is not finite, as for an
+    overflow-scale lane) is searched one lane at a time, untagged.
+
+    Parameters
+    ----------
+    ref : ndarray, shape (B, M, 3)
+        M >= 1.
+    scale : callable
+        scale(lanes), for a slice of lanes, is the largest |coordinate| their
+        queries and references reach, as a float; it is called only for a
+        group of more than one lane. It only sizes the tags: a query beyond
+        it costs a re-scan, not exactness.
+    requery : bool, optional
+        Whether the caller queries more than once (ICP): then every tree is
+        built here and kept. Otherwise each is built for its group's query
+        and dropped after it, and the next build reuses its memory while it
+        is still in cache (at N=1024, keeping every tree of a Chamfer
+        direction alive measured slower).
     """
-    limit = bound * (1.0 + TREE_SLACK)
-    if 0.0 < limit < np.inf:
-        dist, idx = tree.query(query, k=2, distance_upper_bound=limit)
-    else:  # exact data (a zero bound), overflow or no bound: search it all
-        dist, idx = tree.query(query, k=2)
-    index = idx[:, 0].copy()
-    near2 = dist[:, 0] ** 2
-    if not np.all(np.isfinite(near2)):
-        raise NonFiniteDistance("nearest squared distance overflowed to inf")
-    # With M = 1, or a second neighbor beyond the bound, the second distance
-    # is inf, so the row is not flagged: the bound is above near (1 + TIE_GAP).
-    for row in np.flatnonzero(dist[:, 1] ** 2 - near2 <= TIE_GAP * near2):
-        index[row] = np.sum((query[row] - ref) ** 2, axis=1).argmin()
-    return index, dist
+
+    def __init__(self, ref, scale, requery=False):
+        b, m = ref.shape[:2]
+        size = _lanes_per_tree(m)
+        self.ref = ref
+        self.groups = []  # (first lane, last lane + 1, tree points, tag step or None)
+        self.slot = np.zeros(b, dtype=np.intp)  # each lane's place in its group
+        for start in range(0, b, size):
+            stop = min(start + size, b)
+            if stop - start > 1:
+                # A Python float: an overflowing step is inf, silently.
+                step = 4.0 * float(scale(slice(start, stop))) + 1.0
+                # Written so that a NaN step fails too.
+                if (stop - start - 1) * step < _TREE_MAX_DISTANCE:
+                    tags = np.repeat(np.arange(stop - start) * step, m)
+                    points = np.column_stack([ref[start:stop].reshape(-1, 3), tags])
+                    self.groups.append((start, stop, points, step))
+                    self.slot[start:stop] = np.arange(stop - start)
+                    continue
+            self.groups.extend((lane, lane + 1, ref[lane], None) for lane in range(start, stop))
+        self.trees = [cKDTree(points) for _, _, points, _ in self.groups] if requery else None
+        self.starts = [start for start, _, _, _ in self.groups] + [b]
+
+    def query(self, lane, query, bound=None):
+        """The nearest reference point of each query row in its lane's cloud.
+
+        Parameters
+        ----------
+        lane : ndarray of intp, shape (Q,)
+            Each row's lane, ascending.
+        query : ndarray, shape (Q, 3)
+        bound : ndarray, shape (B,), optional
+            At least every nearest distance of the lane's rows; a group's
+            tree searches no farther than its largest. A bound of 0 or a
+            non-finite one searches everything, and so does no bound.
+
+        Returns
+        -------
+        (ndarray of intp, shape (Q,), ndarray, shape (Q, 2), ndarray of bool, shape (B,))
+            index[i] is the smallest j minimizing
+            sum((query[i] - ref[lane[i], j]) ** 2); dist[i] is the tree's two
+            nearest distances, the second inf beyond the bound, and both inf
+            for a re-scanned row (ICP then re-queries it); finite is False for
+            a lane with a row whose nearest squared distance is not finite,
+            whose index entries are then meaningless.
+        """
+        m = self.ref.shape[1]
+        slot = self.slot[lane]
+        dist = np.empty((len(query), 2))
+        first = np.empty(len(query), dtype=np.intp)  # the tree's nearest point
+        cuts = np.searchsorted(lane, self.starts).tolist()
+        for g, (start, stop, points, step) in enumerate(self.groups):
+            lo, hi = cuts[g], cuts[g + 1]
+            if lo == hi:
+                continue
+            tree = cKDTree(points) if self.trees is None else self.trees[g]
+            rows = query[lo:hi]
+            if step is not None:
+                rows = np.column_stack([rows, slot[lo:hi] * step])
+            limit = np.inf if bound is None else float(bound[start:stop].max())
+            limit *= 1.0 + TREE_SLACK
+            if 0.0 < limit < np.inf:
+                d, i = tree.query(rows, k=2, distance_upper_bound=limit)
+            else:  # exact data (a zero bound), overflow or no bound: search it all
+                d, i = tree.query(rows, k=2)
+            dist[lo:hi], first[lo:hi] = d, i[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            near2 = dist[:, 0] ** 2
+            found = np.isfinite(near2)
+            # A missing neighbor has index = the tree's size, a slot past the
+            # group's last, so it is never the row's own.
+            group_lane, index = np.divmod(first, m)
+            # With M = 1, or a second neighbor beyond the bound, the second
+            # distance is inf, so the row is not flagged: the bound is above
+            # near (1 + TIE_GAP).
+            scan = dist[:, 1] ** 2 - near2 <= TIE_GAP * near2
+            scan |= group_lane != slot
+            scan = np.flatnonzero(scan & found)
+            finite = np.ones(len(self.ref), dtype=bool)
+            if not found.all():
+                finite[lane[~found]] = False
+            dist[scan] = np.inf
+            for row in scan:
+                d2 = np.sum((query[row] - self.ref[lane[row]]) ** 2, axis=1)
+                index[row] = d2.argmin()
+                finite[lane[row]] &= bool(np.isfinite(d2[index[row]]))
+        return index, dist, finite
+
+
+def _nearest_lanes(query, ref, bound=None):
+    """nearest per lane: (B, N, 3) queries against (B, M, 3) references,
+    bounds (B,) or None, in one _LaneTrees search.
+
+    Returns (index, d2, finite): (B, N) indices and squared distances as
+    `nearest` gives them, and a (B,) mask that is False where a nearest
+    squared distance is not finite (that lane's index and d2 are then
+    meaningless).
+    """
+    b, n = query.shape[:2]
+
+    def scale(lanes):
+        return np.maximum(np.abs(query[lanes]).max(initial=0.0), np.abs(ref[lanes]).max())
+
+    lane = np.repeat(np.arange(b), n)
+    index, _, finite = _LaneTrees(ref, scale).query(lane, query.reshape(-1, 3), bound)
+    index = index.reshape(b, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = np.sum((query - ref[np.arange(b)[:, None], index]) ** 2, axis=2)
+    return index, d2, finite
 
 
 def nearest(query, ref, bound=np.inf):
@@ -80,6 +227,7 @@ def nearest(query, ref, bound=np.inf):
     NonFiniteDistance
         If a query's nearest squared tree distance is not finite.
     """
-    index, _ = _query(cKDTree(ref), query, ref, bound)
-    d2 = np.sum((query - ref[index]) ** 2, axis=1)
-    return index, d2
+    index, d2, finite = _nearest_lanes(query[None], ref[None], np.array([bound], dtype=float))
+    if not finite[0]:
+        raise NonFiniteDistance("nearest squared distance overflowed to inf")
+    return index[0], d2[0]

@@ -1,10 +1,11 @@
 """Synthetic registration problems with the standard corruption protocols
 (Gaussian noise with symmetric clamp, independent resampling, half-space
 crops), base-cloud generators, and a point-to-point ICP baseline. Matching
-uses the exact k-d tree search of neighbors.nearest, so its nearest points
-and ties (lowest target index) equal those of a brute-force scan; the ICP
-kernel, _icp_lanes, runs a stack of trials at once and re-queries only the
-rows whose match the last pose change may have moved.
+uses the exact k-d tree search of neighbors, so its nearest points and ties
+(lowest target index) equal those of a brute-force scan; the ICP kernel,
+_icp_lanes, runs a stack of trials at once, searches the targets of a group
+of trials with one lane-tagged tree (neighbors._LaneTrees), and re-queries
+only the rows whose match the last pose change may have moved.
 
 Randomness is drawn exclusively from rng.Xoshiro256PlusPlus so that problems
 are bit-identical across platforms. Draw orders are documented per function.
@@ -20,12 +21,11 @@ CropOverlapUnsatisfied) is None.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import so3
 from .core import CorrespondenceSet, PointCloud, RigidTransform, Rotation, _dot
 from .kabsch import DegenerateGeometry, _kabsch_pose
-from .neighbors import TREE_SLACK, NonFiniteDistance, _query, nearest
+from .neighbors import _TREE_MAX_DISTANCE, TREE_SLACK, _LaneTrees, nearest
 from .rng import Xoshiro256PlusPlus
 
 # Resample-free crops must share at least this fraction of original indices.
@@ -333,11 +333,6 @@ def matching_cost(src, tgt, pose):
 # exact, even at a nearest distance of 0.
 _CACHE_SLACK = 1e-12
 
-# A cached match is kept only while its nearest distance stays below this:
-# the tree squares distances, so past about 1.3e154 it overflows, and the
-# row must reach the tree to raise NonFiniteDistance as a full query would.
-_CACHE_MAX_DISTANCE = 1e154
-
 
 def _icp_lanes(src, tgt, r0, t0, max_iters, tol):
     """icp_baseline per trial: (B, N, 3) sources and (B, M, 3) targets from
@@ -350,22 +345,26 @@ def _icp_lanes(src, tgt, r0, t0, max_iters, tol):
 
     Every lane keeps running until its pose changes by less than tol or it
     has run max_iters; each iteration matches the active lanes and solves
-    their poses in one stacked Kabsch call. A lane's matches are cached: the
-    tree distances d1 and d2 of each row's nearest and second-nearest target
-    point are kept, and when the pose moves the row by delta, d1 grows and
-    d2 shrinks by delta. While d1 (1 + TREE_SLACK) + s < d2 (1 - TREE_SLACK) - s
-    (s = _CACHE_SLACK times the lane's coordinate scale), the cached point is
-    still the row's unique nearest, so only the other rows are queried. The
-    pose change is a sum of two norms taken with core._dot, the dot product
-    np.linalg.norm takes, so every lane is bit-identical to running it alone
-    and to ICP that matches every row on every iteration.
+    their poses in one stacked Kabsch call. The targets are searched by one
+    neighbors._LaneTrees, built once: its grouped trees take the rows of
+    every active lane that need a match in one query per group. A lane's
+    matches are cached: the tree distances d1 and d2 of each row's nearest
+    and second-nearest target point are kept, and when the pose moves the row
+    by delta, d1 grows and d2 shrinks by delta. While
+    d1 (1 + TREE_SLACK) + s < d2 (1 - TREE_SLACK) - s (s = _CACHE_SLACK times
+    the lane's coordinate scale), the cached point is still the row's unique
+    nearest, so only the other rows are queried. The pose change is a sum of
+    two norms taken with core._dot, the dot product np.linalg.norm takes, so
+    every lane is bit-identical to running it alone and to ICP that matches
+    every row on every iteration.
     """
     b, n = src.shape[:2]
     r, t = np.array(r0, dtype=float), np.array(t0, dtype=float)
     ok = np.ones(b, dtype=bool)
     iters = np.zeros(b, dtype=np.intp)
-    trees = [cKDTree(points) for points in tgt]
-    slack = _CACHE_SLACK * (np.abs(src).max(axis=(1, 2)) + np.abs(tgt).max(axis=(1, 2)) + 1.0)
+    scale = np.abs(src).max(axis=(1, 2)) + np.abs(tgt).max(axis=(1, 2))
+    targets = _LaneTrees(tgt, lambda group: scale[group].max(), requery=True)
+    slack = _CACHE_SLACK * (scale + 1.0)
     index = np.zeros((b, n), dtype=np.intp)
     d1 = np.full((b, n), np.inf)  # nothing cached: every row is queried first
     d2 = np.zeros((b, n))
@@ -384,17 +383,14 @@ def _icp_lanes(src, tgt, r0, t0, max_iters, tol):
         last[lanes] = moved
         low = d1[lanes] * (1.0 + TREE_SLACK) + slack[lanes, None]
         high = d2[lanes] * (1.0 - TREE_SLACK) - slack[lanes, None]
-        stale = ~((low < high) & (low < _CACHE_MAX_DISTANCE))
-        for k, lane in enumerate(lanes.tolist()):
-            rows = np.flatnonzero(stale[k])
-            if rows.size:
-                try:
-                    found, dist = _query(trees[lane], moved[k, rows], tgt[lane])
-                except NonFiniteDistance:
-                    ok[lane] = False
-                    continue
-                index[lane, rows] = found
-                d1[lane, rows], d2[lane, rows] = dist.T
+        # Past _TREE_MAX_DISTANCE the row must reach the tree, to be masked
+        # as a full query's overflow would be.
+        stale = ~((low < high) & (low < _TREE_MAX_DISTANCE))
+        k, rows = np.nonzero(stale)
+        found, dist, finite = targets.query(lanes[k], moved[k, rows])
+        index[lanes[k], rows] = found
+        d1[lanes[k], rows], d2[lanes[k], rows] = dist.T
+        ok &= finite
         lanes = lanes[ok[lanes]]
         matched = np.take_along_axis(tgt[lanes], index[lanes][:, :, None], axis=1)
         new_r, new_t, solved = _kabsch_pose(src[lanes], matched, np.ones((len(lanes), n)))
@@ -413,8 +409,8 @@ def icp_baseline(src, tgt, init, max_iters=50, tol=1e-9):
     """Point-to-point ICP: alternate nearest-neighbor matching and the
     closed-form pose solve.
 
-    Matching is the exact nearest-neighbor search of neighbors.nearest over
-    one k-d tree of the target, built once per call, with each row's match
+    Matching is the exact nearest-neighbor search of neighbors._LaneTrees
+    over one k-d tree of the target, built once per call, with each row's match
     cached while the pose provably keeps it (see _icp_lanes, which this runs
     at B = 1); ties go to the lowest target index, so runs are deterministic
     and match a brute-force scan bit for bit. Stops when the pose change

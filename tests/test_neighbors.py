@@ -1,12 +1,12 @@
 """The k-d tree nearest-neighbor kernel and its three callers (Chamfer distance,
 matching cost, ICP) against the brute-force oracle in nn_oracle.py, bit for bit,
-with and without the work they skip: bounded queries and cached ICP matches."""
+with and without the work they skip: bounded queries and cached ICP matches,
+for one lane and for stacks of lanes searched through lane-tagged trees."""
 
 import warnings
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 from rigid_refine import (
     DegenerateGeometry,
@@ -20,10 +20,9 @@ from rigid_refine import (
     make_problem,
     matching_cost,
     so3,
-    synth,
 )
-from rigid_refine.metrics import _chamfer
-from rigid_refine.neighbors import NonFiniteDistance, nearest
+from rigid_refine.metrics import _chamfer, _chamfers
+from rigid_refine.neighbors import NonFiniteDistance, _LaneTrees, _nearest_lanes, nearest
 from rigid_refine.rng import Xoshiro256PlusPlus
 from rigid_refine.synth import _icp_lanes
 
@@ -269,13 +268,13 @@ def test_icp_lanes_mask_failed_lanes_and_keep_the_others_exact():
 def test_icp_cache_sends_few_rows_to_the_tree(monkeypatch):
     # Without the cache every row reaches the tree on every iteration.
     counted = []
+    search = _LaneTrees.query
 
-    class CountingTree(cKDTree):
-        def query(self, x, *args, **kwargs):
-            counted.append(len(x))
-            return super().query(x, *args, **kwargs)
+    def counting_query(self, lane, query, *args, **kwargs):
+        counted.append(len(query))
+        return search(self, lane, query, *args, **kwargs)
 
-    monkeypatch.setattr(synth, "cKDTree", CountingTree)
+    monkeypatch.setattr(_LaneTrees, "query", counting_query)
     spec = ProblemSpec(seed=0, **ICP_SPEC)
     rng = Xoshiro256PlusPlus(0)
     corr = make_problem(spec, ball_cloud(2 * spec.n_points, rng), rng).correspondences
@@ -293,3 +292,163 @@ def test_nearest_rejects_overflowing_distances():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteDistance):
             nearest(query, np.eye(3))
+
+
+# The lane-tagged kernel: a stack of lanes searched through grouped trees.
+# Every lane must equal the brute-force oracle on that lane alone, bit for
+# bit, whatever the other lanes of its group hold.
+
+
+def groups_of(ref, scale):
+    """(first lane, last lane + 1, tagged) of each tree _LaneTrees builds."""
+    groups = _LaneTrees(ref, lambda lanes: scale[lanes].max()).groups
+    return [(start, stop, step is not None) for start, stop, _, step in groups]
+
+
+def assert_lanes_match_oracle(query, ref, bound=None):
+    index, d2, finite = _nearest_lanes(query, ref, bound)
+    assert finite.all()
+    for k in range(len(ref)):
+        oracle_index, oracle_d2 = brute_nearest(query[k], ref[k])
+        assert_bitwise(index[k], oracle_index)
+        assert_bitwise(d2[k], oracle_d2)
+
+
+def lane_clouds(seed, lanes, n, m):
+    """Uniform queries and references, each lane at its own scale and offset."""
+    rng = np.random.default_rng(seed)
+    scale = rng.uniform(0.1, 10.0, size=(lanes, 1, 1))
+    offset = rng.uniform(-5.0, 5.0, size=(lanes, 1, 3))
+    query = rng.uniform(-1.0, 1.0, size=(lanes, n, 3)) * scale + offset
+    ref = rng.uniform(-1.0, 1.0, size=(lanes, m, 3)) * scale + offset
+    return query, ref
+
+
+def tightest_bounds(query, ref):
+    """Each lane's largest nearest distance: its nearest point lies at the bound."""
+    return np.array([np.sqrt(brute_nearest(q, r)[1].max()) for q, r in zip(query, ref)])
+
+
+def test_identical_lanes_are_separated_by_the_tag_alone():
+    # Two lanes holding the same clouds share one tagged tree; each must
+    # find its own copy (index within its lane), never the other lane's.
+    query, ref = lane_clouds(0, 1, 40, 30)
+    query, ref = np.concatenate([query, query]), np.concatenate([ref, ref])
+    assert groups_of(ref, np.full(2, 10.0)) == [(0, 2, True)]
+    assert_lanes_match_oracle(query, ref)
+    # The tag alone keeps the other copy away: no row needs a re-scan (which
+    # would report inf tree distances).
+    targets = _LaneTrees(ref, lambda lanes: 10.0)
+    _, dist, _ = targets.query(np.repeat([0, 1], 40), query.reshape(-1, 3))
+    assert np.isfinite(dist).all()
+    assert_lanes_match_oracle(query, ref, tightest_bounds(query, ref))
+    # Queries that are the reference points: each is at distance 0 from its
+    # own lane's copy and at exactly the tag step from the other lane's.
+    assert_lanes_match_oracle(ref, ref, np.zeros(2))
+    a, b = PointCloud(query[0]), PointCloud(ref[0])
+    chamfers = _chamfers(query, ref, tightest_bounds(query, ref))
+    assert chamfers[0] == chamfers[1] == brute_chamfer(a, b)
+
+
+def test_lanes_on_exact_data_with_zero_bounds():
+    # Every nearest distance is 0, duplicates included; a bound of 0 searches
+    # everything, alone in a group or next to lanes with positive bounds.
+    rng = np.random.default_rng(1)
+    ref = np.stack([tie_heavy_clouds(rng, 1, 20)[1][:30] for _ in range(6)])
+    query = np.stack([lane[rng.permutation(len(lane))] for lane in ref])
+    assert groups_of(ref, np.full(6, 1.0)) == [(0, 6, True)]
+    assert_lanes_match_oracle(query, ref, np.zeros(6))
+    assert not _nearest_lanes(query, ref, np.zeros(6))[1].any()
+    shift = np.array([0.0, 1e-3, 0.0, 0.5, 0.0, 0.0])
+    noisy = query + shift[:, None, None] * np.array([1.0, 0.0, 0.0])
+    assert_lanes_match_oracle(noisy, ref, shift)
+
+
+def test_one_overflowing_lane_is_masked_and_the_others_keep_their_bytes():
+    # A lane at 1e200 scale squares to inf: its Chamfer is NaN (an NA cell),
+    # silently, and every other lane equals the oracle and its value alone.
+    query, ref = lane_clouds(2, 5, 24, 24)
+    query[2] *= 1e200
+    ref[2] *= 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            bounds = np.sqrt(((query - ref) ** 2).sum(axis=2).max(axis=1))
+        chamfers = _chamfers(query, ref, bounds)
+        finite = _nearest_lanes(query, ref, bounds)[2]
+    assert np.isnan(chamfers[2]) and finite.tolist() == [True, True, False, True, True]
+    for k in (0, 1, 3, 4):
+        expected = brute_chamfer(PointCloud(query[k]), PointCloud(ref[k]))
+        assert_bitwise(chamfers[k : k + 1], np.array([expected]))
+        assert _chamfer(query[k], ref[k], bounds[k]) == expected
+    with pytest.raises(NonFiniteDistance):
+        _chamfer(query[2], ref[2], bounds[2])
+
+
+def test_lanes_of_one_reference_point():
+    # M = 1: a group of many lanes, where every second neighbor lies in
+    # another lane (or, alone, is absent).
+    query, ref = lane_clouds(3, 300, 7, 1)
+    assert groups_of(ref, np.full(300, 20.0)) == [(0, 300, True)]
+    assert_lanes_match_oracle(query, ref)
+    assert_lanes_match_oracle(query, ref, tightest_bounds(query, ref))
+    assert_lanes_match_oracle(query[:1], ref[:1])
+
+
+def test_lanes_with_different_bounds_in_one_group():
+    # Lanes at scales 0.1 to 10 with their own tightest bounds: the group
+    # searches to the largest, and each lane still gets the oracle's bytes.
+    query, ref = lane_clouds(4, 12, 50, 40)
+    bounds = tightest_bounds(query, ref)
+    assert bounds.max() > 10.0 * bounds.min()
+    assert groups_of(ref, np.full(12, 20.0)) == [(0, 12, True)]
+    assert_lanes_match_oracle(query, ref, bounds)
+    chamfers = _chamfers(query, ref, bounds)
+    for k in range(12):
+        assert chamfers[k] == brute_chamfer(PointCloud(query[k]), PointCloud(ref[k]))
+
+
+def test_a_stack_spans_several_groups_and_a_short_last_one():
+    # M = 100 puts ten lanes in a tree: 25 lanes are groups of 10, 10 and 5.
+    query, ref = lane_clouds(5, 25, 60, 100)
+    scale = np.maximum(np.abs(query).max(axis=(1, 2)), np.abs(ref).max(axis=(1, 2)))
+    assert groups_of(ref, scale) == [(0, 10, True), (10, 20, True), (20, 25, True)]
+    assert_lanes_match_oracle(query, ref)
+    assert_lanes_match_oracle(query, ref, tightest_bounds(query, ref))
+    # A last group of one lane is searched untagged.
+    assert groups_of(ref[:21], scale[:21])[-1] == (20, 21, False)
+    assert_lanes_match_oracle(query[:21], ref[:21])
+
+
+def test_rows_whose_nearest_point_lies_in_another_lane_are_rescanned():
+    # A scale far below the clouds' makes the tag step 1, so many rows find
+    # another lane's point first; they are re-scanned against their own lane
+    # and reported with inf tree distances, so ICP re-queries them.
+    query, ref = lane_clouds(6, 8, 30, 20)
+    targets = _LaneTrees(ref, lambda lanes: 0.0)
+    lane = np.repeat(np.arange(8), 30)
+    index, dist, finite = targets.query(lane, query.reshape(-1, 3))
+    assert finite.all() and np.isinf(dist).any()
+    for k in range(8):
+        assert_bitwise(index[30 * k : 30 * (k + 1)], brute_nearest(query[k], ref[k])[0])
+
+
+def test_icp_lanes_of_one_group_converge_at_different_iterations():
+    # Eight small problems share one tagged tree; lanes leave the loop at
+    # different iterations and each equals brute-force ICP alone.
+    lanes = []
+    for seed in range(8):
+        rng = Xoshiro256PlusPlus(seed)
+        spec = ProblemSpec(n_points=40, noise_sigma=0.01, crop_keep_fraction=0.7,
+                           independent_resample=True, seed=seed)
+        corr = make_problem(spec, ball_cloud(80, rng), rng).correspondences
+        lanes.append((corr.source.points, corr.target.points))
+    src, tgt = np.stack([c[0] for c in lanes]), np.stack([c[1] for c in lanes])
+    scale = np.abs(src).max(axis=(1, 2)) + np.abs(tgt).max(axis=(1, 2))
+    assert groups_of(tgt, scale) == [(0, 8, True)]
+    r, t, ok, iters = _icp_lanes(src, tgt, *start_poses(TURNED_INIT, 8), 50, 1e-9)
+    assert ok.all() and len(set(iters.tolist())) > 2
+    for k, (s, g) in enumerate(lanes):
+        oracle = brute_icp(PointCloud(s), PointCloud(g), TURNED_INIT)
+        assert_bitwise(r[k], oracle.rotation.m)
+        assert_bitwise(t[k], oracle.translation)

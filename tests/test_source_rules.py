@@ -62,3 +62,23 @@ def _imports_generation(node):
 def test_cli_leaves_trial_generation_to_synth():
     hits = _library_nodes(_imports_generation)
     assert [hit for hit in hits if hit.startswith("cli.py:")] == []
+
+
+def _imports_kd_tree(node):
+    """True for an import of or from scipy.spatial, or of a k-d tree class."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("scipy.spatial") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        names = {alias.name for alias in node.names}
+        from_spatial = module.startswith("scipy.spatial")
+        from_spatial |= module == "scipy" and "spatial" in names
+        return from_spatial or bool(names & {"cKDTree", "KDTree"})
+    return False
+
+
+def test_only_neighbors_builds_kd_trees():
+    # One nearest-neighbor kernel: Chamfer, matching cost and ICP all search
+    # through neighbors, which alone builds k-d trees.
+    hits = _library_nodes(_imports_kd_tree)
+    assert hits and [hit for hit in hits if not hit.startswith("neighbors.py:")] == []

@@ -73,17 +73,13 @@ from .cloud_io import read_ply, read_xyz_csv, write_ply, write_xyz_csv
 from .refiner import (
     CandidateMatrix,
     CollinearColumns,
-    KktSystem,
     RefinementTrace,
     SingularSystem,
-    assemble_kkt,
     assemble_rotation,
     constraint_jacobian,
-    kkt_residual,
     linearized_constraint,
     orthogonality_constraint,
     refine,
-    solve_kkt,
 )
 from .rng import Xoshiro256PlusPlus
 from .so3 import rotation_x, rotation_y, rotation_z, rotation_zyx, skew

@@ -611,6 +611,10 @@ def main(argv=None):
     except (ConfigError, MismatchedSpecs, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # A config can ask for more points than fit in memory (huge n_points).
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -101,8 +101,8 @@ def _split_rows(x, n):
 
 def refine_step_outputs(x, n, r_prev):
     """One refinement step as a row map, raw inputs (B, 7n) -> (vec R, t) (B, 12):
-    the closed-form step `refine` runs, so its finite differences check the
-    implicit-differentiation Jacobian of the 15x15 system independently."""
+    the closed-form step `refine` runs, so its finite differences check
+    jacobian_refine_step, the analytic Jacobian of that closed form."""
     r0, t0 = np.tile(r_prev.m, (len(x), 1, 1)), np.zeros((len(x), 3))
     steps = _refine_steps(*_split_rows(x, n), r0, t0, 1)
     if not steps.finite.all():

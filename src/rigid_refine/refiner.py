@@ -22,11 +22,10 @@ i == j, at the k-th pair of CONSTRAINT_PAIRS. S, F and the eigenbasis do not
 depend on R_prev, so a step costs a few 3x3 products. The closed form divides
 by d_i + d_j, never by d_i alone, so it stays accurate when S is nearly rank
 2 (thin or planar sources); the equivalent Sylvester form in S^-1 does not.
-`assemble_kkt` / `solve_kkt` / `kkt_residual` build and solve the 15x15
-system of the paper literally, only as the oracle the closed form is tested
-against; the step Jacobian (gradcheck) differentiates the closed form through
-`_tangent_increment`. `refine` stores no residual, but its trace carries the
-centered problem the oracle needs (see RefinementTrace).
+This is the only solver for the step: the 15x15 system is assembled and
+LU-solved literally only in tests/kkt_oracle.py, the oracle the closed form is
+tested against, and the step Jacobian (gradcheck) differentiates the closed
+form through `_tangent_increment`.
 
 The step kernels (`_step_factors`, `_tangent_step`, `_gram_schmidt`,
 `_refine_steps`) carry a leading trial axis, so one call refines a whole
@@ -51,8 +50,7 @@ from .kabsch import _cross_covariance
 
 # Condition estimate above this raises SingularSystem: degenerate source
 # geometry interacting with the constraints. The closed form compares it with
-# the spread d_2 / (d_0 + d_1) of the eigenvalue pair sums it divides by; only
-# the 15x15 oracle, solve_kkt, with the KKT matrix's 2-norm condition number.
+# the spread d_2 / (d_0 + d_1) of the eigenvalue pair sums it divides by.
 CONDITION_LIMIT = 1e12
 
 # Gram-Schmidt denominators at or below this raise CollinearColumns.
@@ -68,12 +66,11 @@ CONSTRAINT_PAIRS = ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2))
 
 
 class SingularSystem(Exception):
-    """The step is not solvable: the KKT matrix condition estimate (or, in
-    closed form, the spread of the eigenvalues of S) exceeds the solvable
-    limit, or the solve returned a candidate that violates the column-norm
-    lower bound. The closed-form kernels report it as a False lane of their
-    mask: refine falls back there and jacobian_refine_step raises it, as
-    does solve_kkt."""
+    """The step is not solvable: the spread of the eigenvalues of S exceeds
+    the solvable limit, or the step returned a candidate that violates the
+    column-norm lower bound. The closed-form kernels report it as a False
+    lane of their mask: refine falls back there and jacobian_refine_step
+    raises it."""
 
 
 class CollinearColumns(Exception):
@@ -129,10 +126,10 @@ def linearized_constraint(m, r_prev, k):
 class CandidateMatrix:
     """Unconstrained-step output: a 3x3 matrix, not necessarily a rotation.
 
-    When produced by solve_kkt (or refine's closed-form step) at a valid
-    linearization point, every column has norm >= 1 - 1e-9 and columns 1, 2
-    are not collinear; hand-constructed instances need not satisfy that, so it
-    is checked at the solver, not here.
+    When produced by refine's closed-form step at a valid linearization
+    point, every column has norm >= 1 - 1e-9 and columns 1, 2 are not
+    collinear; hand-constructed instances need not satisfy that, so it is
+    checked at the solver, not here.
     """
 
     m: np.ndarray
@@ -147,35 +144,6 @@ class CandidateMatrix:
         object.__setattr__(self, "m", m)
 
 
-@dataclass(frozen=True, eq=False)
-class KktSystem:
-    """Blocks of the 15x15 saddle-point system [[A, B], [B^T, 0]] z = [d_r, d_lambda]."""
-
-    a: np.ndarray
-    b: np.ndarray
-    d_r: np.ndarray
-    d_lambda: np.ndarray
-
-    def __post_init__(self):
-        shapes = {"a": (9, 9), "b": (9, 6), "d_r": (9,), "d_lambda": (6,)}
-        for name, shape in shapes.items():
-            v = np.array(getattr(self, name), dtype=float)
-            if v.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {v.shape}")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be finite")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-
-    def matrix(self):
-        """Assembled 15x15 system matrix."""
-        return np.block([[self.a, self.b], [self.b.T, np.zeros((6, 6))]])
-
-    def rhs(self):
-        """Assembled 15-vector right-hand side."""
-        return np.concatenate([self.d_r, self.d_lambda])
-
-
 def constraint_jacobian(m):
     """9x6 matrix whose column k is vec(M E^S_k), column-major vec.
 
@@ -186,86 +154,6 @@ def constraint_jacobian(m):
     m = np.asarray(m, dtype=float)
     cols = [(m @ basis).reshape(9, order="F") for basis in CONSTRAINT_BASES]
     return np.column_stack(cols)
-
-
-def assemble_kkt(centered, r_prev):
-    """Assemble the KKT blocks for one refinement step.
-
-    With S = sum_i w_i s~_i s~_i^T and F = sum_i w_i t~_i s~_i^T:
-
-    - A = kron(S, I3), equivalently row r (column-major r <-> (m, n)) equals
-      vec(E_mn S)^T, so that A vec(R) = vec(R S);
-    - B column k = vec(R_prev E^S_k);
-    - d_r = vec(F);
-    - d_lambda[k] = tr(E^S_k) - c_k(R_prev).
-
-    Parameters
-    ----------
-    centered : CenteredCorrespondences
-    r_prev : Rotation
-
-    Returns
-    -------
-    KktSystem
-    """
-    s_pts = centered.source_centered.points
-    t_pts = centered.target_centered.points
-    w = centered.weights
-
-    s_mat = (s_pts * w[:, None]).T @ s_pts
-    f_mat = (t_pts * w[:, None]).T @ s_pts
-
-    a = np.kron(s_mat, np.eye(3))
-    b = constraint_jacobian(r_prev.m)
-    d_r = f_mat.reshape(9, order="F")
-
-    c_prev = r_prev.m.T @ r_prev.m - np.eye(3)
-    pairs = zip(CONSTRAINT_BASES, CONSTRAINT_PAIRS)
-    d_lambda = np.array([np.trace(basis) - c_prev[pair] for basis, pair in pairs])
-    return KktSystem(a, b, d_r, d_lambda)
-
-
-def solve_kkt(system):
-    """Solve the 15x15 system by dense LU with partial pivoting.
-
-    Parameters
-    ----------
-    system : KktSystem
-
-    Returns
-    -------
-    (CandidateMatrix, ndarray shape (6,))
-        The candidate matrix (vec unpacked column-major) and the multipliers.
-
-    Raises
-    ------
-    SingularSystem
-        If the 2-norm condition estimate exceeds 1e12, or a candidate column
-        norm falls below 1 - 1e-9.
-    """
-    k_full = system.matrix()
-    rhs = system.rhs()
-    cond = np.linalg.cond(k_full)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularSystem(f"KKT condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
-    z = np.linalg.solve(k_full, rhs)
-    candidate = CandidateMatrix(z[:9].reshape(3, 3, order="F"))
-    lambdas = z[9:]
-    # Lower bound proved for solutions at a valid linearization point; a
-    # violation here means the solve itself went wrong.
-    norms = np.linalg.norm(candidate.m, axis=0)
-    if not np.all(norms >= 1.0 - COLUMN_NORM_SLACK):
-        raise SingularSystem(f"candidate column norms {norms} below 1 - {COLUMN_NORM_SLACK:.0e}")
-    return candidate, lambdas
-
-
-def kkt_residual(system, candidate, lambdas):
-    """Relative residual ||K z - rhs|| / ||rhs|| of a proposed solution."""
-    z = np.concatenate([candidate.m.reshape(9, order="F"), lambdas])
-    rhs = system.rhs()
-    return float(
-        np.linalg.norm(system.matrix() @ z - rhs) / max(np.linalg.norm(rhs), np.finfo(float).tiny)
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,9 +369,8 @@ class RefinementTrace:
     poses has length n_refinements + 1 with the initialization at index 0.
     Iterations that fell back to the previous pose (SingularSystem) store
     NaN multipliers and a None candidate. A step's KKT residual is not
-    stored; the public oracle derives it from the trace alone:
-    kkt_residual(assemble_kkt(centered, poses[k].rotation), candidates[k],
-    lambdas[k]).
+    stored; the test oracle (tests/kkt_oracle.py) derives it from the trace
+    alone, from centered, poses[k].rotation, candidates[k] and lambdas[k].
     """
 
     poses: tuple
@@ -534,7 +421,7 @@ def refine(correspondences, init, n_refinements=DEFAULT_REFINEMENTS):
     -------
     RefinementTrace
         Its centered field holds the centered correspondences the steps were
-        solved on, so diagnostics and the KKT oracle need no second centering.
+        solved on, so diagnostics need no second centering.
 
     Raises
     ------

@@ -77,7 +77,9 @@ _NORM_FLOOR = 1e-12
 _LOOKAHEAD = 1024
 _LOOKAHEAD_GROWTH = 4
 
-# At most this many draws per kernel call when filling generators (8 MiB).
+# Draws per kernel call when filling generators (8 MiB): a call fills as many
+# generators as fit, but at least one, so a generator that needs more draws
+# than this takes them all in one call.
 _PREFETCH_DRAWS = 1 << 20
 
 # Kernel cost model, in units of one step of all lanes (about 15 us here):
@@ -256,7 +258,8 @@ class Xoshiro256PlusPlus:
     @classmethod
     def _prefetched(cls, seeds, n):
         """A generator per seed, in order, each holding its first n draws;
-        filled by as few kernel calls as _PREFETCH_DRAWS allows."""
+        filled by as few kernel calls as _PREFETCH_DRAWS allows, at least one
+        generator (n draws, however many) per call."""
         per_call = max(1, _PREFETCH_DRAWS // max(n, 1))
         for first in range(0, len(seeds), per_call):
             states = np.array([_seed_state(seed) for seed in seeds[first : first + per_call]])

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import run_python
 
+from rigid_refine import cli as cli_module
 from rigid_refine import rng as rng_module
 from rigid_refine.cli import (
     ComparisonTable,
@@ -625,6 +626,27 @@ def test_main_rejects_bad_slab_thickness(tmp_path, capsys, thickness):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "slab_thickness" in captured.err
     assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "gradcheck"])
+def test_main_reports_out_of_memory_as_an_error_line(tmp_path, monkeypatch, capsys, command):
+    # A huge problem.n_points makes trial generation ask for more memory than
+    # there is; main names the failure instead of ending in a traceback.
+    def no_memory(spec, seeds):
+        raise MemoryError("Unable to allocate 29.8 GiB")
+
+    monkeypatch.setattr(cli_module, "_problems", no_memory)
+    config_path = tmp_path / "exp.cfg"
+    write_config(config_path)
+    argv = {
+        "run": ["run", "--config", str(config_path)],
+        "compare": ["compare", "--config", str(config_path), "--config", str(config_path)],
+        "gradcheck": ["gradcheck"],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory: Unable to allocate 29.8 GiB\n"
     assert captured.out == ""
 
 

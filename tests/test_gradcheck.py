@@ -14,7 +14,6 @@ from rigid_refine import (
     Rotation,
     SingularSystem,
     Xoshiro256PlusPlus,
-    assemble_kkt,
     assemble_rotation,
     center,
     cross_covariance,
@@ -30,13 +29,13 @@ from rigid_refine import (
     refine,
     refine_step_outputs,
     rotation_zyx,
-    solve_kkt,
 )
 from rigid_refine.core import CHUNK_POINTS
 from rigid_refine.gradcheck import FD_STEP, _assembler_jacobian
 from rigid_refine.refiner import CONDITION_LIMIT
 
 from conftest import random_problem
+from kkt_oracle import assemble_kkt, solve_kkt
 
 
 def prepared(seed, n, noise=0.02, scale=1.0):

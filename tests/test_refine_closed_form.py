@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_problem, random_rotation
+from kkt_oracle import assemble_kkt, kkt_residual, solve_kkt
 
 from rigid_refine import (
     CandidateMatrix,
@@ -14,13 +15,10 @@ from rigid_refine import (
     RigidTransform,
     Rotation,
     Xoshiro256PlusPlus,
-    assemble_kkt,
     assemble_rotation,
     center,
     estimate_pose_kabsch,
-    kkt_residual,
     refine,
-    solve_kkt,
 )
 from rigid_refine import refiner
 

@@ -9,28 +9,25 @@ from rigid_refine import (
     CandidateMatrix,
     CollinearColumns,
     CorrespondenceSet,
-    KktSystem,
     PointCloud,
     RigidTransform,
     Rotation,
     SingularSystem,
     Xoshiro256PlusPlus,
-    assemble_kkt,
     assemble_rotation,
     center,
     constraint_jacobian,
     estimate_pose_kabsch,
-    kkt_residual,
     linearized_constraint,
     optimal_translation,
     orthogonality_constraint,
     refine,
-    solve_kkt,
 )
 from rigid_refine import refiner
 from rigid_refine.refiner import CONSTRAINT_BASES, CONSTRAINT_PAIRS
 
 from conftest import random_problem, random_rotation
+from kkt_oracle import STEP_SOLVERS, KktSystem, assemble_kkt, kkt_residual, solve_kkt
 
 
 def test_constraint_pair_order_and_bases():
@@ -189,32 +186,33 @@ def test_kkt_gradient_matches_fd_lagrangian():
 
 
 def test_solve_kkt_fixed_point_on_exact_data():
-    for seed in range(10):
-        corr, gt = random_problem(seed=seed + 40, n=12, weighted=True)
-        pose = estimate_pose_kabsch(corr)
-        system = assemble_kkt(center(corr), pose.rotation)
-        candidate, lam = solve_kkt(system)
-        assert np.linalg.norm(candidate.m - pose.rotation.m) <= 1e-8
-        assert np.linalg.norm(lam) <= 1e-8
+    for solve_step in STEP_SOLVERS.values():
+        for seed in range(10):
+            corr, gt = random_problem(seed=seed + 40, n=12, weighted=True)
+            pose = estimate_pose_kabsch(corr)
+            candidate, lam = solve_step(center(corr), pose.rotation)
+            assert np.linalg.norm(candidate.m - pose.rotation.m) <= 1e-8
+            assert np.linalg.norm(lam) <= 1e-8
 
 
 def test_solve_kkt_satisfies_full_system():
-    for seed in range(10):
-        corr, _ = random_problem(seed=seed + 60, n=9, noise=0.05, weighted=True)
-        r_prev = estimate_pose_kabsch(corr).rotation
-        system = assemble_kkt(center(corr), r_prev)
-        candidate, lam = solve_kkt(system)
-        assert kkt_residual(system, candidate, lam) <= 1e-8
+    for solve_step in STEP_SOLVERS.values():
+        for seed in range(10):
+            corr, _ = random_problem(seed=seed + 60, n=9, noise=0.05, weighted=True)
+            r_prev = estimate_pose_kabsch(corr).rotation
+            system = assemble_kkt(center(corr), r_prev)
+            candidate, lam = solve_step(center(corr), r_prev)
+            assert kkt_residual(system, candidate, lam) <= 1e-8
 
 
 def test_solve_kkt_linearized_constraints_vanish():
-    for seed in range(10):
-        corr, _ = random_problem(seed=seed + 80, n=14, noise=0.1, weighted=True)
-        r_prev = estimate_pose_kabsch(corr).rotation
-        system = assemble_kkt(center(corr), r_prev)
-        candidate, _ = solve_kkt(system)
-        for k in range(6):
-            assert abs(linearized_constraint(candidate.m, r_prev, k)) <= 1e-8
+    for solve_step in STEP_SOLVERS.values():
+        for seed in range(10):
+            corr, _ = random_problem(seed=seed + 80, n=14, noise=0.1, weighted=True)
+            r_prev = estimate_pose_kabsch(corr).rotation
+            candidate, _ = solve_step(center(corr), r_prev)
+            for k in range(6):
+                assert abs(linearized_constraint(candidate.m, r_prev, k)) <= 1e-8
 
 
 def test_solve_kkt_stationarity_in_matrix_form():
@@ -223,34 +221,36 @@ def test_solve_kkt_stationarity_in_matrix_form():
     corr, _ = random_problem(seed=90, n=11, noise=0.05, weighted=True)
     cc = center(corr)
     r_prev = estimate_pose_kabsch(corr).rotation
-    system = assemble_kkt(cc, r_prev)
-    candidate, lam = solve_kkt(system)
     s = cc.source_centered.points
     t = cc.target_centered.points
     w = cc.weights
     s_mat = (s * w[:, None]).T @ s
     f_mat = (t * w[:, None]).T @ s
-    multiplier_term = sum(lam[k] * CONSTRAINT_BASES[k] for k in range(6))
-    resid = candidate.m @ s_mat + r_prev.m @ multiplier_term - f_mat
-    assert np.linalg.norm(resid) <= 1e-8 * max(1.0, np.linalg.norm(f_mat))
+    for solve_step in STEP_SOLVERS.values():
+        candidate, lam = solve_step(cc, r_prev)
+        multiplier_term = sum(lam[k] * CONSTRAINT_BASES[k] for k in range(6))
+        resid = candidate.m @ s_mat + r_prev.m @ multiplier_term - f_mat
+        assert np.linalg.norm(resid) <= 1e-8 * max(1.0, np.linalg.norm(f_mat))
 
 
 def test_solve_kkt_weight_homogeneity():
     corr, _ = random_problem(seed=91, n=10, noise=0.08, weighted=True)
     r_prev = estimate_pose_kabsch(corr).rotation
-    base_candidate, base_lam = solve_kkt(assemble_kkt(center(corr), r_prev))
     scaled = CorrespondenceSet(corr.source, corr.target, 5.0 * corr.weights)
-    cand5, lam5 = solve_kkt(assemble_kkt(center(scaled), r_prev))
-    assert np.linalg.norm(cand5.m - base_candidate.m) <= 1e-9
-    assert np.allclose(lam5, 5.0 * base_lam, rtol=1e-7, atol=1e-10)
+    for solve_step in STEP_SOLVERS.values():
+        base_candidate, base_lam = solve_step(center(corr), r_prev)
+        cand5, lam5 = solve_step(center(scaled), r_prev)
+        assert np.linalg.norm(cand5.m - base_candidate.m) <= 1e-9
+        assert np.allclose(lam5, 5.0 * base_lam, rtol=1e-7, atol=1e-10)
 
 
 def test_solve_kkt_column_norm_bound():
-    for seed in range(20):
-        corr, _ = random_problem(seed=seed + 700, n=8, noise=0.2, weighted=True)
-        r_prev = estimate_pose_kabsch(corr).rotation
-        candidate, _ = solve_kkt(assemble_kkt(center(corr), r_prev))
-        assert np.linalg.norm(candidate.m, axis=0).min() >= 1.0 - 1e-9
+    for solve_step in STEP_SOLVERS.values():
+        for seed in range(20):
+            corr, _ = random_problem(seed=seed + 700, n=8, noise=0.2, weighted=True)
+            r_prev = estimate_pose_kabsch(corr).rotation
+            candidate, _ = solve_step(center(corr), r_prev)
+            assert np.linalg.norm(candidate.m, axis=0).min() >= 1.0 - 1e-9
 
 
 def zero_rhs_system(seed):

@@ -82,3 +82,21 @@ def test_only_neighbors_builds_kd_trees():
     # through neighbors, which alone builds k-d trees.
     hits = _library_nodes(_imports_kd_tree)
     assert hits and [hit for hit in hits if not hit.startswith("neighbors.py:")] == []
+
+
+# One solver for the refine step: the closed form in refiner. The paper's
+# 15x15 system is assembled and LU-solved only by the test oracle,
+# tests/kkt_oracle.py.
+_KKT_ORACLE_NAMES = {"KktSystem", "assemble_kkt", "solve_kkt", "kkt_residual"}
+_CONDITION_NUMBER = {"np.linalg.cond", "numpy.linalg.cond"}
+
+
+def _kkt_oracle_or_condition_number(node):
+    """True for a definition of an oracle name or a call of np.linalg.cond."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name in _KKT_ORACLE_NAMES
+    return isinstance(node, ast.Call) and ast.unparse(node.func) in _CONDITION_NUMBER
+
+
+def test_library_has_one_refine_solver():
+    assert _library_nodes(_kkt_oracle_or_condition_number) == []

@@ -16,9 +16,9 @@ predictors and the pose metrics; see core for the leading trial axis), and
 ICP as one stacked loop over the chunk (synth._icp_lanes). Chamfer is one
 stacked call over the chunk (metrics._chamfers): one lane-tagged k-d tree
 per direction answers a group of trials, searching no farther than the
-largest correspondence gap of its trials. A trial that fails, in
-generation or in a kernel's mask, is an NA row; a trial whose Chamfer
-overflows has an NA `chamfer` cell.
+largest correspondence gap of its trials, which _chamfers works out. A
+trial that fails, in generation or in a kernel's mask, is an NA row; a
+trial whose Chamfer overflows has an NA `chamfer` cell.
 """
 
 import argparse
@@ -167,10 +167,6 @@ def _solve_and_score(config, problems):
     iso, aniso = _rotation_errors(r, gt_r)
     trans_l1, trans_l2 = _translation_errors(t - gt_t)
     moved = src @ r.swapaxes(1, 2) + t[:, None, :]
-    # Each point's correspondent bounds its nearest distance in the other
-    # cloud; an overflowed (inf or NaN) bound searches everything.
-    with np.errstate(over="ignore", invalid="ignore"):
-        gaps = np.sqrt(((moved - tgt) ** 2).sum(axis=2).max(axis=1))
     columns = {
         "iso_rot_deg": iso.tolist(),
         "aniso_z_deg": aniso[:, 0].tolist(),
@@ -179,7 +175,7 @@ def _solve_and_score(config, problems):
         "trans_l1": trans_l1.tolist(),
         "trans_l2": trans_l2.tolist(),
         # NaN (an NA cell) where a nearest squared distance overflows.
-        "chamfer": _chamfers(moved, tgt, gaps).tolist(),
+        "chamfer": _chamfers(moved, tgt).tolist(),
         "mean_point_dist": _mean_point_distances(src, r, t, gt_r, gt_t).tolist(),
         "augmented_loss": _augmented_losses(poses_r, poses_t, gt_r, gt_t).tolist(),
     }
@@ -409,12 +405,10 @@ def compare_methods(configs):
         if other.problem != first.problem or other.trials != first.trials:
             raise MismatchedSpecs("configs must share the problem spec and trial count")
 
-    labels = []
-    for config in configs:
-        label = config.method
-        if label in labels:
-            label = f"{label}_{labels.count(config.method) + 1}"
-        labels.append(label)
+    # The k-th config of a method (k > 1) is labelled <method>_k.
+    methods = [config.method for config in configs]
+    counts = [methods[: j + 1].count(method) for j, method in enumerate(methods)]
+    labels = [method if k == 1 else f"{method}_{k}" for method, k in zip(methods, counts)]
 
     all_records = [run_experiment(config) for config in configs]
     seeds = tuple(r.seed for r in all_records[0])

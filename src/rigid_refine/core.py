@@ -38,6 +38,28 @@ CENTERING_TOL = 1e-12
 CHUNK_POINTS = 1 << 15
 
 
+def _frozen(value, name, shape, dtype=float):
+    """A read-only copy of value as a `dtype` array of `shape`, every entry
+    finite; the one validator behind every container's array fields.
+
+    A None in shape stands for any length >= 1. Raises ValueError naming
+    `name` for a wrong shape or a non-finite entry. The copy leaves the
+    caller's array writable. Entries are checked as floats, before the cast
+    to dtype, so that a NaN does not pass as a True of a bool mask.
+    """
+    a = np.array(value, dtype=float)
+    if a.ndim != len(shape) or any(
+        n != size and (size is not None or n < 1) for n, size in zip(a.shape, shape)
+    ):
+        want = str(shape).replace("None", "N")
+        raise ValueError(f"{name} must have shape {want}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    a = a.astype(dtype, copy=False)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     """Ordered set of 3D points stored as a read-only (N, 3) float64 array."""
@@ -45,13 +67,7 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
-            raise ValueError(f"points must have shape (N, 3), N >= 1; got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _frozen(self.points, "points", (None, 3)))
 
     @property
     def count(self):
@@ -65,18 +81,13 @@ class Rotation:
     m: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.m, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError(f"rotation matrix must be 3x3, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("rotation matrix must be finite")
+        m = _frozen(self.m, "rotation matrix", (3, 3))
         ortho_err = np.linalg.norm(m.T @ m - np.eye(3))
         if ortho_err > ROTATION_TOL:
             raise ValueError(f"matrix not orthogonal: ||m^T m - I||_F = {ortho_err:.3e}")
         det = np.linalg.det(m)
         if abs(det - 1.0) > ROTATION_TOL:
             raise ValueError(f"matrix not a proper rotation: det = {det!r}")
-        m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
     @classmethod
@@ -98,13 +109,7 @@ class RigidTransform:
     def __post_init__(self):
         if not isinstance(self.rotation, Rotation):
             raise TypeError("rotation must be a Rotation")
-        t = np.array(self.translation, dtype=float)
-        if t.shape != (3,):
-            raise ValueError(f"translation must have shape (3,), got {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("translation must be finite")
-        t.setflags(write=False)
-        object.__setattr__(self, "translation", t)
+        object.__setattr__(self, "translation", _frozen(self.translation, "translation", (3,)))
 
     @classmethod
     def identity(cls):
@@ -118,15 +123,10 @@ class RigidTransform:
 def _validated_weights(weights, n):
     if weights is None:
         weights = np.ones(n)
-    w = np.array(weights, dtype=float)
-    if w.shape != (n,):
-        raise ValueError(f"weights must have shape ({n},), got {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
+    w = _frozen(weights, "weights", (n,))
     # Strictly positive by contract; zero-weight pairs are dropped upstream.
     if not np.all(w > 0.0):
         raise ValueError("weights must be strictly positive")
-    w.setflags(write=False)
     return w
 
 
@@ -180,11 +180,7 @@ class CenteredCorrespondences:
         if self.target_centered.count != n:
             raise ValueError("centered clouds must have equal counts")
         for name in ("source_mean", "target_mean"):
-            v = np.array(getattr(self, name), dtype=float)
-            if v.shape != (3,) or not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be a finite 3-vector")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _frozen(getattr(self, name), name, (3,)))
         object.__setattr__(self, "weights", _validated_weights(self.weights, n))
 
         w = self.weights

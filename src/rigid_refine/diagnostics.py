@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _dot, _scalar_pow
+from .core import _dot, _frozen, _scalar_pow
 from .kabsch import _cross_covariance
 from .refiner import constraint_jacobian
 
@@ -77,11 +77,7 @@ class UnconstrainedSolution:
 
     def __post_init__(self):
         for name in ("r_u", "g", "f"):
-            v = np.array(getattr(self, name), dtype=float)
-            if v.shape != (3, 3) or not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be a finite 3x3 matrix")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _frozen(getattr(self, name), name, (3, 3)))
         if np.abs(self.g - self.g.T).max() > 1e-12 * max(np.linalg.norm(self.g), 1.0):
             raise ValueError("g must be symmetric")
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import so3
-from .core import CHUNK_POINTS, _centered
+from .core import CHUNK_POINTS, _centered, _frozen
 from .kabsch import CrossCovariance, _cross_covariance, _kabsch_matrix
 from .kabsch import cross_covariance, kabsch_rotation
 from .refiner import CandidateMatrix, SingularSystem, _refine_steps, _step_factors
@@ -47,12 +47,9 @@ class Jacobian:
     n_points: int
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[1] != 7 * self.n_points or m.shape[0] not in (9, 12):
-            raise ValueError(f"expected (9 or 12, {7 * self.n_points}) matrix, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("jacobian entries must be finite")
-        m.setflags(write=False)
+        m = _frozen(self.matrix, "jacobian", (None, 7 * self.n_points))
+        if m.shape[0] not in (9, 12):
+            raise ValueError(f"jacobian must have 9 or 12 rows, got {m.shape[0]}")
         object.__setattr__(self, "matrix", m)
 
     @property

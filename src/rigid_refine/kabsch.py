@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rotation, RigidTransform, _centered, _dot, center
+from .core import Rotation, RigidTransform, _centered, _dot, _frozen, center
 
 # Two smallest singular values of H below this (relative to ||H||_F) mean a
 # rotation about the remaining axis is unobservable (e.g. collinear points).
@@ -32,13 +32,7 @@ class CrossCovariance:
     h: np.ndarray
 
     def __post_init__(self):
-        h = np.array(self.h, dtype=float)
-        if h.shape != (3, 3):
-            raise ValueError(f"cross-covariance must be 3x3, got {h.shape}")
-        if not np.all(np.isfinite(h)):
-            raise ValueError("cross-covariance must be finite")
-        h.setflags(write=False)
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "h", _frozen(self.h, "cross-covariance", (3, 3)))
 
 
 def _cross_covariance(a, b, w):

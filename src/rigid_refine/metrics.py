@@ -4,9 +4,9 @@ point distance, and the multi-pose augmented loss.
 The pose metrics are written once, in private kernels with a leading trial
 axis ((B, 3, 3) rotations, (B, 3) translations, (B, N, 3) clouds), which the
 experiment harness calls on a whole chunk of trials and the public functions
-call at B = 1. So is Chamfer: `_chamfers` takes a stack of cloud pairs, and
-a bound per pair on their nearest distances when the caller has one, and
-searches a group of pairs per lane-tagged tree (neighbors._LaneTrees).
+call at B = 1. So is Chamfer: `_chamfers` takes a stack of cloud pairs and
+searches a group of pairs per lane-tagged tree (neighbors._LaneTrees), no
+farther than each pair's largest gap when the clouds have equal size.
 See core for the conventions and the matmul-dot rule that keeps each lane
 bit-identical.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import so3
-from .core import _dot, _scalar_pow
+from .core import _dot, _frozen, _scalar_pow
 from .neighbors import NonFiniteDistance, _lanes_per_tree, _nearest_lanes
 
 # |sin(pitch)| above 1 - this counts as gimbal lock for the Euler split.
@@ -75,11 +75,8 @@ class PoseError:
             raise ValueError("trans_err must be nonnegative")
         if self.norm_order not in (1, 2):
             raise ValueError("norm_order must be 1 or 2")
-        v = np.array(self.aniso_rot_deg, dtype=float)
-        if v.shape != (3,):
-            raise ValueError("aniso_rot_deg must be a 3-vector")
-        v.setflags(write=False)
-        object.__setattr__(self, "aniso_rot_deg", v)
+        aniso = _frozen(self.aniso_rot_deg, "aniso_rot_deg", (3,))
+        object.__setattr__(self, "aniso_rot_deg", aniso)
 
 
 def _rotation_errors(est, gt):
@@ -134,15 +131,19 @@ def pose_error(est, gt, p=2):
     )
 
 
-def _chamfers(a, b, bound=None):
+def _chamfers(a, b):
     """chamfer_distance per lane of (B, N, 3) / (B, M, 3) point stacks, (B,);
     NaN for a lane where a nearest squared distance is not finite.
 
-    bound (B,), if given, is at least every point's distance to the nearest
-    point of the other cloud of its lane; for correspondence-aligned clouds
-    (N = M, a_i matched to b_i) max_i ||a_i - b_i|| is one. It only saves
-    tree work (see neighbors._LaneTrees); the values are the same.
+    With N = M, max_i ||a_i - b_i|| bounds every point's distance to the
+    nearest point of the other cloud of its lane, in both directions, so the
+    trees search no farther (see neighbors._LaneTrees); the values are the
+    same. An overflowed (inf or NaN) bound searches everything.
     """
+    bound = None
+    if a.shape[1] == b.shape[1]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.sqrt(((a - b) ** 2).sum(axis=2).max(axis=1))
     value = np.empty(len(a))
     # Clouds too large to share a tree are searched pair by pair, both
     # directions back to back while the pair is still in cache: at N=1024,
@@ -161,16 +162,6 @@ def _chamfers(a, b, bound=None):
     return value
 
 
-def _chamfer(a, b, bound=np.inf):
-    """chamfer_distance of two (N, 3) / (M, 3) point arrays: _chamfers at one
-    lane, which raises NonFiniteDistance where a nearest squared distance is
-    not finite."""
-    value = _chamfers(a[None], b[None], np.array([bound], dtype=float))[0]
-    if np.isnan(value):
-        raise NonFiniteDistance("nearest squared distance overflowed to inf")
-    return value
-
-
 def chamfer_distance(a, b):
     """Symmetric mean squared nearest-neighbor distance between two clouds.
 
@@ -178,7 +169,7 @@ def chamfer_distance(a, b):
     nearest point of b, plus the same with roles swapped. Each term uses the
     k-d tree search of neighbors._LaneTrees, O((N + M) log(N + M)) expected time
     and O(N + M) memory; the value is bit-identical to the brute-force
-    minimum over all N*M squared distances.
+    minimum over all N*M squared distances. It is _chamfers at one lane.
 
     Parameters
     ----------
@@ -187,8 +178,16 @@ def chamfer_distance(a, b):
     Returns
     -------
     float
+
+    Raises
+    ------
+    NonFiniteDistance
+        If a nearest squared distance is not finite.
     """
-    return float(_chamfer(a.points, b.points))
+    value = _chamfers(a.points[None], b.points[None])[0]
+    if np.isnan(value):
+        raise NonFiniteDistance("nearest squared distance overflowed to inf")
+    return float(value)
 
 
 def _mean_point_distances(src, est_r, est_t, gt_r, gt_t):

@@ -15,11 +15,11 @@ overflows is a False entry of a per-lane mask. nearest is the kernel at one
 lane, where no tag is needed.
 
 A query skips work it can prove unneeded, and stays exact. Given a bound on
-every query's nearest distance, the tree stops searching beyond it
-(Chamfer of correspondence-aligned clouds, where each point's correspondent
-bounds its nearest distance). ICP keeps a row's match while the pose moves
-that row less than half the gap to its second-nearest point, and asks the
-tree only about the other rows (synth._icp_lanes).
+every query's nearest distance, the tree stops searching beyond it (Chamfer
+of two clouds of equal size, where the largest gap max_i ||a_i - b_i||
+bounds every nearest distance in both directions). ICP keeps a row's match
+while the pose moves that row less than half the gap to its second-nearest
+point, and asks the tree only about the other rows (synth._icp_lanes).
 """
 
 import numpy as np
@@ -63,17 +63,18 @@ class _LaneTrees:
     (B, M, 3) reference clouds.
 
     Lanes are searched in groups of _lanes_per_tree(M) consecutive lanes,
-    one cKDTree per group. In a group of
-    more than one lane every point gets a fourth coordinate, slot * L, where
-    slot is its lane's place in the group and L = 4 S + 1 for the group's
-    largest scale S. The tag difference of a lane's own points is exactly 0,
-    so their tree distances are the 3-D ones; another lane's points are at
+    one cKDTree per group. In a group of more than one lane every point gets
+    a fourth coordinate, slot * L, where slot is its lane's place in the
+    group and L = 4 S + 1 for the largest |coordinate| S of the group's
+    reference points. The tag difference of a lane's own points is exactly
+    0, so their tree distances are the 3-D ones; another lane's points are at
     least L away, beyond every in-lane distance between points whose
     coordinates are at most S in absolute value (at most 2 sqrt(3) S). A row
-    whose nearest point still lies in another lane is re-scanned against its
-    own lane, like a tie. The overall second neighbor is never farther than
-    the in-lane one, so the tie flags can only grow and ICP's cached second
-    distance can only shrink: both stay exact. A group whose tags would
+    whose nearest point still lies in another lane, as a query beyond S may
+    find, is re-scanned against its own lane like a tie: such a query costs a
+    re-scan, never exactness. The overall second neighbor is never farther
+    than the in-lane one, so the tie flags can only grow and ICP's cached
+    second distance can only shrink: both stay exact. A group whose tags would
     reach _TREE_MAX_DISTANCE (or whose S is not finite, as for an
     overflow-scale lane) is searched one lane at a time, untagged.
 
@@ -81,11 +82,6 @@ class _LaneTrees:
     ----------
     ref : ndarray, shape (B, M, 3)
         M >= 1.
-    scale : callable
-        scale(lanes), for a slice of lanes, is the largest |coordinate| their
-        queries and references reach, as a float; it is called only for a
-        group of more than one lane. It only sizes the tags: a query beyond
-        it costs a re-scan, not exactness.
     requery : bool, optional
         Whether the caller queries more than once (ICP): then every tree is
         built here and kept. Otherwise each is built for its group's query
@@ -94,7 +90,7 @@ class _LaneTrees:
         direction alive measured slower).
     """
 
-    def __init__(self, ref, scale, requery=False):
+    def __init__(self, ref, requery=False):
         b, m = ref.shape[:2]
         size = _lanes_per_tree(m)
         self.ref = ref
@@ -104,7 +100,7 @@ class _LaneTrees:
             stop = min(start + size, b)
             if stop - start > 1:
                 # A Python float: an overflowing step is inf, silently.
-                step = 4.0 * float(scale(slice(start, stop))) + 1.0
+                step = 4.0 * float(np.abs(ref[start:stop]).max()) + 1.0
                 # Written so that a NaN step fails too.
                 if (stop - start - 1) * step < _TREE_MAX_DISTANCE:
                     tags = np.repeat(np.arange(stop - start) * step, m)
@@ -192,12 +188,8 @@ def _nearest_lanes(query, ref, bound=None):
     meaningless).
     """
     b, n = query.shape[:2]
-
-    def scale(lanes):
-        return np.maximum(np.abs(query[lanes]).max(initial=0.0), np.abs(ref[lanes]).max())
-
     lane = np.repeat(np.arange(b), n)
-    index, _, finite = _LaneTrees(ref, scale).query(lane, query.reshape(-1, 3), bound)
+    index, _, finite = _LaneTrees(ref).query(lane, query.reshape(-1, 3), bound)
     index = index.reshape(b, n)
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = np.sum((query - ref[np.arange(b)[:, None], index]) ** 2, axis=2)

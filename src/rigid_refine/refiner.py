@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CenteredCorrespondences, Rotation, RigidTransform, _dot, center
+from .core import CenteredCorrespondences, Rotation, RigidTransform, _dot, _frozen, center
 from .kabsch import _cross_covariance
 
 # Condition estimate above this raises SingularSystem: degenerate source
@@ -81,8 +81,7 @@ def _symmetric_basis(i, j):
     e = np.zeros((3, 3))
     e[i, j] += 1.0
     e[j, i] += 1.0
-    e.setflags(write=False)
-    return e
+    return _frozen(e, "basis", (3, 3))
 
 
 # E^S_k = e_i e_j^T + e_j e_i^T for the k-th pair of CONSTRAINT_PAIRS, read-only.
@@ -135,13 +134,7 @@ class CandidateMatrix:
     m: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.m, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError(f"candidate must be 3x3, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("candidate must be finite")
-        m.setflags(write=False)
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", _frozen(self.m, "candidate", (3, 3)))
 
 
 def constraint_jacobian(m):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import so3
-from .core import CorrespondenceSet, PointCloud, RigidTransform, Rotation, _dot
+from .core import CorrespondenceSet, PointCloud, RigidTransform, Rotation, _dot, _frozen
 from .kabsch import DegenerateGeometry, _kabsch_pose
 from .neighbors import _TREE_MAX_DISTANCE, TREE_SLACK, _LaneTrees, nearest
 from .rng import Xoshiro256PlusPlus
@@ -128,10 +128,8 @@ class LabeledProblem:
     overlap_mask: np.ndarray
 
     def __post_init__(self):
-        mask = np.array(self.overlap_mask, dtype=bool)
-        if mask.shape != (self.correspondences.count,):
-            raise ValueError("overlap_mask must have one entry per correspondence")
-        mask.setflags(write=False)
+        count = self.correspondences.count
+        mask = _frozen(self.overlap_mask, "overlap_mask", (count,), dtype=bool)
         object.__setattr__(self, "overlap_mask", mask)
 
 
@@ -363,7 +361,7 @@ def _icp_lanes(src, tgt, r0, t0, max_iters, tol):
     ok = np.ones(b, dtype=bool)
     iters = np.zeros(b, dtype=np.intp)
     scale = np.abs(src).max(axis=(1, 2)) + np.abs(tgt).max(axis=(1, 2))
-    targets = _LaneTrees(tgt, lambda group: scale[group].max(), requery=True)
+    targets = _LaneTrees(tgt, requery=True)
     slack = _CACHE_SLACK * (scale + 1.0)
     index = np.zeros((b, n), dtype=np.intp)
     d1 = np.full((b, n), np.inf)  # nothing cached: every row is queried first

@@ -14,6 +14,7 @@ from rigid_refine import (
     RigidTransform,
     Rotation,
     Xoshiro256PlusPlus,
+    center,
     rotation_zyx,
 )
 
@@ -74,6 +75,23 @@ def random_problem(seed, n, noise=0.0, weighted=False):
         weights = np.array([rng.uniform(0.5, 2.0) for _ in range(n)])
     corr = CorrespondenceSet(PointCloud(src), PointCloud(tgt), weights)
     return corr, gt
+
+
+def designed_spectrum(s1, s2, s3):
+    # +-pair construction: weighted means are exactly zero, so the centered
+    # cross covariance is exactly 2 * diag(s1, s2, s3) (signs included).
+    src = np.array(
+        [
+            [1.0, 0.0, 0.0],
+            [-1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [0.0, -1.0, 0.0],
+            [0.0, 0.0, 1.0],
+            [0.0, 0.0, -1.0],
+        ]
+    )
+    scale = np.array([s1, s1, s2, s2, s3, s3]) / 2.0
+    return center(CorrespondenceSet.from_arrays(src, src * scale[:, None]))
 
 
 def run_python(*args):

@@ -138,15 +138,19 @@ def lu_step(centered, r_prev):
     return solve_kkt(assemble_kkt(centered, r_prev))
 
 
-def closed_form_step(centered, r_prev):
-    """The step `refine` takes (`refiner._step_factors` and `_tangent_step`
-    at one trial), raising SingularSystem where `refine` falls back."""
-    factors = refiner._step_factors(
+def step_factors(centered):
+    """`refiner._step_factors` of one problem, a stack of one trial."""
+    return refiner._step_factors(
         centered.source_centered.points[None],
         centered.target_centered.points[None],
         centered.weights[None],
     )
-    candidate, lambdas, ok = refiner._tangent_step(r_prev.m[None], factors)
+
+
+def closed_form_step(centered, r_prev):
+    """The step `refine` takes (`refiner._step_factors` and `_tangent_step`
+    at one trial), raising SingularSystem where `refine` falls back."""
+    candidate, lambdas, ok = refiner._tangent_step(r_prev.m[None], step_factors(centered))
     if not ok[0]:
         raise SingularSystem("the closed-form step falls back")
     return CandidateMatrix(candidate[0]), lambdas[0]

@@ -6,7 +6,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_problem, random_rotation, record_criterion, stable_angle_deg
+from conftest import (
+    designed_spectrum,
+    random_problem,
+    random_rotation,
+    record_criterion,
+    stable_angle_deg,
+)
 from kkt_oracle import assemble_kkt, closed_form_step, kkt_residual
 
 from rigid_refine import (
@@ -62,23 +68,6 @@ def lath_cloud(n, rng):
         pts[i, 1] = rng.uniform(-5e-4, 5e-4)
         pts[i, 2] = rng.uniform(-5e-4, 5e-4)
     return PointCloud(pts)
-
-
-def designed_spectrum(s1, s2, s3):
-    # +-pair construction: weighted means are exactly zero, so the centered
-    # cross covariance is exactly 2 * diag(s1, s2, s3) (signs included).
-    src = np.array(
-        [
-            [1.0, 0.0, 0.0],
-            [-1.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0],
-            [0.0, -1.0, 0.0],
-            [0.0, 0.0, 1.0],
-            [0.0, 0.0, -1.0],
-        ]
-    )
-    scale = np.array([s1, s1, s2, s2, s3, s3]) / 2.0
-    return center(CorrespondenceSet.from_arrays(src, src * scale[:, None]))
 
 
 def synthetic_problem(seed, n, **spec_kwargs):

@@ -435,14 +435,17 @@ def test_run_at_overflow_scale_noise_sigma_is_silent(tmp_path):
 def test_compare_duplicate_config_all_diffs_zero():
     spec = clean_spec(16, 400, noise_sigma=0.01)
     config = ExperimentConfig(problem=spec, method="refined", refinements=3, trials=5)
-    table = compare_methods([config, config])
-    assert table.labels == ("refined", "refined_2")
+    table = compare_methods([config, config, config])
+    assert table.labels == ("refined", "refined_2", "refined_3")
+    header = table.to_csv().splitlines()[0].split(",")
+    assert len(header) == len(set(header))
     for metric in ComparisonTable.COMPARED:
         diffs = table.differences(metric)
         assert np.all(diffs == 0.0)
-        wins, ties, losses, p_value = table.sign_test(metric, 1)
-        assert (wins, ties, losses) == (0, 5, 0)
-        assert p_value == 1.0
+        for j in (1, 2):
+            wins, ties, losses, p_value = table.sign_test(metric, j)
+            assert (wins, ties, losses) == (0, 5, 0)
+            assert p_value == 1.0
 
 
 def test_compare_kabsch_vs_refined_zero_corruption():

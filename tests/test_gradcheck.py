@@ -34,7 +34,7 @@ from rigid_refine.core import CHUNK_POINTS
 from rigid_refine.gradcheck import FD_STEP, _assembler_jacobian
 from rigid_refine.refiner import CONDITION_LIMIT
 
-from conftest import random_problem
+from conftest import designed_spectrum, random_problem
 from kkt_oracle import assemble_kkt, solve_kkt
 
 
@@ -339,23 +339,6 @@ def test_kabsch_jacobian_equal_singular_values_rejected():
     cc = center(CorrespondenceSet.from_arrays(pts, pts))
     with pytest.raises(IllConditioned):
         jacobian_kabsch(cc)
-
-
-def designed_spectrum(s1, s2, s3):
-    # +-pair construction: weighted means are exactly zero, so the centered
-    # cross covariance is exactly 2 * diag(s1, s2, s3) (signs included).
-    src = np.array(
-        [
-            [1.0, 0.0, 0.0],
-            [-1.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0],
-            [0.0, -1.0, 0.0],
-            [0.0, 0.0, 1.0],
-            [0.0, 0.0, -1.0],
-        ]
-    )
-    scale = np.array([s1, s1, s2, s2, s3, s3]) / 2.0
-    return center(CorrespondenceSet.from_arrays(src, src * scale[:, None]))
 
 
 def test_kabsch_jacobian_reflection_gap_sweep_grows_inversely():

@@ -21,7 +21,8 @@ from rigid_refine import (
     matching_cost,
     so3,
 )
-from rigid_refine.metrics import _chamfer, _chamfers
+from rigid_refine import metrics
+from rigid_refine.metrics import _chamfers
 from rigid_refine.neighbors import NonFiniteDistance, _LaneTrees, _nearest_lanes, nearest
 from rigid_refine.rng import Xoshiro256PlusPlus
 from rigid_refine.synth import _icp_lanes
@@ -136,9 +137,9 @@ def test_chamfer_matches_oracle_bitwise():
 
 
 def test_bounded_chamfer_matches_oracle_bitwise():
-    # Equal-length clouds bounded by their largest correspondence gap, as the
-    # experiment harness does (exact and overflowing cases included), and
-    # unequal-length clouds bounded by their Hausdorff distance.
+    # Equal-length clouds, which Chamfer bounds by their largest
+    # correspondence gap (exact and overflowing cases included), and
+    # unequal-length clouds searched with their Hausdorff distance as bound.
     for seed in range(200):
         rng = np.random.default_rng([7, seed])
         n = int(rng.integers(1, 300))
@@ -150,15 +151,37 @@ def test_bounded_chamfer_matches_oracle_bitwise():
             pb = pa + rng.uniform(0.0, 0.3) * rng.standard_normal((n, 3))
         if seed % 10 == 0:
             pb = pa.copy()
-        gap = float(np.sqrt(((pa - pb) ** 2).sum(axis=1).max()))
         a, b = PointCloud(pa), PointCloud(pb)
-        assert _chamfer(pa, pb, gap) == brute_chamfer(a, b)
-        assert _chamfer(pb, pa, gap) == brute_chamfer(b, a)
+        assert chamfer_distance(a, b) == brute_chamfer(a, b)
+        assert chamfer_distance(b, a) == brute_chamfer(b, a)
         m = int(rng.integers(1, 300))
         pc = rng.standard_normal((m, 3))
         d2 = brute_nearest(pa, pc)[1].max(), brute_nearest(pc, pa)[1].max()
         hausdorff = float(np.sqrt(max(d2)))
-        assert _chamfer(pa, pc, hausdorff) == brute_chamfer(a, PointCloud(pc))
+        assert_lanes_match_oracle(pa[None], pc[None], np.array([hausdorff]))
+        assert_lanes_match_oracle(pc[None], pa[None], np.array([hausdorff]))
+
+
+def test_chamfers_bound_equal_size_clouds_by_their_largest_gap(monkeypatch):
+    # With N = M each point's partner bounds its nearest distance in the
+    # other cloud, in both directions; clouds of unequal size have no bound.
+    bounds = []
+    search = metrics._nearest_lanes
+
+    def spy(query, ref, bound=None):
+        bounds.append(bound)
+        return search(query, ref, bound)
+
+    monkeypatch.setattr(metrics, "_nearest_lanes", spy)
+    query, ref = lane_clouds(7, 3, 20, 20)
+    gaps = np.sqrt(((query - ref) ** 2).sum(axis=2).max(axis=1))
+    _chamfers(query, ref)
+    assert len(bounds) == 2
+    for bound in bounds:
+        assert_bitwise(bound, gaps)
+    bounds.clear()
+    _chamfers(query, ref[:, :15])
+    assert bounds == [None, None]
 
 
 def test_chamfer_duplicates_and_ties_match_oracle():
@@ -299,9 +322,9 @@ def test_nearest_rejects_overflowing_distances():
 # bit, whatever the other lanes of its group hold.
 
 
-def groups_of(ref, scale):
+def groups_of(ref):
     """(first lane, last lane + 1, tagged) of each tree _LaneTrees builds."""
-    groups = _LaneTrees(ref, lambda lanes: scale[lanes].max()).groups
+    groups = _LaneTrees(ref).groups
     return [(start, stop, step is not None) for start, stop, _, step in groups]
 
 
@@ -334,11 +357,11 @@ def test_identical_lanes_are_separated_by_the_tag_alone():
     # find its own copy (index within its lane), never the other lane's.
     query, ref = lane_clouds(0, 1, 40, 30)
     query, ref = np.concatenate([query, query]), np.concatenate([ref, ref])
-    assert groups_of(ref, np.full(2, 10.0)) == [(0, 2, True)]
+    assert groups_of(ref) == [(0, 2, True)]
     assert_lanes_match_oracle(query, ref)
     # The tag alone keeps the other copy away: no row needs a re-scan (which
     # would report inf tree distances).
-    targets = _LaneTrees(ref, lambda lanes: 10.0)
+    targets = _LaneTrees(ref)
     _, dist, _ = targets.query(np.repeat([0, 1], 40), query.reshape(-1, 3))
     assert np.isfinite(dist).all()
     assert_lanes_match_oracle(query, ref, tightest_bounds(query, ref))
@@ -346,7 +369,7 @@ def test_identical_lanes_are_separated_by_the_tag_alone():
     # own lane's copy and at exactly the tag step from the other lane's.
     assert_lanes_match_oracle(ref, ref, np.zeros(2))
     a, b = PointCloud(query[0]), PointCloud(ref[0])
-    chamfers = _chamfers(query, ref, tightest_bounds(query, ref))
+    chamfers = _chamfers(query, ref)
     assert chamfers[0] == chamfers[1] == brute_chamfer(a, b)
 
 
@@ -356,7 +379,7 @@ def test_lanes_on_exact_data_with_zero_bounds():
     rng = np.random.default_rng(1)
     ref = np.stack([tie_heavy_clouds(rng, 1, 20)[1][:30] for _ in range(6)])
     query = np.stack([lane[rng.permutation(len(lane))] for lane in ref])
-    assert groups_of(ref, np.full(6, 1.0)) == [(0, 6, True)]
+    assert groups_of(ref) == [(0, 6, True)]
     assert_lanes_match_oracle(query, ref, np.zeros(6))
     assert not _nearest_lanes(query, ref, np.zeros(6))[1].any()
     shift = np.array([0.0, 1e-3, 0.0, 0.5, 0.0, 0.0])
@@ -374,22 +397,22 @@ def test_one_overflowing_lane_is_masked_and_the_others_keep_their_bytes():
         warnings.simplefilter("error")
         with np.errstate(over="ignore"):
             bounds = np.sqrt(((query - ref) ** 2).sum(axis=2).max(axis=1))
-        chamfers = _chamfers(query, ref, bounds)
+        chamfers = _chamfers(query, ref)
         finite = _nearest_lanes(query, ref, bounds)[2]
     assert np.isnan(chamfers[2]) and finite.tolist() == [True, True, False, True, True]
     for k in (0, 1, 3, 4):
         expected = brute_chamfer(PointCloud(query[k]), PointCloud(ref[k]))
         assert_bitwise(chamfers[k : k + 1], np.array([expected]))
-        assert _chamfer(query[k], ref[k], bounds[k]) == expected
+        assert chamfer_distance(PointCloud(query[k]), PointCloud(ref[k])) == expected
     with pytest.raises(NonFiniteDistance):
-        _chamfer(query[2], ref[2], bounds[2])
+        chamfer_distance(PointCloud(query[2]), PointCloud(ref[2]))
 
 
 def test_lanes_of_one_reference_point():
     # M = 1: a group of many lanes, where every second neighbor lies in
     # another lane (or, alone, is absent).
     query, ref = lane_clouds(3, 300, 7, 1)
-    assert groups_of(ref, np.full(300, 20.0)) == [(0, 300, True)]
+    assert groups_of(ref) == [(0, 300, True)]
     assert_lanes_match_oracle(query, ref)
     assert_lanes_match_oracle(query, ref, tightest_bounds(query, ref))
     assert_lanes_match_oracle(query[:1], ref[:1])
@@ -401,9 +424,9 @@ def test_lanes_with_different_bounds_in_one_group():
     query, ref = lane_clouds(4, 12, 50, 40)
     bounds = tightest_bounds(query, ref)
     assert bounds.max() > 10.0 * bounds.min()
-    assert groups_of(ref, np.full(12, 20.0)) == [(0, 12, True)]
+    assert groups_of(ref) == [(0, 12, True)]
     assert_lanes_match_oracle(query, ref, bounds)
-    chamfers = _chamfers(query, ref, bounds)
+    chamfers = _chamfers(query, ref)
     for k in range(12):
         assert chamfers[k] == brute_chamfer(PointCloud(query[k]), PointCloud(ref[k]))
 
@@ -411,21 +434,22 @@ def test_lanes_with_different_bounds_in_one_group():
 def test_a_stack_spans_several_groups_and_a_short_last_one():
     # M = 100 puts ten lanes in a tree: 25 lanes are groups of 10, 10 and 5.
     query, ref = lane_clouds(5, 25, 60, 100)
-    scale = np.maximum(np.abs(query).max(axis=(1, 2)), np.abs(ref).max(axis=(1, 2)))
-    assert groups_of(ref, scale) == [(0, 10, True), (10, 20, True), (20, 25, True)]
+    assert groups_of(ref) == [(0, 10, True), (10, 20, True), (20, 25, True)]
     assert_lanes_match_oracle(query, ref)
     assert_lanes_match_oracle(query, ref, tightest_bounds(query, ref))
     # A last group of one lane is searched untagged.
-    assert groups_of(ref[:21], scale[:21])[-1] == (20, 21, False)
+    assert groups_of(ref[:21])[-1] == (20, 21, False)
     assert_lanes_match_oracle(query[:21], ref[:21])
 
 
 def test_rows_whose_nearest_point_lies_in_another_lane_are_rescanned():
-    # A scale far below the clouds' makes the tag step 1, so many rows find
-    # another lane's point first; they are re-scanned against their own lane
-    # and reported with inf tree distances, so ICP re-queries them.
+    # Queries 50 times beyond the references' scale reach past the tag step,
+    # so many rows find another lane's point first; they are re-scanned
+    # against their own lane and reported with inf tree distances, so ICP
+    # re-queries them.
     query, ref = lane_clouds(6, 8, 30, 20)
-    targets = _LaneTrees(ref, lambda lanes: 0.0)
+    query *= 50.0
+    targets = _LaneTrees(ref)
     lane = np.repeat(np.arange(8), 30)
     index, dist, finite = targets.query(lane, query.reshape(-1, 3))
     assert finite.all() and np.isinf(dist).any()
@@ -444,8 +468,7 @@ def test_icp_lanes_of_one_group_converge_at_different_iterations():
         corr = make_problem(spec, ball_cloud(80, rng), rng).correspondences
         lanes.append((corr.source.points, corr.target.points))
     src, tgt = np.stack([c[0] for c in lanes]), np.stack([c[1] for c in lanes])
-    scale = np.abs(src).max(axis=(1, 2)) + np.abs(tgt).max(axis=(1, 2))
-    assert groups_of(tgt, scale) == [(0, 8, True)]
+    assert groups_of(tgt) == [(0, 8, True)]
     r, t, ok, iters = _icp_lanes(src, tgt, *start_poses(TURNED_INIT, 8), 50, 1e-9)
     assert ok.all() and len(set(iters.tolist())) > 2
     for k, (s, g) in enumerate(lanes):

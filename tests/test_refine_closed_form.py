@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_problem, random_rotation
-from kkt_oracle import assemble_kkt, kkt_residual, solve_kkt
+from kkt_oracle import assemble_kkt, closed_form_step, kkt_residual, solve_kkt, step_factors
 
 from rigid_refine import (
     CandidateMatrix,
@@ -20,7 +20,6 @@ from rigid_refine import (
     estimate_pose_kabsch,
     refine,
 )
-from rigid_refine import refiner
 
 CANDIDATE_ATOL = 1e-13
 MULTIPLIER_RTOL = 1e-9
@@ -29,19 +28,6 @@ MULTIPLIER_RTOL = 1e-9
 # 15x15 KKT matrix has cond 7.4. A closed form through S^-1 misses the
 # candidate by ~1e-10 here; the tangent-space form must not.
 ILL_CONDITIONED_SEED = 14_254
-
-
-def step_factors(cc):
-    # The step kernels take a leading trial axis; one problem is a stack of one.
-    return refiner._step_factors(
-        cc.source_centered.points[None], cc.target_centered.points[None], cc.weights[None]
-    )
-
-
-def closed_form_step(cc, r_prev):
-    candidate, lambdas, ok = refiner._tangent_step(r_prev.m[None], step_factors(cc))
-    assert ok[0]
-    return candidate[0], lambdas[0]
 
 
 def assert_step_matches(candidate, lambdas, ref_candidate, ref_lambdas):
@@ -65,7 +51,7 @@ def test_closed_form_step_matches_solve_kkt(n):
                 r_prev = estimate_pose_kabsch(corr).rotation
             ref_candidate, ref_lambdas = solve_kkt(assemble_kkt(cc, r_prev))
             candidate, lambdas = closed_form_step(cc, r_prev)
-            assert_step_matches(candidate, lambdas, ref_candidate.m, ref_lambdas)
+            assert_step_matches(candidate.m, lambdas, ref_candidate.m, ref_lambdas)
 
 
 def mpmath_kkt_solution(system):
@@ -86,8 +72,8 @@ def test_closed_form_step_matches_mpmath_on_gate_08_problems():
             r_prev = estimate_pose_kabsch(corr).rotation
             ref_candidate, ref_lambdas = mpmath_kkt_solution(assemble_kkt(cc, r_prev))
             candidate, lambdas = closed_form_step(cc, r_prev)
-            assert_step_matches(candidate, lambdas, ref_candidate, ref_lambdas)
-            worst = max(worst, np.abs(candidate - ref_candidate).max())
+            assert_step_matches(candidate.m, lambdas, ref_candidate, ref_lambdas)
+            worst = max(worst, np.abs(candidate.m - ref_candidate).max())
     assert worst <= CANDIDATE_ATOL
 
 
@@ -100,7 +86,7 @@ def test_closed_form_step_accurate_on_ill_conditioned_source():
     assert np.linalg.cond(system.matrix()) < 10.0
     ref_candidate, ref_lambdas = mpmath_kkt_solution(system)
     candidate, lambdas = closed_form_step(cc, r_prev)
-    assert_step_matches(candidate, lambdas, ref_candidate, ref_lambdas)
+    assert_step_matches(candidate.m, lambdas, ref_candidate, ref_lambdas)
 
 
 def test_refine_trace_matches_the_kkt_oracle():

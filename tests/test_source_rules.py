@@ -2,10 +2,12 @@
 
 import ast
 import pathlib
+import re
 
 import rigid_refine
 
 PACKAGE = pathlib.Path(rigid_refine.__file__).resolve().parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _library_nodes(predicate):
@@ -100,3 +102,56 @@ def _kkt_oracle_or_condition_number(node):
 
 def test_library_has_one_refine_solver():
     assert _library_nodes(_kkt_oracle_or_condition_number) == []
+
+
+def _calls_setflags(node):
+    """True for a call of a `.setflags` method."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "setflags"
+    )
+
+
+def _lines_of_function(module, name):
+    """`module:line` of every line of the module-level function `name`."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    return {
+        f"{module}:{line}"
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == name
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+
+
+def test_only_core_frozen_marks_arrays_read_only():
+    # One validator: every container copies, checks and freezes its array
+    # fields through core._frozen, so no other code freezes an array.
+    hits = _library_nodes(_calls_setflags)
+    frozen = _lines_of_function("core.py", "_frozen")
+    assert hits and [hit for hit in hits if hit not in frozen] == []
+
+
+def _defined_names():
+    """Every name the package defines: functions, classes and assigned names."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+    return names
+
+
+def test_readme_cites_only_private_names_the_package_defines():
+    # A deleted or renamed kernel must not stay documented.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    readme = re.sub(r"```.*?```", "", readme, flags=re.S)
+    # A private name opens a code span or follows a module's dot.
+    cited = {
+        name
+        for span in re.findall(r"`([^`\n]+)`", readme)
+        for name in re.findall(r"(?:^|\.)(_\w+)", span)
+    }
+    assert cited and sorted(cited - _defined_names()) == []

@@ -8,17 +8,17 @@ run in chunks on the calling thread, records are serialized in trial order,
 and every trial of a chunk is solved bit for bit as it would be alone, so the
 chunk size does not change output bytes.
 
-A chunk takes its trials' problems from synth._problems (one generator per
-trial seed, filled by one call of the stacked RNG kernel), then stacks the
-problems that were made and solves and scores them at once through the
-package's array kernels (Kabsch, the refine steps, the divergence
-predictors and the pose metrics; see core for the leading trial axis), and
-ICP as one stacked loop over the chunk (synth._icp_lanes). Chamfer is one
-stacked call over the chunk (metrics._chamfers): one lane-tagged k-d tree
-per direction answers a group of trials, searching no farther than the
-largest correspondence gap of its trials, which _chamfers works out. A
-trial that fails, in generation or in a kernel's mask, is an NA row; a
-trial whose Chamfer overflows has an NA `chamfer` cell.
+A chunk takes its trials' problems from synth._problems as stacked arrays
+(one stream per trial seed, filled by one call of the stacked RNG kernel and
+parsed at once), then solves and scores the problems that were made at once
+through the package's array kernels (Kabsch, the refine steps, the
+divergence predictors and the pose metrics; see core for the leading trial
+axis), and ICP as one stacked loop over the chunk (synth._icp_lanes).
+Chamfer is one stacked call over the chunk (metrics._chamfers): one
+lane-tagged k-d tree per direction answers a group of trials, searching no
+farther than the largest correspondence gap of its trials, which _chamfers
+works out. A trial that fails, in generation or in a kernel's mask, is an
+NA row; a trial whose Chamfer overflows has an NA `chamfer` cell.
 """
 
 import argparse
@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import CHUNK_POINTS, _centered, center
+from .core import CHUNK_POINTS, CorrespondenceSet, _centered, center
 from .diagnostics import _divergence
 from .gradcheck import (
     finite_difference_jacobian,
@@ -127,23 +127,21 @@ def _lanes(mask, *arrays):
     return tuple(a[mask] for a in arrays)
 
 
-def _solve_and_score(config, problems):
-    """Solve and score the problems of one config, stacked (make_problem
-    gives each of them n_points correspondences, or floor(f * n_points) with
-    a crop); one record dict per problem, None for a trial whose solve failed
-    (an NA row)."""
-    corrs = [p.correspondences for p in problems]
-    src = np.stack([c.source.points for c in corrs])
-    tgt = np.stack([c.target.points for c in corrs])
-    w = np.stack([c.weights for c in corrs])
-    lanes = np.arange(len(problems))
+def _solve_and_score(config, src, tgt, gt_r, gt_t):
+    """Solve and score problems of one config, stacked: (B, m, 3) source
+    and target points with unit weights and their (B, 3, 3) / (B, 3) ground
+    truth (see synth._problems); one record dict per problem, None for a
+    trial whose solve failed (an NA row)."""
+    count = len(src)
+    w = np.ones(src.shape[:2])
+    lanes = np.arange(count)
     if config.method == "icp":  # from the identity
-        start_r = np.tile(np.eye(3), (len(problems), 1, 1))
-        start_t = np.zeros((len(problems), 3))
+        start_r = np.tile(np.eye(3), (count, 1, 1))
+        start_t = np.zeros((count, 3))
         r, t, ok, _ = _icp_lanes(src, tgt, start_r, start_t, config.icp_max_iters, config.icp_tol)
     else:
         r, t, ok = _kabsch_pose(src, tgt, w)
-    lanes, src, tgt, w, r, t = _lanes(ok, lanes, src, tgt, w, r, t)
+    lanes, src, tgt, w, gt_r, gt_t, r, t = _lanes(ok, lanes, src, tgt, w, gt_r, gt_t, r, t)
     poses_r, poses_t = r[:, None], t[:, None]
     if config.method == "refined":
         source, source_mean = _centered(src, w)
@@ -152,18 +150,16 @@ def _solve_and_score(config, problems):
             source, target, w, source_mean, target_mean, r, t, config.refinements
         )
         # S and F can overflow where H did not: no refinement, an NA row.
-        lanes, src, tgt, w, source, target = _lanes(
-            steps.finite, lanes, src, tgt, w, source, target
+        lanes, src, tgt, w, gt_r, gt_t, source, target = _lanes(
+            steps.finite, lanes, src, tgt, w, gt_r, gt_t, source, target
         )
         poses_r, poses_t, stepped = _lanes(
             steps.finite, steps.rotations, steps.translations, steps.stepped
         )
         r, t = poses_r[:, -1], poses_t[:, -1]
     if not lanes.size:
-        return [None] * len(problems)
+        return [None] * count
 
-    gt_r = np.stack([problems[b].gt.rotation.m for b in lanes])
-    gt_t = np.stack([problems[b].gt.translation for b in lanes])
     iso, aniso = _rotation_errors(r, gt_r)
     trans_l1, trans_l2 = _translation_errors(t - gt_t)
     moved = src @ r.swapaxes(1, 2) + t[:, None, :]
@@ -189,7 +185,7 @@ def _solve_and_score(config, problems):
             for name in ("max_col_distance", "max_col_angle_deg"):
                 columns[name] = [None if math.isnan(v) else v for v in stats[name].tolist()]
 
-    records = [None] * len(problems)
+    records = [None] * count
     for k, b in enumerate(lanes.tolist()):
         records[b] = {name: values[k] for name, values in columns.items()}
     return records
@@ -198,12 +194,12 @@ def _solve_and_score(config, problems):
 def _run_chunk(config, indices):
     """Generate, solve and score the trials `indices`; their records, in order."""
     seeds = [config.problem.seed + i for i in indices]
-    problems = _problems(config.problem, seeds)
-    made = [problem for problem in problems if problem is not None]
-    scored = iter(_solve_and_score(config, made) if made else ())
+    source, target, gt_r, gt_t, _, made = _problems(config.problem, seeds)
+    problems = _lanes(made, source, target, gt_r, gt_t)
+    scored = iter(_solve_and_score(config, *problems) if made.any() else ())
     records = []
-    for seed, problem in zip(seeds, problems):
-        values = next(scored) if problem is not None else None
+    for seed, ok in zip(seeds, made.tolist()):
+        values = next(scored) if ok else None
         records.append(TrialRecord(seed=seed, method=config.method, **(values or {})))
     return records
 
@@ -559,9 +555,10 @@ def _cmd_gradcheck(args):
     if args.n_points < 3:
         raise ConfigError("--n-points must be >= 3")
     spec = ProblemSpec(n_points=args.n_points, noise_sigma=0.01, seed=args.seed)
-    (problem,) = _problems(spec, [args.seed])
-    cc = center(problem.correspondences)
-    r_prev = estimate_pose_kabsch(problem.correspondences).rotation
+    source, target, *_ = _problems(spec, [args.seed])
+    correspondences = CorrespondenceSet.from_arrays(source[0], target[0])
+    cc = center(correspondences)
+    r_prev = estimate_pose_kabsch(correspondences).rotation
 
     analytic = jacobian_refine_step(cc, r_prev)
     x0, n = flatten_inputs(cc)

@@ -53,11 +53,29 @@ def _frozen(value, name, shape, dtype=float):
     ):
         want = str(shape).replace("None", "N")
         raise ValueError(f"{name} must have shape {want}, got {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} must be finite")
+    _check_finite(a, name)
     a = a.astype(dtype, copy=False)
     a.setflags(write=False)
     return a
+
+
+def _check_finite(a, name):
+    """Raise the ValueError of _frozen unless every entry of a is finite."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+
+
+def _check_rotations(m):
+    """Raise the ValueError of Rotation for the first of the (..., 3, 3)
+    finite matrices m that is not a proper rotation."""
+    ortho_err = np.linalg.norm(m.swapaxes(-1, -2) @ m - np.eye(3), axis=(-2, -1))
+    bad = ortho_err > ROTATION_TOL
+    if bad.any():
+        raise ValueError(f"matrix not orthogonal: ||m^T m - I||_F = {ortho_err[bad].flat[0]:.3e}")
+    det = np.linalg.det(m)
+    bad = np.abs(det - 1.0) > ROTATION_TOL
+    if bad.any():
+        raise ValueError(f"matrix not a proper rotation: det = {det[bad].flat[0]!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,12 +100,7 @@ class Rotation:
 
     def __post_init__(self):
         m = _frozen(self.m, "rotation matrix", (3, 3))
-        ortho_err = np.linalg.norm(m.T @ m - np.eye(3))
-        if ortho_err > ROTATION_TOL:
-            raise ValueError(f"matrix not orthogonal: ||m^T m - I||_F = {ortho_err:.3e}")
-        det = np.linalg.det(m)
-        if abs(det - 1.0) > ROTATION_TOL:
-            raise ValueError(f"matrix not a proper rotation: det = {det!r}")
+        _check_rotations(m)
         object.__setattr__(self, "m", m)
 
     @classmethod

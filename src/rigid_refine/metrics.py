@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import so3
 from .core import _dot, _frozen, _scalar_pow
 from .neighbors import NonFiniteDistance, _lanes_per_tree, _nearest_lanes
 

@@ -6,7 +6,8 @@ Algorithm, specified bit-exactly:
   ``rotl(s0 + s3, 23) + s0`` over 64-bit wrapping arithmetic, then the
   standard xoshiro256 state transition with shift 17 and rotation 45.
 - Seeding: the four state words are the first four outputs of SplitMix64
-  run on the user seed (reduced mod 2^64).
+  run on the user seed (reduced mod 2^64); ``_seed_state`` runs it on many
+  seeds at once in uint64 arithmetic.
 - uniform doubles: ``(next_uint64() >> 11) * 2**-53`` in [0, 1);
   the open-interval variant ``((next_uint64() >> 11) + 0.5) * 2**-53``
   in (0, 1) feeds the Gaussian transform.
@@ -32,12 +33,10 @@ lanes then step together, so the kernel has many lanes even for one stream;
 K is picked per call from a cost model of a step, a jump and a doubling
 level.
 
-A generator hands out draws from a buffer. ``_prefetched(seeds, n)`` fills
-the buffers of many generators with one kernel call (an experiment chunk
-sizes n by the draws a trial takes when nothing is redrawn). A generator that
-runs past its buffer refills through the same kernel, taking draws ahead: one
-on its first refill, four times more on each next, up to ``_LOOKAHEAD``, so a
-fresh generator's first draw and long runs of one-at-a-time draws both stay
+A generator hands out draws from a buffer. A generator that runs past its
+buffer refills through the same kernel, taking draws ahead: one on its first
+refill, four times more on each next, up to ``_LOOKAHEAD``, so a fresh
+generator's first draw and long runs of one-at-a-time draws both stay
 cheap. ``_s`` is the state after the draws handed out so far; when the
 buffer is part-consumed it is derived by a jump. ``next_uint64`` takes one
 draw and ``next_uint64s(n)`` returns n as a uint64 array; the vector methods
@@ -57,12 +56,23 @@ Rejections (a near-zero Gaussian triple, an integer draw at or above the
 limit) are handled by re-parsing the drawn buffer from the rejected draw and
 topping it up, so they consume exactly the draws the one-at-a-time
 definition does.
+
+Many streams in step. ``_Lanes.prefetched(seeds, n)`` fills the first n
+draws of many seeds' streams with one kernel call per block of at most
+``_PREFETCH_DRAWS`` draws (an experiment chunk sizes n by the draws a trial
+takes when nothing is redrawn). A ``_Lanes`` block then hands out the same
+kind and number of draws from every stream at once, parsed as one stacked
+array by the transforms the generator methods use; a stream that needs a
+redraw, or more draws than its row holds, continues through a generator of
+its own from there, so every stream gets exactly what its generator would.
 """
 
 import threading
 
 import numpy as np
 from scipy.special import ndtri
+
+from .core import _dot
 
 _MASK = (1 << 64) - 1
 
@@ -95,24 +105,31 @@ _JUMPS = []
 _JUMPS_LOCK = threading.Lock()
 
 
-def _splitmix64(state):
-    state = (state + 0x9E3779B97F4A7C15) & _MASK
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return state, z ^ (z >> 31)
+# SplitMix64's increment and its two multipliers.
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _seed_state(seed):
-    """The four state words of a seed, as a (4,) uint64 array."""
-    state = int(seed) & _MASK
-    words = []
-    for _ in range(4):
-        state, word = _splitmix64(state)
-        words.append(word)
-    if not any(words):  # all-zero state is the one forbidden state
-        words[0] = 1
-    return np.array(words, dtype=np.uint64)
+def _seed_state(seeds):
+    """The four state words of each seed: a (B, 4) uint64 array for a
+    sequence of B seeds, a (4,) array for one seed.
+
+    SplitMix64 runs on every seed at once, in wrapping uint64 arithmetic, on
+    the seed reduced mod 2^64; a seed whose four words are all zero (the one
+    forbidden state) gets 1 as its first word.
+    """
+    one = np.ndim(seeds) == 0
+    seeds = np.array([int(seed) & _MASK for seed in ([seeds] if one else seeds)], dtype=np.uint64)
+    # Word i mixes the state after i + 1 steps of SplitMix64: seed + (i + 1) gamma.
+    z = seeds[:, None] + _GOLDEN_GAMMA * np.arange(1, 5, dtype=np.uint64)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    words = z ^ (z >> np.uint64(31))
+    words[~words.any(axis=1), 0] = 1
+    return words[0] if one else words
 
 
 def _step(s, out, tmp):
@@ -232,6 +249,20 @@ def _open_unit_interval(u):
     return ((u >> np.uint64(11)) + 0.5) * 2.0**-53
 
 
+def _gaussians(u, sigma):
+    """Raw uint64 draws -> N(0, sigma^2) deviates by inverse CDF; a deviate
+    beyond the float range is +-inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return sigma * ndtri(_open_unit_interval(u))
+
+
+def _gaussian_triples(u):
+    """Raw (..., 3) draws -> their Gaussian triples and the triples' norms,
+    each norm sqrt(v @ v) as a per-vector np.linalg.norm takes it."""
+    v = ndtri(_open_unit_interval(u))
+    return v, np.sqrt(_dot(v, v))
+
+
 def _largest_accepted(bounds):
     """Largest raw draw accepted for each bound m (uint64 array, m >= 1).
 
@@ -239,6 +270,15 @@ def _largest_accepted(bounds):
     in wrapping uint64 arithmetic.
     """
     return np.uint64(_MASK) - (np.uint64(0) - bounds) % bounds
+
+
+def _fisher_yates(n, targets):
+    """The first len(targets) entries of range(n) after swapping position i
+    with targets[i] (ints, targets[i] in [i, n)) for each i in turn."""
+    idx = list(range(n))
+    for i, j in enumerate(targets):
+        idx[i], idx[j] = idx[j], idx[i]
+    return np.array(idx[: len(targets)], dtype=np.int64)
 
 
 class Xoshiro256PlusPlus:
@@ -254,20 +294,6 @@ class Xoshiro256PlusPlus:
         self._origin, self._skipped = origin, 0  # draws from origin to the buffer
         self._buf, self._pos, self._end = draws, 0, end
         self._ahead = 1  # draws the next refill takes ahead
-
-    @classmethod
-    def _prefetched(cls, seeds, n):
-        """A generator per seed, in order, each holding its first n draws;
-        filled by as few kernel calls as _PREFETCH_DRAWS allows, at least one
-        generator (n draws, however many) per call."""
-        per_call = max(1, _PREFETCH_DRAWS // max(n, 1))
-        for first in range(0, len(seeds), per_call):
-            states = np.array([_seed_state(seed) for seed in seeds[first : first + per_call]])
-            draws, ends = _streams(states, n)
-            for state, row, end in zip(states, draws, ends):
-                rng = cls.__new__(cls)
-                rng._hold(state, row, end)
-                yield rng
 
     @property
     def _s(self):
@@ -331,8 +357,7 @@ class Xoshiro256PlusPlus:
         A deviate beyond the float range is +-inf, without a warning (an
         overflow-scale sigma; make_problem clamps it).
         """
-        with np.errstate(over="ignore"):
-            return sigma * ndtri(_open_unit_interval(self._take(n)))
+        return _gaussians(self._take(n), sigma)
 
     def _integers_below(self, bounds):
         """One unbiased integer in [0, m) per entry m of `bounds` (uint64, m >= 1).
@@ -372,11 +397,8 @@ class Xoshiro256PlusPlus:
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
         spans = np.arange(n, n - k, -1, dtype=np.uint64)
-        targets = (self._integers_below(spans) + np.arange(k, dtype=np.uint64)).tolist()
-        idx = list(range(n))
-        for i, j in enumerate(targets):
-            idx[i], idx[j] = idx[j], idx[i]
-        return np.array(idx[:k], dtype=np.int64)
+        targets = self._integers_below(spans) + np.arange(k, dtype=np.uint64)
+        return _fisher_yates(n, targets.tolist())
 
     def unit_vectors(self, n, extra=0):
         """n isotropic unit 3-vectors, each followed by `extra` uniform draws.
@@ -393,8 +415,7 @@ class Xoshiro256PlusPlus:
         u = self._take(n * width)
         while True:
             rows = u.reshape(n - done, width)
-            v = ndtri(_open_unit_interval(rows[:, :3]))
-            norm = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+            v, norm = _gaussian_triples(rows[:, :3])
             rejected = np.flatnonzero(norm <= _NORM_FLOOR)
             stop = rejected[0] if rejected.size else n - done
             vectors[done : done + stop] = v[:stop] / norm[:stop, None]
@@ -407,3 +428,139 @@ class Xoshiro256PlusPlus:
     def unit_vector(self):
         """Isotropic unit 3-vector from 3 Gaussian draws (3 draws per attempt)."""
         return self.unit_vectors(1)[0][0]
+
+
+class _Lanes:
+    """B streams read in step: each call takes the same kind and number of
+    draws from every lane and parses them as one stacked array.
+
+    Lane b hands out row b of `draws` (the draws from state starts[b] to
+    ends[b]), then the draws after it. While a lane is in step its draws are
+    a column slice of `draws`. A lane leaves the step when it needs a redraw
+    (a rejected integer draw, a Gaussian triple at or below the norm floor)
+    or draws past its row; from then on it takes its draws from its own
+    generator, made at the column it left, through the generator's method of
+    the same name. So each lane gets, bit for bit and draw for draw, what its
+    own generator's methods would give.
+
+    A call may name a subset of the lanes (`lanes`, an index array): those
+    lanes leave the step and draw from their generators, and the others stay
+    where they are.
+    """
+
+    def __init__(self, starts, draws, ends):
+        self._starts, self._draws, self._ends = starts, draws, ends
+        self._col = 0  # draws taken by every lane in step
+        self._gens = {}  # lane -> the generator of a lane out of step
+
+    @classmethod
+    def prefetched(cls, seeds, n):
+        """The lanes of the seeds, in order, in blocks whose rows hold the
+        seeds' first n draws: one kernel call per block, as many lanes per
+        block as _PREFETCH_DRAWS allows, at least one."""
+        per_call = max(1, _PREFETCH_DRAWS // max(n, 1))
+        for first in range(0, len(seeds), per_call):
+            starts = _seed_state(seeds[first : first + per_call])
+            yield cls(starts, *_streams(starts, n))
+
+    @classmethod
+    def of(cls, rng):
+        """One lane, drawing from the generator rng."""
+        lanes = cls(None, np.empty((1, 0), dtype=np.uint64), None)
+        lanes._gens[0] = rng
+        return lanes
+
+    def __len__(self):
+        return len(self._draws)
+
+    def _generator(self, b, col):
+        """Lane b's generator: its own if out of step, else one standing at
+        column col of its row."""
+        rng = self._gens.get(b)
+        if rng is None:
+            rng = Xoshiro256PlusPlus.__new__(Xoshiro256PlusPlus)
+            rng._hold(self._starts[b], self._draws[b], self._ends[b])
+            rng._pos = col
+        return rng
+
+    def _state(self, b):
+        """The state after the draws lane b has taken, as four ints."""
+        return self._generator(b, self._col)._s
+
+    def _parse(self, k, parse, redo, lanes):
+        """The lanes' next k draws each, parsed: parse((L, k) draws of the
+        lanes in step) gives a tuple of stacked values and a mask of the
+        lanes that need a redraw (or None). Those lanes leave the step, and
+        every lane out of step takes redo(its generator), a tuple of one
+        lane's values, instead."""
+        col = self._col
+        if lanes is None:
+            lanes = np.arange(len(self))
+            self._col += k
+            stepping = np.ones(len(lanes), dtype=bool)
+            stepping[list(self._gens)] = False
+            if col + k > self._draws.shape[1]:
+                stepping[:] = False
+        else:
+            stepping = np.zeros(len(lanes), dtype=bool)
+        picked = np.flatnonzero(stepping)
+        if picked.size:
+            every = picked.size == len(self)  # a view of the rows, not a copy
+            values, redraw = parse(self._draws[slice(None) if every else picked, col : col + k])
+            if redraw is not None:
+                stepping[picked[redraw]] = False
+            if stepping.all():
+                return values
+        leaving = np.flatnonzero(~stepping)
+        own = []
+        for b in lanes[leaving].tolist():
+            rng = self._gens[b] = self._generator(b, col)
+            own.append(redo(rng))
+        own = [np.stack(v) for v in zip(*own)]
+        if not picked.size:
+            return tuple(own)
+        kept = stepping[picked]
+        out = []
+        for v, w in zip(values, own):
+            o = np.empty((len(lanes),) + v.shape[1:], dtype=v.dtype)
+            o[stepping], o[leaving] = v[kept], w
+            out.append(o)
+        return tuple(out)
+
+    def uniforms(self, k, lanes=None):
+        """(L, k) uniform doubles in [0, 1), k draws per lane."""
+        return self._parse(
+            k, lambda u: ((_unit_interval(u),), None), lambda rng: (rng.uniforms(k),), lanes
+        )[0]
+
+    def normals(self, k, sigma, lanes=None):
+        """(L, k) N(0, sigma^2) deviates, k draws per lane (see normals of
+        the generator)."""
+        return self._parse(
+            k, lambda u: ((_gaussians(u, sigma),), None), lambda rng: (rng.normals(k, sigma),), lanes
+        )[0]
+
+    def unit_vectors(self, n, extra=0, lanes=None):
+        """(L, n, 3) unit vectors and (L, n, extra) uniforms per lane, drawn
+        as unit_vectors of the generator draws them."""
+        width = 3 + extra
+
+        def parse(u):
+            rows = u.reshape(len(u), n, width)
+            v, norm = _gaussian_triples(rows[..., :3])
+            redraw = (norm <= _NORM_FLOOR).any(axis=1)
+            return (v / norm[..., None], _unit_interval(rows[..., 3:])), redraw
+
+        return self._parse(n * width, parse, lambda rng: rng.unit_vectors(n, extra), lanes)
+
+    def shuffled_prefix(self, n, k, lanes=None):
+        """(L, k) int64 shuffled prefixes per lane, drawn as shuffled_prefix
+        of the generator draws them."""
+        spans = np.arange(n, n - k, -1, dtype=np.uint64)
+
+        def parse(u):
+            targets = (u % spans + np.arange(k, dtype=np.uint64)).tolist()
+            prefixes = np.array([_fisher_yates(n, row) for row in targets], dtype=np.int64)
+            return (prefixes.reshape(len(u), k),), (u > _largest_accepted(spans)).any(axis=1)
+
+        return self._parse(k, parse, lambda rng: (rng.shuffled_prefix(n, k),), lanes)[0]

@@ -7,15 +7,26 @@ _icp_lanes, runs a stack of trials at once, searches the targets of a group
 of trials with one lane-tagged tree (neighbors._LaneTrees), and re-queries
 only the rows whose match the last pose change may have moved.
 
-Randomness is drawn exclusively from rng.Xoshiro256PlusPlus so that problems
-are bit-identical across platforms. Draw orders are documented per function.
+Randomness is drawn exclusively from rng.Xoshiro256PlusPlus streams so that
+problems are bit-identical across platforms. Draw orders are documented per
+function.
 
-The experiment runner gets a chunk's problems from _problems(spec, seeds):
-each seed's problem is made with its own generator, in seed order; one call
-of the stacked RNG kernel fills every generator of the chunk with the draws
-a trial takes when nothing is redrawn (_trial_draws), and a redraw refills
-through the same kernel. A problem that cannot be made (InsufficientPoints,
-CropOverlapUnsatisfied) is None.
+Generation is one array kernel over a stack of trials, each with its own
+stream: _make_problems (the pose, the resample shuffle, clamped noise and the
+half-space crops of every trial at once) after the base clouds of
+_base_clouds. Its streams are an rng._Lanes: the experiment runner's
+_problems(spec, seeds) fills the streams of a chunk's seeds with one call of
+the stacked RNG kernel, sized by the draws a trial takes when nothing is
+redrawn (_trial_draws), and parses the draws as (B, ...) arrays, following
+the draw orders. A trial that needs a redraw (a Gaussian triple at the norm
+floor, a rejected integer draw, a crop retry) takes it from its own stream,
+from the state its prefix ended at. _problems returns stacked arrays and a
+`made` mask, False for a trial that cannot be made (InsufficientPoints,
+CropOverlapUnsatisfied); it builds no container per trial. The public
+ball_cloud, sphere_cloud, slab_cloud, sample_transform and make_problem run
+the same kernel on one trial drawing from the caller's generator, and keep
+their containers, exceptions and draw counts. Every trial is bit-identical
+to making it alone, one trial at a time (tests/problem_oracle.py).
 """
 
 from dataclasses import dataclass
@@ -23,10 +34,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import so3
-from .core import CorrespondenceSet, PointCloud, RigidTransform, Rotation, _dot, _frozen
+from .core import (
+    CorrespondenceSet,
+    PointCloud,
+    RigidTransform,
+    Rotation,
+    _check_finite,
+    _check_rotations,
+    _dot,
+    _frozen,
+    _scalar_pow,
+)
 from .kabsch import DegenerateGeometry, _kabsch_pose
 from .neighbors import _TREE_MAX_DISTANCE, TREE_SLACK, _LaneTrees, nearest
-from .rng import Xoshiro256PlusPlus
+from .rng import _Lanes
 
 # Resample-free crops must share at least this fraction of original indices.
 CROP_MIN_OVERLAP = 0.3
@@ -133,27 +154,125 @@ class LabeledProblem:
         object.__setattr__(self, "overlap_mask", mask)
 
 
+def _poses(spec, lanes):
+    """(B, 3, 3) ground-truth rotations and (B, 3) translations, 6 uniform
+    draws per lane: z, y, x Euler angles (degrees, intrinsic z-y'-x''
+    composition), then tx, ty, tz."""
+    lo, hi = np.array(spec.rot_range_deg + spec.trans_range).T
+    values = lo + (hi - lo) * lanes.uniforms(6)
+    z, y, x = values[:, :3].T
+    return so3.rotation_zyx(z, y, x, degrees=True), values[:, 3:]
+
+
 def sample_transform(spec, rng):
     """Draw a ground-truth transform (6 uniform draws).
 
     Draw order: z, y, x Euler angles (degrees, intrinsic z-y'-x'' composition)
     then tx, ty, tz.
     """
-    z, y, x = (rng.uniform(lo, hi) for lo, hi in spec.rot_range_deg)
-    t = np.array([rng.uniform(lo, hi) for lo, hi in spec.trans_range])
-    return RigidTransform(Rotation(so3.rotation_zyx(z, y, x, degrees=True)), t)
+    r, t = _poses(spec, _Lanes.of(rng))
+    return RigidTransform(Rotation(r[0]), t[0])
 
 
-def _half_space_keep(points, normal, keep):
-    """Indices of the `keep` most-positive signed distances from the centroid.
+def _half_space_keep(points, normals, keep):
+    """Per lane, the indices of the `keep` most-positive signed distances of
+    (L, n, 3) points from their centroid along (L, 3) normals.
 
     Stable sort with ascending-index tie-break; returned ascending so the
     retained points keep their original relative order.
     """
-    centroid = points.mean(axis=0)
-    signed = (points - centroid) @ normal
-    order = np.argsort(-signed, kind="stable")
-    return np.sort(order[:keep])
+    centroid = points.mean(axis=1)
+    signed = ((points - centroid[:, None, :]) @ normals[:, :, None])[:, :, 0]
+    order = np.argsort(-signed, axis=1, kind="stable")
+    return np.sort(order[:, :keep], axis=1)
+
+
+def _gather(points, index):
+    """points[b, index[b]] per lane: (B, M, 3) points, (B, k) indices."""
+    return np.take_along_axis(points, index[:, :, None], axis=1)
+
+
+def _crops(spec, source, target, lanes):
+    """The half-space crops of every lane: (keep_src, keep_tgt, overlap,
+    made), overlap[b, i] True where kept source point i's index is also
+    kept in the target.
+
+    Each attempt draws a unit normal for the source, then one for the
+    target, for the lanes still trying; a lane stops at the first pair whose
+    kept index sets share >= CROP_MIN_OVERLAP of the points, and is not made
+    if no pair of CROP_MAX_ATTEMPTS does.
+    """
+    b, n = source.shape[:2]
+    keep = int(np.floor(spec.crop_keep_fraction * n))
+    if keep < 1:
+        raise InsufficientPoints(f"crop of {n} points keeps {keep}")
+    min_shared = int(np.ceil(CROP_MIN_OVERLAP * n))
+    keep_src = np.empty((b, keep), dtype=np.intp)
+    keep_tgt = np.empty((b, keep), dtype=np.intp)
+    overlap = np.empty((b, keep), dtype=bool)
+    trying = np.arange(b)
+    for attempt in range(CROP_MAX_ATTEMPTS):
+        normals = lanes.unit_vectors(2, lanes=None if attempt == 0 else trying)[0]
+        kept_src = _half_space_keep(source[trying], normals[:, 0], keep)
+        kept_tgt = _half_space_keep(target[trying], normals[:, 1], keep)
+        in_target = np.zeros((len(trying), n), dtype=bool)
+        np.put_along_axis(in_target, kept_tgt, True, axis=1)
+        shared = np.take_along_axis(in_target, kept_src, axis=1)
+        keep_src[trying], keep_tgt[trying], overlap[trying] = kept_src, kept_tgt, shared
+        trying = trying[shared.sum(axis=1) < min_shared]
+        if not trying.size:
+            break
+    made = np.ones(b, dtype=bool)
+    made[trying] = False
+    return keep_src, keep_tgt, overlap, made
+
+
+def _make_problems(spec, base, lanes):
+    """make_problem for every lane at once: (B, count, 3) base clouds and
+    their lanes' draws.
+
+    Returns (source, target, gt_r, gt_t, overlap, made): (B, m, 3) source and
+    target points (m = n_points, or the crop's keep count), the (B, 3, 3) /
+    (B, 3) ground truth, the (B, m) overlap masks, and a (B,) mask that is
+    False for a lane whose crop failed (CropOverlapUnsatisfied); its other
+    entries are then meaningless. Raises InsufficientPoints as make_problem
+    does, for every lane at once: the base count is shared.
+    """
+    b, count = base.shape[:2]
+    n = spec.n_points
+    gt_r, gt_t = _poses(spec, lanes)
+
+    if spec.independent_resample:
+        if count < 2 * n:
+            raise InsufficientPoints(
+                f"independent resampling needs >= {2 * n} base points, have {count}"
+            )
+        chosen = lanes.shuffled_prefix(count, 2 * n)
+        source = _gather(base, chosen[:, :n])
+        target_base = _gather(base, chosen[:, n:])
+    else:
+        if count < n:
+            raise InsufficientPoints(f"need >= {n} base points, have {count}")
+        source = base[:, :n].copy()
+        target_base = base[:, :n]
+
+    # gt.apply: points @ R.T + t, R.T read in the column-major layout of a
+    # transposed matrix, which picks the BLAS kernel a lone trial used.
+    target = target_base @ gt_r.swapaxes(1, 2) + gt_t[:, None, :]
+
+    if spec.noise_sigma > 0.0:
+        noise = lanes.normals(3 * n, spec.noise_sigma)
+        noise = np.clip(noise, -spec.noise_clamp, spec.noise_clamp)
+        source = source + noise.reshape(b, n, 3)
+
+    if spec.crop_keep_fraction < 1.0:
+        keep_src, keep_tgt, overlap, made = _crops(spec, source, target, lanes)
+        source = _gather(source, keep_src)
+        target = _gather(target, keep_tgt)
+    else:
+        overlap = np.ones((b, n), dtype=bool)
+        made = np.ones(b, dtype=bool)
+    return source, target, gt_r, gt_t, overlap, made
 
 
 def make_problem(spec, base_cloud, rng):
@@ -184,59 +303,39 @@ def make_problem(spec, base_cloud, rng):
     CropOverlapUnsatisfied
         No crop pair shared >= 30% of indices in 100 attempts.
     """
-    n = spec.n_points
-    gt = sample_transform(spec, rng)
-
-    if spec.independent_resample:
-        if base_cloud.count < 2 * n:
-            raise InsufficientPoints(
-                f"independent resampling needs >= {2 * n} base points, have {base_cloud.count}"
-            )
-        chosen = rng.shuffled_prefix(base_cloud.count, 2 * n)
-        source_pts = base_cloud.points[chosen[:n]].copy()
-        target_base = base_cloud.points[chosen[n:]]
-    else:
-        if base_cloud.count < n:
-            raise InsufficientPoints(f"need >= {n} base points, have {base_cloud.count}")
-        source_pts = base_cloud.points[:n].copy()
-        target_base = base_cloud.points[:n]
-
-    target_pts = gt.apply(target_base)
-
-    if spec.noise_sigma > 0.0:
-        noise = rng.normals(3 * n, sigma=spec.noise_sigma)
-        noise = np.clip(noise, -spec.noise_clamp, spec.noise_clamp)
-        source_pts = source_pts + noise.reshape(n, 3)
-
-    if spec.crop_keep_fraction < 1.0:
-        keep = int(np.floor(spec.crop_keep_fraction * n))
-        if keep < 1:
-            raise InsufficientPoints(f"crop of {n} points keeps {keep}")
-        min_shared = int(np.ceil(CROP_MIN_OVERLAP * n))
-        for _ in range(CROP_MAX_ATTEMPTS):
-            keep_src = _half_space_keep(source_pts, rng.unit_vector(), keep)
-            keep_tgt = _half_space_keep(target_pts, rng.unit_vector(), keep)
-            shared = np.intersect1d(keep_src, keep_tgt)
-            if shared.size >= min_shared:
-                break
-        else:
-            raise CropOverlapUnsatisfied(
-                f"no half-space pair shared >= {min_shared} indices "
-                f"in {CROP_MAX_ATTEMPTS} attempts"
-            )
-        target_in = np.zeros(n, dtype=bool)
-        target_in[keep_tgt] = True
-        overlap_mask = target_in[keep_src]
-        source_pts = source_pts[keep_src]
-        target_pts = target_pts[keep_tgt]
-    else:
-        overlap_mask = np.ones(len(source_pts), dtype=bool)
-
-    return LabeledProblem(
-        CorrespondenceSet.from_arrays(source_pts, target_pts),
-        gt,
-        overlap_mask,
+    source, target, gt_r, gt_t, overlap, made = _make_problems(
+        spec, base_cloud.points[None], _Lanes.of(rng)
     )
+    if not made[0]:
+        min_shared = int(np.ceil(CROP_MIN_OVERLAP * spec.n_points))
+        raise CropOverlapUnsatisfied(
+            f"no half-space pair shared >= {min_shared} indices "
+            f"in {CROP_MAX_ATTEMPTS} attempts"
+        )
+    return LabeledProblem(
+        CorrespondenceSet.from_arrays(source[0], target[0]),
+        RigidTransform(Rotation(gt_r[0]), gt_t[0]),
+        overlap[0],
+    )
+
+
+def _ball(n, lanes):
+    """(B, n, 3) ball clouds (see ball_cloud)."""
+    directions, u = lanes.unit_vectors(n, extra=1)
+    return directions * _scalar_pow(u, 1.0 / 3.0)
+
+
+def _sphere(n, lanes):
+    """(B, n, 3) sphere clouds (see sphere_cloud)."""
+    return lanes.unit_vectors(n)[0]
+
+
+def _slab(n, lanes, thickness):
+    """(B, n, 3) slab clouds (see slab_cloud)."""
+    half = SLAB_EXTENT / 2.0
+    low = np.array([-half, -half, -thickness / 2.0])
+    high = np.array([half, half, thickness / 2.0])
+    return low + (high - low) * lanes.uniforms(3 * n).reshape(-1, n, 3)
 
 
 def ball_cloud(n, rng):
@@ -244,18 +343,15 @@ def ball_cloud(n, rng):
 
     Point i is unit direction i (rng.unit_vectors, whose redraws come before
     the radius draw) times the cube root of its uniform draw. All 4n draws
-    are taken in one batch; the cube root is Python's float ``**`` per value,
-    which np.cbrt / np.power do not reproduce bit for bit.
+    are taken in one batch; the cube root is Python's float ``**`` per value
+    (core._scalar_pow), which np.cbrt / np.power do not reproduce bit for bit.
     """
-    directions, u = rng.unit_vectors(n, extra=1)
-    third = 1.0 / 3.0
-    radius = np.array([x**third for x in u[:, 0].tolist()])
-    return PointCloud(directions * radius[:, None])
+    return PointCloud(_ball(n, _Lanes.of(rng))[0])
 
 
 def sphere_cloud(n, rng):
     """n points uniform on the unit sphere (3 draws per point, plus 3 per redraw)."""
-    return PointCloud(rng.unit_vectors(n)[0])
+    return PointCloud(_sphere(n, _Lanes.of(rng))[0])
 
 
 def slab_cloud(n, rng, thickness=1e-3):
@@ -268,10 +364,7 @@ def slab_cloud(n, rng, thickness=1e-3):
     # Written so that NaN fails too: NaN comparisons are false.
     if not 0.0 <= thickness < np.inf:
         raise ValueError("thickness must be finite and >= 0")
-    half = SLAB_EXTENT / 2.0
-    low = np.array([-half, -half, -thickness / 2.0])
-    high = np.array([half, half, thickness / 2.0])
-    return PointCloud(low + (high - low) * rng.uniforms(3 * n).reshape(n, 3))
+    return PointCloud(_slab(n, _Lanes.of(rng), thickness)[0])
 
 
 def _cloud_count(spec):
@@ -281,14 +374,14 @@ def _cloud_count(spec):
     return spec.cloud_points or needed
 
 
-def _base_cloud(spec, rng):
-    """The base cloud of kind spec.cloud, _cloud_count(spec) points."""
+def _base_clouds(spec, lanes):
+    """(B, _cloud_count(spec), 3) base clouds of kind spec.cloud."""
     count = _cloud_count(spec)
     if spec.cloud == "ball":
-        return ball_cloud(count, rng)
+        return _ball(count, lanes)
     if spec.cloud == "sphere":
-        return sphere_cloud(count, rng)
-    return slab_cloud(count, rng, thickness=spec.slab_thickness)
+        return _sphere(count, lanes)
+    return _slab(count, lanes, spec.slab_thickness)
 
 
 def _trial_draws(spec):
@@ -308,15 +401,34 @@ def _trial_draws(spec):
 
 
 def _problems(spec, seeds):
-    """The problem of each seed, in order: a base cloud, then make_problem,
-    from the seed's generator; None where one cannot be made."""
-    problems = []
-    for rng in Xoshiro256PlusPlus._prefetched(seeds, _trial_draws(spec)):
-        try:
-            problems.append(make_problem(spec, _base_cloud(spec, rng), rng))
-        except (InsufficientPoints, CropOverlapUnsatisfied):
-            problems.append(None)
-    return problems
+    """The problem of each seed, in order, as stacked arrays: (source,
+    target, gt_r, gt_t, overlap, made) (see _make_problems), made False
+    where a problem cannot be made (every entry of the other arrays is then
+    meaningless; where the spec leaves too few points, they hold no points).
+
+    Seed b's problem is its base cloud, then make_problem, from its own
+    stream. The streams come in blocks of rng._Lanes, each filled by one
+    kernel call with _trial_draws(spec) draws per seed and at most
+    rng._PREFETCH_DRAWS draws in all (at least one seed). The made problems
+    pass the containers' checks at once: finite points and proper
+    rotations, with the containers' ValueError.
+    """
+    try:
+        blocks = [
+            _make_problems(spec, _base_clouds(spec, lanes), lanes)
+            for lanes in _Lanes.prefetched(seeds, _trial_draws(spec))
+        ]
+    except InsufficientPoints:  # the spec leaves too few points for any trial
+        b = len(seeds)
+        points, made = np.zeros((b, 0, 3)), np.zeros(b, dtype=bool)
+        return points, points, np.zeros((b, 3, 3)), np.zeros((b, 3)), points[..., 0] > 0, made
+    source, target, gt_r, gt_t, overlap, made = (np.concatenate(part) for part in zip(*blocks))
+    # In the order the containers of one trial were built: pose, then points.
+    _check_finite(gt_r[made], "rotation matrix")
+    _check_rotations(gt_r[made])
+    for value, name in ((gt_t, "translation"), (source, "points"), (target, "points")):
+        _check_finite(value[made], name)
+    return source, target, gt_r, gt_t, overlap, made
 
 
 def matching_cost(src, tgt, pose):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rigid_refine import refiner
+from rigid_refine.core import _frozen
 from rigid_refine.refiner import (
     COLUMN_NORM_SLACK,
     CONDITION_LIMIT,
@@ -36,13 +37,7 @@ class KktSystem:
     def __post_init__(self):
         shapes = {"a": (9, 9), "b": (9, 6), "d_r": (9,), "d_lambda": (6,)}
         for name, shape in shapes.items():
-            v = np.array(getattr(self, name), dtype=float)
-            if v.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {v.shape}")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be finite")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _frozen(getattr(self, name), name, shape))
 
     def matrix(self):
         """Assembled 15x15 system matrix."""

@@ -7,6 +7,9 @@ local Python ints, fast enough to check long streams of the stacked kernel. The 
 per-point loops. The library's batched versions must reproduce their bytes
 and leave the generator in the same state.
 
+SplitMix64 seeding lives here as scalar code (seed_state), the reference for
+the library's seeding of many seeds at once.
+
 Two constants are lifted to module names so tests can tighten them and force
 the rare resample paths: NORM_FLOOR (a Gaussian triple at or below it is
 redrawn) and rejection_limit(n) (integer draws at or above it are redrawn).
@@ -16,11 +19,32 @@ import numpy as np
 from scipy.special import ndtri
 
 from rigid_refine import PointCloud
-from rigid_refine.rng import _splitmix64
 
 _MASK = (1 << 64) - 1
 
 NORM_FLOOR = 1e-12
+
+
+def _splitmix64(state):
+    """One SplitMix64 step on an int state: (next state, output word)."""
+    state = (state + 0x9E3779B97F4A7C15) & _MASK
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return state, z ^ (z >> 31)
+
+
+def seed_state(seed):
+    """The four state words of a seed (four ints): SplitMix64 on the seed
+    reduced mod 2^64; an all-zero state gets 1 as its first word."""
+    state = int(seed) & _MASK
+    words = []
+    for _ in range(4):
+        state, word = _splitmix64(state)
+        words.append(word)
+    if not any(words):  # all-zero state is the one forbidden state
+        words[0] = 1
+    return words
 
 
 def rejection_limit(n):
@@ -60,14 +84,7 @@ class ScalarXoshiro256PlusPlus:
     """Seedable xoshiro256++ stream, one draw per call."""
 
     def __init__(self, seed):
-        state = int(seed) & _MASK
-        words = []
-        for _ in range(4):
-            state, word = _splitmix64(state)
-            words.append(word)
-        if not any(words):  # all-zero state is the one forbidden state
-            words[0] = 1
-        self._s = words
+        self._s = seed_state(seed)
 
     def next_uint64(self):
         """One raw 64-bit draw (consumes 1 draw)."""

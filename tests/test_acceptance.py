@@ -36,7 +36,6 @@ from rigid_refine import (
     jacobian_refine_step,
     licq_check,
     linearized_constraint,
-    load_config,
     make_problem,
     max_relative_error,
     mean_point_distance,
@@ -45,11 +44,10 @@ from rigid_refine import (
     rotation_error,
     rotation_z,
     rotation_zyx,
-    run_experiment,
     sample_transform,
     weighted_cost,
 )
-from rigid_refine.cli import main, records_to_csv
+from rigid_refine.cli import main
 from rigid_refine.diagnostics import (
     DIVERGENCE_ENVELOPE_ALPHA,
     DIVERGENCE_ENVELOPE_BETA,

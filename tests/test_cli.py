@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import problem_oracle
 from conftest import run_python
 
 from rigid_refine import cli as cli_module
@@ -27,7 +28,7 @@ from rigid_refine.cli import (
     run_trial,
 )
 from rigid_refine.rng import Xoshiro256PlusPlus
-from rigid_refine.synth import ProblemSpec, _base_cloud, _trial_draws, make_problem
+from rigid_refine.synth import ProblemSpec, _trial_draws
 
 
 def clean_spec(n_points, seed, **kwargs):
@@ -317,8 +318,7 @@ def test_predicted_trial_draws_equal_the_draws_taken(cloud, resample, sigma, kee
     )
     draws = _trial_draws(spec)
     for seed in (40, 41, 42):
-        gen = Xoshiro256PlusPlus(seed)
-        make_problem(spec, _base_cloud(spec, gen), gen)
+        _, gen = problem_oracle.problem(spec, seed)
         fresh = Xoshiro256PlusPlus(seed)
         fresh.next_uint64s(draws)
         assert gen._s == fresh._s

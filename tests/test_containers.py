@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import designed_spectrum
+from kkt_oracle import KktSystem
 
 from rigid_refine import (
     CandidateMatrix,
@@ -26,6 +27,7 @@ CLOUD = PointCloud(np.arange(12.0).reshape(4, 3))
 CORRESPONDENCES = CorrespondenceSet(CLOUD, CLOUD)
 CENTERED = designed_spectrum(3.0, 2.0, 1.0)
 UNCONSTRAINED = UnconstrainedSolution(np.eye(3), np.eye(3), np.eye(3), 1.0)
+KKT = KktSystem(np.eye(9), np.ones((9, 6)), np.arange(9.0), np.arange(6.0))
 
 # container.field -> (valid value, build(value) -> container holding it)
 CASES = {
@@ -56,6 +58,11 @@ CASES = {
         lambda v: LabeledProblem(CORRESPONDENCES, RigidTransform.identity(), v),
     ),
     "PoseError.aniso_rot_deg": (np.arange(3.0), lambda v: PoseError(1.0, v, 0.0, 2, False)),
+    # The test oracle's container keeps the same contract.
+    "KktSystem.a": (np.eye(9), lambda v: replace(KKT, a=v)),
+    "KktSystem.b": (np.ones((9, 6)), lambda v: replace(KKT, b=v)),
+    "KktSystem.d_r": (np.arange(9.0), lambda v: replace(KKT, d_r=v)),
+    "KktSystem.d_lambda": (np.arange(6.0), lambda v: replace(KKT, d_lambda=v)),
 }
 
 
@@ -98,3 +105,10 @@ def test_frozen_names_the_field_and_the_rule_it_breaks():
     # A NaN is checked before the cast, so it does not pass as a True.
     with pytest.raises(ValueError, match="^overlap_mask must be finite$"):
         _frozen([1.0, np.nan], "overlap_mask", (2,), dtype=bool)
+
+
+def test_kkt_oracle_names_the_block_and_the_rule_it_breaks():
+    with pytest.raises(ValueError, match=r"^a must have shape \(9, 9\), got \(8, 8\)$"):
+        replace(KKT, a=np.eye(8))
+    with pytest.raises(ValueError, match="^d_lambda must be finite$"):
+        replace(KKT, d_lambda=np.full(6, np.nan))

@@ -9,7 +9,6 @@ from rigid_refine import (
     DegenerateGeometry,
     IllConditioned,
     Jacobian,
-    PointCloud,
     RigidTransform,
     Rotation,
     SingularSystem,

@@ -7,7 +7,6 @@ from rigid_refine import (
     CorrespondenceSet,
     CrossCovariance,
     DegenerateGeometry,
-    PointCloud,
     Xoshiro256PlusPlus,
     center,
     cross_covariance,

@@ -9,7 +9,6 @@ from rigid_refine import (
     CandidateMatrix,
     CollinearColumns,
     CorrespondenceSet,
-    PointCloud,
     RigidTransform,
     Rotation,
     SingularSystem,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rigid_refine import Xoshiro256PlusPlus
-from rigid_refine.rng import _splitmix64
+from rng_oracle import _splitmix64
 
 MASK = (1 << 64) - 1
 

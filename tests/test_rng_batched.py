@@ -178,7 +178,7 @@ def oracle_streams():
 
 
 def seed_states(count):
-    return np.array([rng_module._seed_state(seed) for seed in range(count)])
+    return rng_module._seed_state(range(count))
 
 
 @pytest.mark.parametrize("streams", KERNEL_STREAMS)
@@ -194,12 +194,22 @@ def test_stacked_kernel_matches_oracle(streams, oracle_streams):
         assert ends.tobytes() == want_ends.tobytes()
 
 
+def lane_generators(seeds, n):
+    """The generator of every lane of _Lanes.prefetched(seeds, n), in order,
+    standing at its first draw."""
+    return [
+        lanes._generator(b, 0)
+        for lanes in rng_module._Lanes.prefetched(seeds, n)
+        for b in range(len(lanes))
+    ]
+
+
 def test_prefetched_generators_in_odd_pieces_match_oracle():
     # Pieces cross the 50-draw prefetch, the look-ahead refills, and come in
     # every method; _s must be the oracle's state after every piece.
     pieces = (1, 7, 0, 13, 29, 1, 3, 1500, 2, rng_module._LOOKAHEAD + 5, 1)
     seeds = list(range(10, 17))
-    for seed, rng in zip(seeds, Xoshiro256PlusPlus._prefetched(seeds, 50)):
+    for seed, rng in zip(seeds, lane_generators(seeds, 50)):
         oracle = rng_oracle.ScalarXoshiro256PlusPlus(seed)
         assert rng._s == oracle._s
         for k, size in enumerate(pieces):
@@ -226,7 +236,7 @@ def test_prefetch_is_split_into_bounded_kernel_calls(monkeypatch):
     monkeypatch.setattr(rng_module, "_streams", counted)
     monkeypatch.setattr(rng_module, "_PREFETCH_DRAWS", 100)
     seeds = list(range(7))
-    rngs = list(Xoshiro256PlusPlus._prefetched(seeds, 30))
+    rngs = lane_generators(seeds, 30)
     assert calls == [3, 3, 1]
     for seed, rng in zip(seeds, rngs):
         oracle = rng_oracle.ScalarXoshiro256PlusPlus(seed)
@@ -237,6 +247,31 @@ def test_prefetch_is_split_into_bounded_kernel_calls(monkeypatch):
             oracle,
         )
     assert len(calls) == 3  # the prefetched draws were enough
+
+
+SEEDING_CASES = [0, 1, 2, -1, -(1 << 63), -(1 << 70) - 5, (1 << 63) + 7, (1 << 64) - 1, 1 << 64, 3 << 90]
+
+
+def test_seeding_many_seeds_at_once_matches_scalar_splitmix():
+    # Negative and huge seeds are reduced mod 2^64 first, one at a time or
+    # many at once.
+    many = rng_module._seed_state(SEEDING_CASES)
+    assert many.shape == (len(SEEDING_CASES), 4) and many.dtype == np.uint64
+    for seed, words in zip(SEEDING_CASES, many):
+        want = rng_oracle.seed_state(seed)
+        assert [int(w) for w in words] == want
+        assert [int(w) for w in rng_module._seed_state(seed)] == want
+        assert Xoshiro256PlusPlus(seed)._s == rng_oracle.ScalarXoshiro256PlusPlus(seed)._s
+    assert rng_module._seed_state([]).shape == (0, 4)
+
+
+def test_all_zero_seed_state_gets_a_first_word_of_one(monkeypatch):
+    # No seed is known to mix to the forbidden all-zero state, so a zero
+    # multiplier forces it: every word is then zero, and the rule sets the
+    # first to 1, for each seed of a batch.
+    monkeypatch.setattr(rng_module, "_MIX2", np.uint64(0))
+    states = rng_module._seed_state([0, -1, 1 << 80])
+    assert states.tolist() == [[1, 0, 0, 0]] * 3
 
 
 def test_jump_ahead_matches_stepping():

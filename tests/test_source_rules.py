@@ -8,11 +8,11 @@ import rigid_refine
 
 PACKAGE = pathlib.Path(rigid_refine.__file__).resolve().parent
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
-def _library_nodes(predicate):
-    """`file:line` of every AST node in the package source that matches."""
-    sources = sorted(PACKAGE.glob("*.py"))
+def _nodes(predicate, sources):
+    """`file:line` of every AST node in the source files that matches."""
     assert sources
     return [
         f"{path.name}:{node.lineno}"
@@ -20,6 +20,11 @@ def _library_nodes(predicate):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if predicate(node)
     ]
+
+
+def _library_nodes(predicate):
+    """`file:line` of every AST node in the package source that matches."""
+    return _nodes(predicate, sorted(PACKAGE.glob("*.py")))
 
 
 def test_library_has_no_assert_statements():
@@ -46,7 +51,8 @@ def test_library_reads_no_environment_variables():
 # Trial generation has one owner, synth: the command line takes its problems
 # from synth._problems and draws none itself.
 _GENERATION = {
-    "ball_cloud", "sphere_cloud", "slab_cloud", "make_problem", "_trial_draws", "_base_cloud",
+    "ball_cloud", "sphere_cloud", "slab_cloud", "make_problem", "sample_transform",
+    "_trial_draws", "_base_clouds", "_make_problems", "_Lanes",
 }
 
 
@@ -125,11 +131,34 @@ def _lines_of_function(module, name):
 
 
 def test_only_core_frozen_marks_arrays_read_only():
-    # One validator: every container copies, checks and freezes its array
-    # fields through core._frozen, so no other code freezes an array.
-    hits = _library_nodes(_calls_setflags)
+    # One validator: every container, the test oracles' included, copies,
+    # checks and freezes its array fields through core._frozen, so no other
+    # code freezes an array.
+    hits = _nodes(_calls_setflags, sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")))
     frozen = _lines_of_function("core.py", "_frozen")
     assert hits and [hit for hit in hits if hit not in frozen] == []
+
+
+def _unused_imports(path):
+    """`file:line name` of every name the file imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # `import a.b` binds `a`.
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports():
+    # The package's __init__ imports to re-export; every other module and
+    # every test file uses each name it imports.
+    sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    sources += sorted(TESTS.glob("*.py"))
+    assert [hit for path in sources for hit in _unused_imports(path)] == []
 
 
 def _defined_names():

@@ -18,11 +18,17 @@ Chamfer is one stacked call over the chunk (metrics._chamfers): one
 lane-tagged k-d tree per direction answers a group of trials, searching no
 farther than the largest correspondence gap of its trials, which _chamfers
 works out. A trial that fails, in generation or in a kernel's mask, is an
-NA row; a trial whose Chamfer overflows has an NA `chamfer` cell.
+NA row; a metric that overflows (a trial's Chamfer among them) is an NA cell.
+
+Output stays in columns as far as the schema allows: _solve_and_score
+returns one list per value column, _run_chunk zips them into TrialRecords,
+and records_to_csv and ComparisonTable.to_csv read each column once and
+format it whole (_cells), the rows being the columns' cells zipped.
 """
 
 import argparse
 import math
+import operator
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -116,8 +122,12 @@ class TrialRecord:
 # CSV columns, in schema order: the TrialRecord fields.
 COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
-# Numeric columns, in schema order, used for the aggregate rows.
+# Numeric columns, in schema order: a solved trial's values, and the columns
+# of the aggregate rows.
 _NUMERIC_COLUMNS = COLUMNS[2:]
+
+# A record's cells, in schema order.
+_record_values = operator.attrgetter(*COLUMNS)
 
 
 def _lanes(mask, *arrays):
@@ -130,8 +140,13 @@ def _lanes(mask, *arrays):
 def _solve_and_score(config, src, tgt, gt_r, gt_t):
     """Solve and score problems of one config, stacked: (B, m, 3) source
     and target points with unit weights and their (B, 3, 3) / (B, 3) ground
-    truth (see synth._problems); one record dict per problem, None for a
-    trial whose solve failed (an NA row)."""
+    truth (see synth._problems).
+
+    Returns (lanes, columns): the indices of the problems whose solve
+    succeeded, and a dict of value column name -> list holding one value per
+    such problem. A column the method does not report is absent; a problem
+    not in lanes is an NA row.
+    """
     count = len(src)
     w = np.ones(src.shape[:2])
     lanes = np.arange(count)
@@ -158,11 +173,15 @@ def _solve_and_score(config, src, tgt, gt_r, gt_t):
         )
         r, t = poses_r[:, -1], poses_t[:, -1]
     if not lanes.size:
-        return [None] * count
+        return lanes, {}
 
     iso, aniso = _rotation_errors(r, gt_r)
-    trans_l1, trans_l2 = _translation_errors(t - gt_t)
-    moved = src @ r.swapaxes(1, 2) + t[:, None, :]
+    # A metric that overflows is an NA cell (see _cells), not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        trans_l1, trans_l2 = _translation_errors(t - gt_t)
+        moved = src @ r.swapaxes(1, 2) + t[:, None, :]
+        mean_point_dist = _mean_point_distances(src, r, t, gt_r, gt_t)
+        augmented_loss = _augmented_losses(poses_r, poses_t, gt_r, gt_t)
     columns = {
         "iso_rot_deg": iso.tolist(),
         "aniso_z_deg": aniso[:, 0].tolist(),
@@ -172,8 +191,8 @@ def _solve_and_score(config, src, tgt, gt_r, gt_t):
         "trans_l2": trans_l2.tolist(),
         # NaN (an NA cell) where a nearest squared distance overflows.
         "chamfer": _chamfers(moved, tgt).tolist(),
-        "mean_point_dist": _mean_point_distances(src, r, t, gt_r, gt_t).tolist(),
-        "augmented_loss": _augmented_losses(poses_r, poses_t, gt_r, gt_t).tolist(),
+        "mean_point_dist": mean_point_dist.tolist(),
+        "augmented_loss": augmented_loss.tolist(),
     }
     if config.method == "refined":
         columns["fallback_count"] = (~stepped).sum(axis=1).tolist()
@@ -184,24 +203,22 @@ def _solve_and_score(config, src, tgt, gt_r, gt_t):
             # NaN marks a near-singular G: no column predictors.
             for name in ("max_col_distance", "max_col_angle_deg"):
                 columns[name] = [None if math.isnan(v) else v for v in stats[name].tolist()]
-
-    records = [None] * count
-    for k, b in enumerate(lanes.tolist()):
-        records[b] = {name: values[k] for name, values in columns.items()}
-    return records
+    return lanes, columns
 
 
 def _run_chunk(config, indices):
     """Generate, solve and score the trials `indices`; their records, in order."""
     seeds = [config.problem.seed + i for i in indices]
     source, target, gt_r, gt_t, _, made = _problems(config.problem, seeds)
-    problems = _lanes(made, source, target, gt_r, gt_t)
-    scored = iter(_solve_and_score(config, *problems) if made.any() else ())
-    records = []
-    for seed, ok in zip(seeds, made.tolist()):
-        values = next(scored) if ok else None
-        records.append(TrialRecord(seed=seed, method=config.method, **(values or {})))
-    return records
+    rows = {}
+    if made.any():
+        lanes, columns = _solve_and_score(config, *_lanes(made, source, target, gt_r, gt_t))
+        # One tuple of values per solved trial, in schema order, keyed by
+        # the trial's place in the chunk; the other trials are NA rows.
+        absent = [None] * len(lanes)
+        values = zip(*(columns.get(name, absent) for name in _NUMERIC_COLUMNS))
+        rows = dict(zip(np.flatnonzero(made)[lanes].tolist(), values))
+    return [TrialRecord(seed, config.method, *rows.get(k, ())) for k, seed in enumerate(seeds)]
 
 
 def run_trial(config, trial_index):
@@ -235,26 +252,48 @@ def run_experiment(config):
     ]
 
 
-def _fmt(value):
-    if value is None:
-        return NA
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    if not np.isfinite(v):
-        return NA
-    return format(v, ".9g")
+# The printf format of each plain cell type; _cells turns other numbers into
+# these types first. "%.9g" % v is format(v, ".9g"), and "%d" % v is str(v).
+_FORMATS = {int: "%d", float: "%.9g", type(None): "%s"}
+
+# How None and the non-finite floats print: each is an NA cell. "-inf" comes
+# before "inf".
+_NA_SPELLINGS = ("None", "nan", "-inf", "inf")
 
 
-def _column_values(records, name):
-    out = []
-    for r in records:
-        v = getattr(r, name)
-        if v is not None and math.isfinite(v):
-            out.append(float(v))
-    return np.array(out)
+def _plain(value):
+    """A bool or numpy scalar as the int or float it is written as."""
+    return int(value) if isinstance(value, (int, np.integer)) else float(value)
+
+
+def _cells(values):
+    """The CSV cells of one column: a sequence of text, or of numbers and None.
+
+    Text passes through. Integers (bools and numpy integers too) are written
+    as str(int(v)), other numbers as format(float(v), ".9g"), and None and
+    non-finite numbers as NA. The whole column is formatted by one
+    `template % values` call and split into its cells.
+    """
+    kinds = set(map(type, values))
+    if all(issubclass(kind, str) for kind in kinds):
+        return list(values)
+    if not kinds <= _FORMATS.keys():
+        values = [v if type(v) in _FORMATS else _plain(v) for v in values]
+        kinds = set(map(type, values))
+    if len(kinds) == 1:
+        template = "\n".join([_FORMATS[kinds.pop()]] * len(values))
+    else:
+        template = "\n".join(map(_FORMATS.__getitem__, map(type, values)))
+    text = template % tuple(values)
+    if "n" in text:  # every NA spelling has an n, and no number does
+        for spelling in _NA_SPELLINGS:
+            text = text.replace(spelling, NA)
+    return text.split("\n")
+
+
+def _record_columns(records):
+    """The columns of records, in schema order: one tuple per column."""
+    return list(zip(*map(_record_values, records))) or [()] * len(COLUMNS)
 
 
 def _overflow_safe(stat):
@@ -294,27 +333,31 @@ def records_to_csv(records):
     per numeric column). Two extra rows report the anisotropic-RMSE
     aggregation variants (per-axis-then-averaged and pooled). Floats use 9
     significant digits, lines end with \\n.
+
+    Each column is read from the records once and formatted as a whole
+    (_cells); the rows are its cells zipped, and the aggregates are taken
+    from the same columns' finite values.
     """
+    columns = _record_columns(records)
     lines = [",".join(COLUMNS)]
-    for r in records:
-        lines.append(",".join(_fmt(getattr(r, name)) for name in COLUMNS))
+    lines.extend(map(",".join, zip(*map(_cells, columns))))
 
-    columns = {name: _column_values(records, name) for name in _NUMERIC_COLUMNS}
+    finite = {}
+    for name, column in zip(_NUMERIC_COLUMNS, columns[2:]):
+        values = np.array(column, dtype=float)  # None is NaN
+        finite[name] = values[np.isfinite(values)]
     for stat, fn in _AGG_STATS:
-        cells = ["#agg", stat]
-        for values in columns.values():
-            cells.append(_fmt(fn(values)) if values.size else NA)
-        lines.append(",".join(cells))
+        row = [fn(values) if values.size else None for values in finite.values()]
+        lines.append(",".join(["#agg", stat, *_cells(row)]))
 
-    per_axis = [columns[n] for n in ("aniso_z_deg", "aniso_y_deg", "aniso_x_deg")]
+    per_axis = [finite[n] for n in ("aniso_z_deg", "aniso_y_deg", "aniso_x_deg")]
+    per_axis_rmse = pooled = None
     if all(v.size for v in per_axis):
-        axis_rmse = [_rmse(v) for v in per_axis]
+        per_axis_rmse = float(np.mean([_rmse(v) for v in per_axis]))
         pooled = _rmse(np.concatenate(per_axis))
-        lines.append(f"#agg,aniso_rmse_per_axis,{_fmt(float(np.mean(axis_rmse)))}")
-        lines.append(f"#agg,aniso_rmse_pooled,{_fmt(pooled)}")
-    else:
-        lines.append(f"#agg,aniso_rmse_per_axis,{NA}")
-        lines.append(f"#agg,aniso_rmse_pooled,{NA}")
+    per_axis_cell, pooled_cell = _cells([per_axis_rmse, pooled])
+    lines.append(f"#agg,aniso_rmse_per_axis,{per_axis_cell}")
+    lines.append(f"#agg,aniso_rmse_pooled,{pooled_cell}")
     return "\n".join(lines) + "\n"
 
 
@@ -341,7 +384,9 @@ class ComparisonTable:
         # Imported here: scipy.stats is slow to import and only this needs it.
         from scipy.stats import binomtest
 
-        diff = self.metrics[metric][j] - self.metrics[metric][0]
+        # Only finite differences count; an overflowed one is dropped silently.
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = self.metrics[metric][j] - self.metrics[metric][0]
         finite = diff[np.isfinite(diff)]
         wins = int(np.sum(finite < 0))
         losses = int(np.sum(finite > 0))
@@ -358,21 +403,20 @@ class ComparisonTable:
         for metric in self.COMPARED:
             header.extend(f"{metric}_{label}" for label in self.labels)
             header.extend(f"diff_{metric}_{label}" for label in self.labels[1:])
-        lines = [",".join(header)]
-        n_trials = len(self.seeds)
-        for i in range(n_trials):
-            cells = [str(self.seeds[i])]
-            for metric in self.COMPARED:
-                arr = self.metrics[metric]
-                cells.extend(_fmt(arr[j, i]) for j in range(len(self.labels)))
-                cells.extend(_fmt(arr[j, i] - arr[0, i]) for j in range(1, len(self.labels)))
-            lines.append(",".join(cells))
+        # One column per config and per difference, each formatted whole; a
+        # difference that overflows is an NA cell.
+        columns = [list(map(str, self.seeds))]
+        for metric in self.COMPARED:
+            arr = self.metrics[metric]
+            with np.errstate(over="ignore", invalid="ignore"):
+                diffs = arr[1:] - arr[0]
+            columns.extend(_cells(row.tolist()) for row in (*arr, *diffs))
+        lines = [",".join(header), *map(",".join, zip(*columns))]
         for metric in self.COMPARED:
             for j in range(1, len(self.labels)):
                 wins, ties, losses, p_value = self.sign_test(metric, j)
-                lines.append(
-                    f"#cmp,{metric},{self.labels[j]},{wins},{ties},{losses},{_fmt(p_value)}"
-                )
+                (p_cell,) = _cells([p_value])
+                lines.append(f"#cmp,{metric},{self.labels[j]},{wins},{ties},{losses},{p_cell}")
         return "\n".join(lines) + "\n"
 
 
@@ -406,18 +450,13 @@ def compare_methods(configs):
     counts = [methods[: j + 1].count(method) for j, method in enumerate(methods)]
     labels = [method if k == 1 else f"{method}_{k}" for method, k in zip(methods, counts)]
 
-    all_records = [run_experiment(config) for config in configs]
-    seeds = tuple(r.seed for r in all_records[0])
-    metrics = {}
-    for metric in ComparisonTable.COMPARED:
-        arr = np.full((len(configs), len(seeds)), np.nan)
-        for j, records in enumerate(all_records):
-            for i, record in enumerate(records):
-                value = getattr(record, metric)
-                if value is not None:
-                    arr[j, i] = float(value)
-        metrics[metric] = arr
-    return ComparisonTable(tuple(labels), seeds, metrics)
+    columns = [dict(zip(COLUMNS, _record_columns(run_experiment(c)))) for c in configs]
+    # None (an NA cell) is NaN.
+    metrics = {
+        metric: np.array([config_columns[metric] for config_columns in columns], dtype=float)
+        for metric in ComparisonTable.COMPARED
+    }
+    return ComparisonTable(tuple(labels), columns[0]["seed"], metrics)
 
 
 # ---------------------------------------------------------------------------

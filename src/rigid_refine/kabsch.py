@@ -47,11 +47,15 @@ def _kabsch_matrix(h):
     smallest singular values are both at or below 1e-12 ||H_b||_F; r_b is
     then meaningless. The other lanes hold U diag(1, 1, det(U V^T)) V^T.
     """
-    flat = h.reshape(len(h), 9)
-    ok = np.isfinite(flat).all(axis=1)
+    ok = np.isfinite(h).all(axis=(1, 2))
     if not ok.all():
         h = np.where(ok[:, None, None], h, 0.0)
-        flat = h.reshape(len(h), 9)
+    # Each H_b is divided by the power of two at or above its largest entry,
+    # so ||H_b||_F cannot overflow. The scale is exact, and the rotation does
+    # not change under a positive scale of H.
+    _, exponent = np.frexp(np.abs(h).max(axis=(1, 2)))
+    h = np.ldexp(h, -exponent[:, None, None])
+    flat = h.reshape(len(h), 9)
     u, s, vt = np.linalg.svd(h)
     tol = DEGENERACY_TOL * np.sqrt(_dot(flat, flat))
     ok &= ~((s[:, 1] <= tol) & (s[:, 2] <= tol))
@@ -70,7 +74,10 @@ def _kabsch_pose(source, target, w):
     """
     source_centered, source_mean = _centered(source, w)
     target_centered, target_mean = _centered(target, w)
-    r, ok = _kabsch_matrix(_cross_covariance(target_centered, source_centered, w))
+    # An overflowed H is a masked lane of _kabsch_matrix.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _cross_covariance(target_centered, source_centered, w)
+    r, ok = _kabsch_matrix(h)
     return r, target_mean - (r @ source_mean[:, :, None])[:, :, 0], ok
 
 

@@ -177,8 +177,10 @@ def _step_factors(source, target, w):
     sum the closed form divides by is zero, negative, NaN or below 1e-12 of
     the largest eigenvalue (collinear or coincident sources).
     """
-    s_mat = _cross_covariance(source, source, w)
-    f_mat = _cross_covariance(target, source, w)
+    # An overflowed S or F is a lane that is not finite, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_mat = _cross_covariance(source, source, w)
+        f_mat = _cross_covariance(target, source, w)
     finite = np.isfinite(s_mat).all(axis=(1, 2)) & np.isfinite(f_mat).all(axis=(1, 2))
     if not finite.all():
         s_mat = np.where(finite[:, None, None], s_mat, np.eye(3))

@@ -11,6 +11,7 @@ from conftest import run_python
 from rigid_refine import cli as cli_module
 from rigid_refine import rng as rng_module
 from rigid_refine.cli import (
+    COLUMNS,
     ComparisonTable,
     ConfigError,
     ExperimentConfig,
@@ -411,6 +412,10 @@ def test_run_aggregates_of_overflow_scale_columns_are_finite_and_silent(tmp_path
         assert 0.0 < std <= max(values) - min(values)
 
 
+_HUGE_NOISE = "problem.noise_sigma = 1e300\nproblem.noise_clamp = 1e300\n"
+_HUGE_TRANSLATION = "problem.trans_range = 0,1e300\n"
+
+
 def test_run_at_overflow_scale_noise_sigma_is_silent(tmp_path):
     # sigma * ndtri(u) overflows to +-inf for every deviate; the clamp brings
     # them back to +-0.05, so the rows are ordinary numbers and nothing may
@@ -426,6 +431,39 @@ def test_run_at_overflow_scale_noise_sigma_is_silent(tmp_path):
     rows = [line.split(",") for line in result.stdout.splitlines()[1:4]]
     assert [row[:2] for row in rows] == [["0", "refined"], ["1", "refined"], ["2", "refined"]]
     assert all(np.isfinite(float(cell)) for row in rows for cell in row[2:])
+
+
+# Overflow-scale inputs, each with the cells that must hold numbers.
+# - noise 1e300 on the source: ||H||_F overflows unless H is scaled, and the
+#   Kabsch rotation is still determined; the translation-scale metrics
+#   overflow and are NA cells, and refined's S overflows (an NA row).
+# - a translation up to 1e300: centering rounds the target's shape away, so
+#   the geometry is degenerate (NA rows).
+OVERFLOW_SCALE_CASES = {
+    "kabsch-noise": ("kabsch", 32, _HUGE_NOISE, COLUMNS[2:7]),
+    "refined-noise": ("refined", 32, _HUGE_NOISE, ()),
+    "kabsch-translation": ("kabsch", 16, _HUGE_TRANSLATION, ()),
+    "refined-translation": ("refined", 16, _HUGE_TRANSLATION, ()),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOW_SCALE_CASES)
+def test_run_at_overflow_scale_input_is_silent(tmp_path, case):
+    method, n_points, problem, numbers = OVERFLOW_SCALE_CASES[case]
+    config = tmp_path / "huge.cfg"
+    config.write_text(f"method = {method}\nproblem.n_points = {n_points}\n{problem}trials = 3\n")
+    result = run_python("-W", "error", "-m", "rigid_refine", "run", "--config", str(config))
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    lines = result.stdout.splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:4]]
+    assert [(row["seed"], row["method"]) for row in rows] == [(str(i), method) for i in range(3)]
+    for row in rows:
+        for name in header[2:]:
+            assert (row[name] != "NA") == (name in numbers), (name, row[name])
+            if name in numbers:
+                assert np.isfinite(float(row[name]))
 
 
 # ---------------------------------------------------------------------------

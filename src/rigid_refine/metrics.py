@@ -105,9 +105,28 @@ def rotation_error(est, gt):
     return float(iso[0]), aniso[0]
 
 
+def _norms(x, squares):
+    """Norms over the last axis of x, sqrt(squares(x)), where squares sums
+    the squares of each row.
+
+    A row whose squares overflow is first divided by the power of two at or
+    above its largest entry, and its norm multiplied back (np.frexp /
+    np.ldexp, exact, as kabsch._kabsch_matrix scales H), so a norm in the
+    float range is a number; every other row keeps the unscaled bytes.
+    """
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(squares(x))
+    big = np.isinf(norm)
+    if big.any():
+        _, exponent = np.frexp(np.abs(x[big]).max(axis=-1))
+        scaled = np.ldexp(x[big], -exponent[:, None])
+        norm[big] = np.ldexp(np.sqrt(squares(scaled)), exponent)
+    return norm
+
+
 def _translation_errors(diff):
     """(L1, L2) norms over the last axis of diff = est - gt."""
-    return np.abs(diff).sum(axis=-1), np.sqrt(_dot(diff, diff))
+    return np.abs(diff).sum(axis=-1), _norms(diff, lambda v: _dot(v, v))
 
 
 def translation_error(est, gt, p=2):
@@ -193,7 +212,7 @@ def _mean_point_distances(src, est_r, est_t, gt_r, gt_t):
     """mean_point_distance per trial: (B, N, 3) sources, (B, 3, 3) rotations
     and (B, 3) translations -> (B,)."""
     diff = src @ (est_r - gt_r).swapaxes(1, 2) + (est_t - gt_t)[:, None, :]
-    return np.sqrt((diff * diff).sum(axis=2)).mean(axis=1)
+    return _norms(diff, lambda v: (v * v).sum(axis=-1)).mean(axis=1)
 
 
 def mean_point_distance(src, est, gt):

@@ -33,16 +33,24 @@ lanes then step together, so the kernel has many lanes even for one stream;
 K is picked per call from a cost model of a step, a jump and a doubling
 level.
 
-A generator hands out draws from a buffer. A generator that runs past its
-buffer refills through the same kernel, taking draws ahead: one on its first
-refill, four times more on each next, up to ``_LOOKAHEAD``, so a fresh
-generator's first draw and long runs of one-at-a-time draws both stay
-cheap. ``_s`` is the state after the draws handed out so far; when the
-buffer is part-consumed it is derived by a jump. ``next_uint64`` takes one
-draw and ``next_uint64s(n)`` returns n as a uint64 array; the vector methods
-(``uniforms``, ``normals``, ``unit_vectors``, ``shuffled_prefix``) take their
-whole batch at once and apply the float transforms per array. Their results
-are bit-identical to drawing one value at a time, which fixes two choices:
+Streams are read in stacks. A ``_Lanes`` block holds B streams (lanes),
+each a row of drawn values with its own cursor and the state after its
+row's last draw; ``_Lanes.prefetched(seeds, n)`` fills the first n draws of
+many seeds' streams with one kernel call per block of at most
+``_PREFETCH_DRAWS`` draws (an experiment chunk sizes n by the draws a trial
+takes when nothing is redrawn). Each draw kind has one parser, over a stack
+of lanes: a call takes the same kind and number of draws from every lane, or
+from a subset, and parses them as one array. Lanes standing at one column
+read a view of the rows; lanes whose cursors differ are gathered. Lanes that
+run past their rows refill together, in one kernel call over their end
+states, taking draws ahead: one on the first refill, four times more on each
+next, up to ``_LOOKAHEAD``, so a fresh generator's first draw and long runs
+of one-at-a-time draws both stay cheap. ``Xoshiro256PlusPlus`` is one lane:
+``next_uint64`` takes one draw, ``next_uint64s(n)`` returns n as a uint64
+array, and the vector methods (``uniforms``, ``normals``, ``unit_vectors``,
+``shuffled_prefix``) take their whole batch at once through the lanes'
+parsers. Their results are bit-identical to drawing one value at a time,
+which fixes two choices:
 
 - Norms are taken as ``sqrt(v @ v)`` over stacked (1, 3) @ (3, 1) products,
   the same dot product a per-vector ``np.linalg.norm`` computes.
@@ -52,19 +60,10 @@ are bit-identical to drawing one value at a time, which fixes two choices:
   float ``**`` (C ``pow``) per value; ``np.cbrt`` and ``np.power`` on arrays
   differ from it in the last bit on 6-12% of values.
 
-Rejections (a near-zero Gaussian triple, an integer draw at or above the
-limit) are handled by re-parsing the drawn buffer from the rejected draw and
-topping it up, so they consume exactly the draws the one-at-a-time
-definition does.
-
-Many streams in step. ``_Lanes.prefetched(seeds, n)`` fills the first n
-draws of many seeds' streams with one kernel call per block of at most
-``_PREFETCH_DRAWS`` draws (an experiment chunk sizes n by the draws a trial
-takes when nothing is redrawn). A ``_Lanes`` block then hands out the same
-kind and number of draws from every stream at once, parsed as one stacked
-array by the transforms the generator methods use; a stream that needs a
-redraw, or more draws than its row holds, continues through a generator of
-its own from there, so every stream gets exactly what its generator would.
+Rejections (a near-zero Gaussian triple, an integer draw above the largest
+accepted) are handled in rounds: every lane with one is parsed again from
+its rejected draw, all such lanes together, so each consumes exactly the
+draws the one-at-a-time definition does.
 """
 
 import threading
@@ -79,17 +78,17 @@ _MASK = (1 << 64) - 1
 # A Gaussian triple with a norm at or below this is redrawn.
 _NORM_FLOOR = 1e-12
 
-# Draws a generator takes ahead of its callers when it runs past its buffer:
-# one the first time, this factor more each next time, at most _LOOKAHEAD. A
-# kernel call costs about 45 us for one draw and 1 ms for 1024, so a fresh
-# generator's first draw stays cheap and a long run of single draws still
-# refills rarely.
+# Draws a block of lanes takes ahead of its callers when lanes run past their
+# rows: one the first time, this factor more each next time, at most
+# _LOOKAHEAD. A kernel call costs about 45 us for one draw and 1 ms for 1024,
+# so a fresh generator's first draw stays cheap and a long run of single
+# draws still refills rarely.
 _LOOKAHEAD = 1024
 _LOOKAHEAD_GROWTH = 4
 
-# Draws per kernel call when filling generators (8 MiB): a call fills as many
-# generators as fit, but at least one, so a generator that needs more draws
-# than this takes them all in one call.
+# Draws per kernel call when prefetching lanes (8 MiB): a call fills as many
+# lanes as fit, but at least one, so a lane that needs more draws than this
+# takes them all in one call.
 _PREFETCH_DRAWS = 1 << 20
 
 # Kernel cost model, in units of one step of all lanes (about 15 us here):
@@ -180,14 +179,6 @@ def _jump_table(i):
             while len(_JUMPS) <= i:
                 _JUMPS.append(_jump(_JUMPS[-1], _JUMPS[-1]))
     return _JUMPS[i]
-
-
-def _advance(states, count):
-    """(V, 4) states moved on by `count` draws, by jumps."""
-    for i in range(count.bit_length()):
-        if count >> i & 1:
-            states = _jump(states, _jump_table(i))
-    return states
 
 
 def _layout(streams, n):
@@ -281,59 +272,203 @@ def _fisher_yates(n, targets):
     return np.array(idx[: len(targets)], dtype=np.int64)
 
 
-class Xoshiro256PlusPlus:
-    """Seedable xoshiro256++ stream with uniform, Gaussian, and integer draws."""
+class _Lanes:
+    """B streams read together: each call takes the same kind and number of
+    draws from every lane, or from the lanes of an index array `lanes`, and
+    parses them as one stacked array.
 
-    def __init__(self, seed):
-        state = _seed_state(seed)
-        self._hold(state, np.empty(0, dtype=np.uint64), state)
+    Lane b hands out row b of `draws`, then the draws after state ends[b].
+    Each lane has its own cursor. While every lane stands at one column, the
+    cursors are that one column, an int, and a call on every lane reads a
+    view of the rows; a call on some of the lanes, or a rejection, parts
+    them into one column per lane, and a call on parted lanes gathers each
+    lane's draws from its cursor. Lanes that run past their rows refill
+    together (_refill), and rejected draws are parsed again in rounds,
+    stacked over the lanes that have one (_parse). So each lane gets, bit
+    for bit and draw for draw, what the one-at-a-time definition gives.
+    """
 
-    def _hold(self, origin, draws, end):
-        """Hand out `draws` next: origin is the state before them, end the
-        state after."""
-        self._origin, self._skipped = origin, 0  # draws from origin to the buffer
-        self._buf, self._pos, self._end = draws, 0, end
+    def __init__(self, draws, ends):
+        self._draws, self._ends = draws, ends
+        self._len = np.full(len(draws), draws.shape[1], dtype=np.intp)  # draws in each row
+        self._room = draws.shape[1]  # draws in the shortest row
+        # The column every lane stands at, or None once they part: an int, so
+        # one-at-a-time draws of a generator stay cheap.
+        self._step = 0
+        self._col = None  # the column of each lane, once they part
         self._ahead = 1  # draws the next refill takes ahead
 
-    @property
-    def _s(self):
-        """The state after the draws handed out, as four ints."""
-        if self._pos == self._buf.size:
-            state = self._end
-        else:
-            state = _advance(self._origin[None], self._skipped + self._pos)[0]
-        return [int(word) for word in state]
+    @staticmethod
+    def prefetched(seeds, n):
+        """The lanes of the seeds, in order, in blocks whose rows hold the
+        seeds' first n draws: one kernel call per block, as many lanes per
+        block as _PREFETCH_DRAWS allows, at least one."""
+        per_call = max(1, _PREFETCH_DRAWS // max(n, 1))
+        for first in range(0, len(seeds), per_call):
+            yield _Lanes(*_streams(_seed_state(seeds[first : first + per_call]), n))
 
-    def _take(self, n):
-        """The next n raw draws (a view of the buffer; consumes n draws)."""
-        if n < 0:
+    def __len__(self):
+        return len(self._draws)
+
+    def _cursors(self):
+        """Each lane's column, (B,) intp, to read or move lane by lane (the
+        lanes part here if they stood at one column)."""
+        if self._step is not None:
+            self._col, self._step = np.full(len(self), self._step, dtype=np.intp), None
+        return self._col
+
+    def _move(self, lanes, counts):
+        """Move the cursors of the lanes (None: every lane) on by counts, an
+        int or one per lane."""
+        if lanes is None and self._step is not None:
+            self._step += counts
+        else:
+            self._cursors()[slice(None) if lanes is None else lanes] += counts
+
+    def _window(self, lanes, need):
+        """Each lane's draws from its cursor on, (L, largest need), the
+        cursors left in place; past a lane's own need its entries are
+        arbitrary. lanes None is every lane, with one need; standing at one
+        column, they read a view of the rows. Lanes with fewer than their
+        need left in their rows refill first."""
+        step = self._step
+        if lanes is None and step is not None and step + need <= self._room:
+            return self._draws[:, step : step + need]
+        picked = np.arange(len(self)) if lanes is None else lanes
+        col = self._cursors()[picked]
+        short = col + need - self._len[picked]
+        if short.max() > 0:  # a refill stands every lane at column 0
+            self._refill(picked[short > 0], int(short.max()))
+            return self._window(lanes, need)
+        if lanes is None and (col == col[0]).all():
+            self._step = int(col[0])
+            return self._window(lanes, need)
+        index = np.minimum(col[:, None] + np.arange(np.max(need)), self._len[picked, None] - 1)
+        return self._draws[picked[:, None], index]
+
+    def _refill(self, lanes, shortfall):
+        """Give the lanes (an index array) at least `shortfall` more draws
+        each, from one kernel call over their end states.
+
+        The call takes more when draws are taken ahead: one on the first
+        refill, _LOOKAHEAD_GROWTH times more on each next, up to _LOOKAHEAD,
+        so a fresh generator's first draw and long runs of one-at-a-time
+        draws both stay cheap. Every row then holds its draws not yet taken,
+        followed by the new ones, and every lane stands at column 0.
+        """
+        m = max(shortfall, self._ahead)
+        self._ahead = min(self._ahead * _LOOKAHEAD_GROWTH, _LOOKAHEAD)
+        draws, self._ends[lanes] = _streams(self._ends[lanes], m)
+        col = self._cursors()
+        rest = self._len - col
+        length = rest.copy()
+        length[lanes] += m
+        rows = np.empty((len(self), length.max()), dtype=np.uint64)
+        b, j = np.nonzero(np.arange(rows.shape[1]) < rest[:, None])
+        rows[b, j] = self._draws[b, col[b] + j]
+        rows[lanes[:, None], rest[lanes, None] + np.arange(m)] = draws
+        self._draws, self._len, self._room, self._step = rows, length, int(length.min()), 0
+
+    def _take(self, k, lanes=None):
+        """(L, k): the lanes' next k raw draws each, taken."""
+        if k < 0:
             raise ValueError("draw count must be >= 0")
-        pos = self._pos
-        if pos + n > self._buf.size:
-            rest = self._buf[pos:]
-            draws, end = _streams(self._end[None], max(n - rest.size, self._ahead))
-            self._ahead = min(self._ahead * _LOOKAHEAD_GROWTH, _LOOKAHEAD)
-            if rest.size:
-                self._skipped += pos
-                self._buf = np.concatenate((rest, draws[0]))
-            else:
-                self._origin, self._skipped, self._buf = self._end, 0, draws[0]
-            self._end = end[0]
-            pos = 0
-        self._pos = pos + n
-        return self._buf[pos : pos + n]
+        u = self._window(lanes, k)
+        self._move(lanes, k)
+        return u
+
+    def _parse(self, n, width, head, parse, lanes=None):
+        """The lanes' next n items of `width` draws each, parsed: a tuple of
+        (L, n, ...) arrays.
+
+        parse(u, items) takes the (T, m, width) draws of m items of T lanes
+        and the item numbers, (m,) or (T, m), and returns a tuple of
+        (T, m, ...) values and a (T, m) mask of rejected items. A lane's
+        first rejected item takes its first `head` draws and is drawn again
+        after them; the lanes with one are parsed again from there, all
+        together, in rounds until none has one.
+        """
+        u = self._window(lanes, n * width)
+        out, rejected = parse(u.reshape(len(u), n, width), np.arange(n))
+        redo = rejected.any(axis=1)
+        if not redo.any():
+            self._move(lanes, n * width)
+            return out
+        picked = np.arange(len(self)) if lanes is None else lanes
+        todo = np.arange(len(picked))  # lanes (places in picked) still drawing
+        done = np.zeros(len(picked), dtype=np.intp)  # items made per lane
+        values, items = out, None  # the first round parsed into out itself
+        while True:
+            first = n - done[todo]  # items accepted per lane
+            first[redo] = rejected[redo].argmax(axis=1)
+            self._move(picked[todo], first * width + redo * head)
+            if values is not out:
+                r, j = np.nonzero(np.arange(items.shape[1]) < first[:, None])
+                for whole, part in zip(out, values):
+                    whole[todo[r], items[r, j]] = part[r, j]
+            done[todo] += first
+            todo = todo[redo]
+            if not todo.size:
+                return out
+            rest = n - done[todo]
+            u = self._window(picked[todo], rest * width)
+            items = done[todo, None] + np.arange(rest.max())
+            values, rejected = parse(u.reshape(len(todo), -1, width), np.minimum(items, n - 1))
+            rejected &= items < n  # items past a lane's last are not its own
+            redo = rejected.any(axis=1)
+
+    def _uniforms(self, k, lanes=None):
+        """(L, k) uniform doubles in [0, 1), k draws per lane."""
+        return _unit_interval(self._take(k, lanes))
+
+    def _normals(self, k, sigma, lanes=None):
+        """(L, k) N(0, sigma^2) deviates, k draws per lane (see normals)."""
+        return _gaussians(self._take(k, lanes), sigma)
+
+    def _integers_below(self, bounds, lanes=None):
+        """(L, len(bounds)) unbiased integers, entry j in [0, bounds[j])
+        (uint64, bounds >= 1): one draw per entry, in order; a rejected draw
+        is followed by another draw for the same entry."""
+        top = _largest_accepted(bounds)
+
+        def parse(u, items):
+            u = u[..., 0]
+            return (u % bounds[items],), u > top[items]
+
+        return self._parse(len(bounds), 1, 1, parse, lanes)[0]
+
+    def _shuffled_prefixes(self, n, k, lanes=None):
+        """(L, k) int64 shuffled prefixes per lane (see shuffled_prefix)."""
+        spans = np.arange(n, n - k, -1, dtype=np.uint64)
+        targets = self._integers_below(spans, lanes) + np.arange(k, dtype=np.uint64)
+        prefixes = [_fisher_yates(n, row) for row in targets.tolist()]
+        return np.array(prefixes, dtype=np.int64).reshape(len(targets), k)
+
+    def _unit_vectors(self, n, extra=0, lanes=None):
+        """(L, n, 3) unit vectors and (L, n, extra) uniforms per lane (see
+        unit_vectors)."""
+
+        def parse(u, items):
+            v, norm = _gaussian_triples(u[..., :3])
+            return (v / norm[..., None], _unit_interval(u[..., 3:])), norm <= _NORM_FLOOR
+
+        return self._parse(n, 3 + extra, 3, parse, lanes)
+
+
+class Xoshiro256PlusPlus(_Lanes):
+    """Seedable xoshiro256++ stream with uniform, Gaussian, and integer draws:
+    one lane of _Lanes."""
+
+    def __init__(self, seed):
+        super().__init__(np.empty((1, 0), dtype=np.uint64), _seed_state(seed)[None])
 
     def next_uint64(self):
         """One raw 64-bit draw (consumes 1 draw)."""
-        pos = self._pos
-        if pos < self._buf.size:  # the common case, read without a view
-            self._pos = pos + 1
-            return self._buf.item(pos)
-        return int(self._take(1)[0])
+        return self._take(1).item()
 
     def next_uint64s(self, n):
         """n raw 64-bit draws as a uint64 array, in draw order (n draws)."""
-        return self._take(n).copy()
+        return self._take(n)[0].copy()
 
     def random(self):
         """Uniform double in [0, 1) (1 draw)."""
@@ -349,7 +484,7 @@ class Xoshiro256PlusPlus:
 
     def uniforms(self, n, low=0.0, high=1.0):
         """n uniform doubles in [low, high), in draw order (n draws)."""
-        return low + (high - low) * _unit_interval(self._take(n))
+        return low + (high - low) * self._uniforms(n)[0]
 
     def normals(self, n, sigma=1.0):
         """n Gaussian deviates N(0, sigma^2) via inverse CDF (n draws).
@@ -357,26 +492,7 @@ class Xoshiro256PlusPlus:
         A deviate beyond the float range is +-inf, without a warning (an
         overflow-scale sigma; make_problem clamps it).
         """
-        return _gaussians(self._take(n), sigma)
-
-    def _integers_below(self, bounds):
-        """One unbiased integer in [0, m) per entry m of `bounds` (uint64, m >= 1).
-
-        One draw per entry, in order; a rejected draw is followed by another
-        draw for the same entry.
-        """
-        top = _largest_accepted(bounds)
-        out = np.empty(bounds.size, dtype=np.uint64)
-        done = 0
-        u = self._take(bounds.size)
-        while True:
-            rejected = np.flatnonzero(u > top[done:])
-            stop = rejected[0] if rejected.size else u.size
-            out[done : done + stop] = u[:stop] % bounds[done : done + stop]
-            if not rejected.size:
-                return out
-            done += stop
-            u = np.concatenate((u[stop + 1 :], self._take(1)))
+        return self._normals(n, sigma)[0]
 
     def integer_below(self, n):
         """Unbiased integer in [0, n) by rejection (>= 1 draw; retries are rare).
@@ -385,7 +501,7 @@ class Xoshiro256PlusPlus:
         """
         if not 0 < n <= _MASK:
             raise ValueError("n must lie in [1, 2**64)")
-        return int(self._integers_below(np.array([n], dtype=np.uint64))[0])
+        return int(self._integers_below(np.array([n], dtype=np.uint64))[0, 0])
 
     def shuffled_prefix(self, n, k):
         """First k entries of a Fisher-Yates shuffle of range(n) (k draws typically).
@@ -396,9 +512,7 @@ class Xoshiro256PlusPlus:
         """
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
-        spans = np.arange(n, n - k, -1, dtype=np.uint64)
-        targets = self._integers_below(spans) + np.arange(k, dtype=np.uint64)
-        return _fisher_yates(n, targets.tolist())
+        return self._shuffled_prefixes(n, k)[0]
 
     def unit_vectors(self, n, extra=0):
         """n isotropic unit 3-vectors, each followed by `extra` uniform draws.
@@ -408,159 +522,9 @@ class Xoshiro256PlusPlus:
         [0, 1). Returns the (n, 3) vectors and the (n, extra) uniforms; draws
         (3 + extra) per vector plus 3 per redraw.
         """
-        width = 3 + extra
-        vectors = np.empty((n, 3))
-        uniforms = np.empty((n, extra))
-        done = 0
-        u = self._take(n * width)
-        while True:
-            rows = u.reshape(n - done, width)
-            v, norm = _gaussian_triples(rows[:, :3])
-            rejected = np.flatnonzero(norm <= _NORM_FLOOR)
-            stop = rejected[0] if rejected.size else n - done
-            vectors[done : done + stop] = v[:stop] / norm[:stop, None]
-            uniforms[done : done + stop] = _unit_interval(rows[:stop, 3:])
-            if not rejected.size:
-                return vectors, uniforms
-            done += stop
-            u = np.concatenate((u[stop * width + 3 :], self._take(3)))
+        vectors, uniforms = self._unit_vectors(n, extra)
+        return vectors[0], uniforms[0]
 
     def unit_vector(self):
         """Isotropic unit 3-vector from 3 Gaussian draws (3 draws per attempt)."""
-        return self.unit_vectors(1)[0][0]
-
-
-class _Lanes:
-    """B streams read in step: each call takes the same kind and number of
-    draws from every lane and parses them as one stacked array.
-
-    Lane b hands out row b of `draws` (the draws from state starts[b] to
-    ends[b]), then the draws after it. While a lane is in step its draws are
-    a column slice of `draws`. A lane leaves the step when it needs a redraw
-    (a rejected integer draw, a Gaussian triple at or below the norm floor)
-    or draws past its row; from then on it takes its draws from its own
-    generator, made at the column it left, through the generator's method of
-    the same name. So each lane gets, bit for bit and draw for draw, what its
-    own generator's methods would give.
-
-    A call may name a subset of the lanes (`lanes`, an index array): those
-    lanes leave the step and draw from their generators, and the others stay
-    where they are.
-    """
-
-    def __init__(self, starts, draws, ends):
-        self._starts, self._draws, self._ends = starts, draws, ends
-        self._col = 0  # draws taken by every lane in step
-        self._gens = {}  # lane -> the generator of a lane out of step
-
-    @classmethod
-    def prefetched(cls, seeds, n):
-        """The lanes of the seeds, in order, in blocks whose rows hold the
-        seeds' first n draws: one kernel call per block, as many lanes per
-        block as _PREFETCH_DRAWS allows, at least one."""
-        per_call = max(1, _PREFETCH_DRAWS // max(n, 1))
-        for first in range(0, len(seeds), per_call):
-            starts = _seed_state(seeds[first : first + per_call])
-            yield cls(starts, *_streams(starts, n))
-
-    @classmethod
-    def of(cls, rng):
-        """One lane, drawing from the generator rng."""
-        lanes = cls(None, np.empty((1, 0), dtype=np.uint64), None)
-        lanes._gens[0] = rng
-        return lanes
-
-    def __len__(self):
-        return len(self._draws)
-
-    def _generator(self, b, col):
-        """Lane b's generator: its own if out of step, else one standing at
-        column col of its row."""
-        rng = self._gens.get(b)
-        if rng is None:
-            rng = Xoshiro256PlusPlus.__new__(Xoshiro256PlusPlus)
-            rng._hold(self._starts[b], self._draws[b], self._ends[b])
-            rng._pos = col
-        return rng
-
-    def _state(self, b):
-        """The state after the draws lane b has taken, as four ints."""
-        return self._generator(b, self._col)._s
-
-    def _parse(self, k, parse, redo, lanes):
-        """The lanes' next k draws each, parsed: parse((L, k) draws of the
-        lanes in step) gives a tuple of stacked values and a mask of the
-        lanes that need a redraw (or None). Those lanes leave the step, and
-        every lane out of step takes redo(its generator), a tuple of one
-        lane's values, instead."""
-        col = self._col
-        if lanes is None:
-            lanes = np.arange(len(self))
-            self._col += k
-            stepping = np.ones(len(lanes), dtype=bool)
-            stepping[list(self._gens)] = False
-            if col + k > self._draws.shape[1]:
-                stepping[:] = False
-        else:
-            stepping = np.zeros(len(lanes), dtype=bool)
-        picked = np.flatnonzero(stepping)
-        if picked.size:
-            every = picked.size == len(self)  # a view of the rows, not a copy
-            values, redraw = parse(self._draws[slice(None) if every else picked, col : col + k])
-            if redraw is not None:
-                stepping[picked[redraw]] = False
-            if stepping.all():
-                return values
-        leaving = np.flatnonzero(~stepping)
-        own = []
-        for b in lanes[leaving].tolist():
-            rng = self._gens[b] = self._generator(b, col)
-            own.append(redo(rng))
-        own = [np.stack(v) for v in zip(*own)]
-        if not picked.size:
-            return tuple(own)
-        kept = stepping[picked]
-        out = []
-        for v, w in zip(values, own):
-            o = np.empty((len(lanes),) + v.shape[1:], dtype=v.dtype)
-            o[stepping], o[leaving] = v[kept], w
-            out.append(o)
-        return tuple(out)
-
-    def uniforms(self, k, lanes=None):
-        """(L, k) uniform doubles in [0, 1), k draws per lane."""
-        return self._parse(
-            k, lambda u: ((_unit_interval(u),), None), lambda rng: (rng.uniforms(k),), lanes
-        )[0]
-
-    def normals(self, k, sigma, lanes=None):
-        """(L, k) N(0, sigma^2) deviates, k draws per lane (see normals of
-        the generator)."""
-        return self._parse(
-            k, lambda u: ((_gaussians(u, sigma),), None), lambda rng: (rng.normals(k, sigma),), lanes
-        )[0]
-
-    def unit_vectors(self, n, extra=0, lanes=None):
-        """(L, n, 3) unit vectors and (L, n, extra) uniforms per lane, drawn
-        as unit_vectors of the generator draws them."""
-        width = 3 + extra
-
-        def parse(u):
-            rows = u.reshape(len(u), n, width)
-            v, norm = _gaussian_triples(rows[..., :3])
-            redraw = (norm <= _NORM_FLOOR).any(axis=1)
-            return (v / norm[..., None], _unit_interval(rows[..., 3:])), redraw
-
-        return self._parse(n * width, parse, lambda rng: rng.unit_vectors(n, extra), lanes)
-
-    def shuffled_prefix(self, n, k, lanes=None):
-        """(L, k) int64 shuffled prefixes per lane, drawn as shuffled_prefix
-        of the generator draws them."""
-        spans = np.arange(n, n - k, -1, dtype=np.uint64)
-
-        def parse(u):
-            targets = (u % spans + np.arange(k, dtype=np.uint64)).tolist()
-            prefixes = np.array([_fisher_yates(n, row) for row in targets], dtype=np.int64)
-            return (prefixes.reshape(len(u), k),), (u > _largest_accepted(spans)).any(axis=1)
-
-        return self._parse(k, parse, lambda rng: (rng.shuffled_prefix(n, k),), lanes)[0]
+        return self._unit_vectors(1)[0][0, 0]

@@ -18,14 +18,16 @@ _base_clouds. Its streams are an rng._Lanes: the experiment runner's
 _problems(spec, seeds) fills the streams of a chunk's seeds with one call of
 the stacked RNG kernel, sized by the draws a trial takes when nothing is
 redrawn (_trial_draws), and parses the draws as (B, ...) arrays, following
-the draw orders. A trial that needs a redraw (a Gaussian triple at the norm
-floor, a rejected integer draw, a crop retry) takes it from its own stream,
-from the state its prefix ended at. _problems returns stacked arrays and a
-`made` mask, False for a trial that cannot be made (InsufficientPoints,
+the draw orders. Each trial's stream keeps its own cursor: a redraw (a
+Gaussian triple at the norm floor, a rejected integer draw) is parsed again
+with the other trials' redraws, a crop retry draws for the trials still
+trying, and trials that run past their prefetched draws refill together in
+one kernel call. _problems returns stacked arrays and a `made` mask, False
+for a trial that cannot be made (InsufficientPoints,
 CropOverlapUnsatisfied); it builds no container per trial. The public
 ball_cloud, sphere_cloud, slab_cloud, sample_transform and make_problem run
-the same kernel on one trial drawing from the caller's generator, and keep
-their containers, exceptions and draw counts. Every trial is bit-identical
+the same kernel on the caller's generator, which is one lane of
+rng._Lanes, and keep their containers, exceptions and draw counts. Every trial is bit-identical
 to making it alone, one trial at a time (tests/problem_oracle.py).
 """
 
@@ -159,7 +161,7 @@ def _poses(spec, lanes):
     draws per lane: z, y, x Euler angles (degrees, intrinsic z-y'-x''
     composition), then tx, ty, tz."""
     lo, hi = np.array(spec.rot_range_deg + spec.trans_range).T
-    values = lo + (hi - lo) * lanes.uniforms(6)
+    values = lo + (hi - lo) * lanes._uniforms(6)
     z, y, x = values[:, :3].T
     return so3.rotation_zyx(z, y, x, degrees=True), values[:, 3:]
 
@@ -170,7 +172,7 @@ def sample_transform(spec, rng):
     Draw order: z, y, x Euler angles (degrees, intrinsic z-y'-x'' composition)
     then tx, ty, tz.
     """
-    r, t = _poses(spec, _Lanes.of(rng))
+    r, t = _poses(spec, rng)
     return RigidTransform(Rotation(r[0]), t[0])
 
 
@@ -212,7 +214,7 @@ def _crops(spec, source, target, lanes):
     overlap = np.empty((b, keep), dtype=bool)
     trying = np.arange(b)
     for attempt in range(CROP_MAX_ATTEMPTS):
-        normals = lanes.unit_vectors(2, lanes=None if attempt == 0 else trying)[0]
+        normals = lanes._unit_vectors(2, lanes=None if attempt == 0 else trying)[0]
         kept_src = _half_space_keep(source[trying], normals[:, 0], keep)
         kept_tgt = _half_space_keep(target[trying], normals[:, 1], keep)
         in_target = np.zeros((len(trying), n), dtype=bool)
@@ -247,7 +249,7 @@ def _make_problems(spec, base, lanes):
             raise InsufficientPoints(
                 f"independent resampling needs >= {2 * n} base points, have {count}"
             )
-        chosen = lanes.shuffled_prefix(count, 2 * n)
+        chosen = lanes._shuffled_prefixes(count, 2 * n)
         source = _gather(base, chosen[:, :n])
         target_base = _gather(base, chosen[:, n:])
     else:
@@ -261,7 +263,7 @@ def _make_problems(spec, base, lanes):
     target = target_base @ gt_r.swapaxes(1, 2) + gt_t[:, None, :]
 
     if spec.noise_sigma > 0.0:
-        noise = lanes.normals(3 * n, spec.noise_sigma)
+        noise = lanes._normals(3 * n, spec.noise_sigma)
         noise = np.clip(noise, -spec.noise_clamp, spec.noise_clamp)
         source = source + noise.reshape(b, n, 3)
 
@@ -304,7 +306,7 @@ def make_problem(spec, base_cloud, rng):
         No crop pair shared >= 30% of indices in 100 attempts.
     """
     source, target, gt_r, gt_t, overlap, made = _make_problems(
-        spec, base_cloud.points[None], _Lanes.of(rng)
+        spec, base_cloud.points[None], rng
     )
     if not made[0]:
         min_shared = int(np.ceil(CROP_MIN_OVERLAP * spec.n_points))
@@ -321,13 +323,13 @@ def make_problem(spec, base_cloud, rng):
 
 def _ball(n, lanes):
     """(B, n, 3) ball clouds (see ball_cloud)."""
-    directions, u = lanes.unit_vectors(n, extra=1)
+    directions, u = lanes._unit_vectors(n, extra=1)
     return directions * _scalar_pow(u, 1.0 / 3.0)
 
 
 def _sphere(n, lanes):
     """(B, n, 3) sphere clouds (see sphere_cloud)."""
-    return lanes.unit_vectors(n)[0]
+    return lanes._unit_vectors(n)[0]
 
 
 def _slab(n, lanes, thickness):
@@ -335,7 +337,7 @@ def _slab(n, lanes, thickness):
     half = SLAB_EXTENT / 2.0
     low = np.array([-half, -half, -thickness / 2.0])
     high = np.array([half, half, thickness / 2.0])
-    return low + (high - low) * lanes.uniforms(3 * n).reshape(-1, n, 3)
+    return low + (high - low) * lanes._uniforms(3 * n).reshape(-1, n, 3)
 
 
 def ball_cloud(n, rng):
@@ -346,12 +348,12 @@ def ball_cloud(n, rng):
     are taken in one batch; the cube root is Python's float ``**`` per value
     (core._scalar_pow), which np.cbrt / np.power do not reproduce bit for bit.
     """
-    return PointCloud(_ball(n, _Lanes.of(rng))[0])
+    return PointCloud(_ball(n, rng)[0])
 
 
 def sphere_cloud(n, rng):
     """n points uniform on the unit sphere (3 draws per point, plus 3 per redraw)."""
-    return PointCloud(_sphere(n, _Lanes.of(rng))[0])
+    return PointCloud(_sphere(n, rng)[0])
 
 
 def slab_cloud(n, rng, thickness=1e-3):
@@ -364,7 +366,7 @@ def slab_cloud(n, rng, thickness=1e-3):
     # Written so that NaN fails too: NaN comparisons are false.
     if not 0.0 <= thickness < np.inf:
         raise ValueError("thickness must be finite and >= 0")
-    return PointCloud(_slab(n, _Lanes.of(rng), thickness)[0])
+    return PointCloud(_slab(n, rng, thickness)[0])
 
 
 def _cloud_count(spec):

@@ -8,7 +8,9 @@ per-point loops. The library's batched versions must reproduce their bytes
 and leave the generator in the same state.
 
 SplitMix64 seeding lives here as scalar code (seed_state), the reference for
-the library's seeding of many seeds at once.
+the library's seeding of many seeds at once. same_position tells whether two
+generators stand at the same point of their streams from their next draws
+alone, so tests read no generator's private state.
 
 Two constants are lifted to module names so tests can tighten them and force
 the rare resample paths: NORM_FLOOR (a Gaussian triple at or below it is
@@ -45,6 +47,17 @@ def seed_state(seed):
     if not any(words):  # all-zero state is the one forbidden state
         words[0] = 1
     return words
+
+
+def next_draws(rng):
+    """The next 4 raw draws of a generator, taken: as many bits as its state."""
+    return [rng.next_uint64() for _ in range(4)]
+
+
+def same_position(rng, other):
+    """True when two generators stand at the same stream position, told by
+    their next 4 draws, which both take."""
+    return next_draws(rng) == next_draws(other)
 
 
 def rejection_limit(n):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import problem_oracle
+import rng_oracle
 from conftest import run_python
 
 from rigid_refine import cli as cli_module
@@ -29,7 +30,7 @@ from rigid_refine.cli import (
     run_trial,
 )
 from rigid_refine.rng import Xoshiro256PlusPlus
-from rigid_refine.synth import ProblemSpec, _trial_draws
+from rigid_refine.synth import CROP_MAX_ATTEMPTS, ProblemSpec, _trial_draws
 
 
 def clean_spec(n_points, seed, **kwargs):
@@ -322,7 +323,7 @@ def test_predicted_trial_draws_equal_the_draws_taken(cloud, resample, sigma, kee
         _, gen = problem_oracle.problem(spec, seed)
         fresh = Xoshiro256PlusPlus(seed)
         fresh.next_uint64s(draws)
-        assert gen._s == fresh._s
+        assert rng_oracle.same_position(gen, fresh)
 
 
 def counted_kernel_calls(monkeypatch):
@@ -351,13 +352,15 @@ def test_chunk_draws_come_from_one_kernel_call(monkeypatch, cloud, resample, sig
 
 def test_chunk_generators_refill_past_their_prefetch(monkeypatch):
     # The failing-crop config of the golden rows: crop retries run past the
-    # prefetched draws and refill through the kernel, one stream at a time.
+    # prefetched draws and the retrying streams refill together, one kernel
+    # call for all of them, at most one per attempt.
     spec = ProblemSpec(n_points=25, noise_sigma=0.01, crop_keep_fraction=0.35)
     config = ExperimentConfig(problem=spec, method="refined", trials=20)
     calls = counted_kernel_calls(monkeypatch)
     _run_chunk(config, range(20))
     assert calls[0] == (20, _trial_draws(spec))
-    assert len(calls) > 1 and all(b == 1 for b, _ in calls[1:])
+    assert 1 <= len(calls) - 1 <= CROP_MAX_ATTEMPTS
+    assert any(b > 1 for b, _ in calls[1:])
 
 
 def test_run_trial_records_degenerate_problem_as_na_row():
@@ -435,12 +438,14 @@ def test_run_at_overflow_scale_noise_sigma_is_silent(tmp_path):
 
 # Overflow-scale inputs, each with the cells that must hold numbers.
 # - noise 1e300 on the source: ||H||_F overflows unless H is scaled, and the
-#   Kabsch rotation is still determined; the translation-scale metrics
-#   overflow and are NA cells, and refined's S overflows (an NA row).
+#   Kabsch rotation is still determined; the translation and point-distance
+#   norms (~1e299) are numbers, taken after a power-of-two scale, while
+#   Chamfer and the augmented loss, means of squares, overflow and are NA
+#   cells, and refined's S overflows (an NA row).
 # - a translation up to 1e300: centering rounds the target's shape away, so
 #   the geometry is degenerate (NA rows).
 OVERFLOW_SCALE_CASES = {
-    "kabsch-noise": ("kabsch", 32, _HUGE_NOISE, COLUMNS[2:7]),
+    "kabsch-noise": ("kabsch", 32, _HUGE_NOISE, COLUMNS[2:7] + ("trans_l2", "mean_point_dist")),
     "refined-noise": ("refined", 32, _HUGE_NOISE, ()),
     "kabsch-translation": ("kabsch", 16, _HUGE_TRANSLATION, ()),
     "refined-translation": ("refined", 16, _HUGE_TRANSLATION, ()),

@@ -3,6 +3,9 @@ mean point distance, and the multi-pose augmented loss."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rigid_refine import (
     PointCloud,
@@ -18,7 +21,8 @@ from rigid_refine import (
     rotation_error,
     translation_error,
 )
-from rigid_refine import so3
+from rigid_refine import metrics, so3
+from rigid_refine.core import _dot
 from rigid_refine.rng import Xoshiro256PlusPlus
 
 from conftest import random_rotation
@@ -228,3 +232,31 @@ def test_pose_error_validation():
     with pytest.raises(ValueError):
         PoseError(iso_rot_deg=10.0, aniso_rot_deg=np.zeros(2), trans_err=0.0,
                   norm_order=2, gimbal_lock=False)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.just(3)),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    )
+)
+def test_scaled_norms_keep_the_bytes_of_the_unscaled_formula(x):
+    # Rows of any finite scale: where the unscaled squares do not overflow,
+    # the translation L2 norm and the point distances keep their bytes; where
+    # they do, a norm below the float range is still a number.
+    eye, zero = np.eye(3)[None], np.zeros((1, 3))
+    with np.errstate(over="ignore"):
+        plain_l2 = np.sqrt(_dot(x, x))
+        plain_points = np.sqrt((x * x).sum(axis=1))
+        l2 = metrics._translation_errors(x)[1]
+        # diff = x (2I - I)^T + 0 is x itself: each row's distance is its norm.
+        rows = [metrics._mean_point_distances(row[None, None], 2 * eye, zero, eye, zero)[0] for row in x]
+    finite = np.isfinite(plain_l2)
+    assert l2[finite].tobytes() == plain_l2[finite].tobytes()
+    finite = np.isfinite(plain_points)
+    assert np.array(rows)[finite].tobytes() == plain_points[finite].tobytes()
+    # sqrt(3) max|x| < 2^1024: the norm is in range.
+    in_range = np.abs(x).max(axis=1) < 1e308
+    assert np.isfinite(l2[in_range]).all() and np.isfinite(np.array(rows)[in_range]).all()

@@ -5,8 +5,9 @@ leave the stream where the oracle leaves it, including on the rare resample
 paths (forced here by tightening the oracle's and the library's limits
 together) and against digests frozen before batching. The stacked kernel
 behind them is checked directly: draws and end states for many stream and
-draw counts, prefetched generators read in odd pieces past their buffers,
-and its jump table built by racing threads.
+draw counts, prefetched lanes read in odd pieces past their buffers, and
+its jump table built by racing threads. A generator's stream position is
+told by its next draws (rng_oracle.same_position), not its private state.
 """
 
 import hashlib
@@ -15,6 +16,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rng_oracle
 from conftest import run_python
@@ -30,10 +33,14 @@ def pair(seed):
     return Xoshiro256PlusPlus(seed), rng_oracle.ScalarXoshiro256PlusPlus(seed)
 
 
-def same_bytes_and_state(got, want, rng, oracle):
+def same_bytes(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
-    assert rng._s == oracle._s
+
+
+def same_bytes_and_state(got, want, rng, oracle):
+    same_bytes(got, want)
+    assert rng_oracle.same_position(rng, oracle)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -71,17 +78,18 @@ def test_shuffle_and_unit_vector_match_oracle():
             same_bytes_and_state(rng.shuffled_prefix(n, k), oracle.shuffled_prefix(n, k), rng, oracle)
         same_bytes_and_state(rng.unit_vector(), oracle.unit_vector(), rng, oracle)
         assert rng.integer_below(7) == oracle.integer_below(7)
-        assert rng._s == oracle._s
+        assert rng_oracle.same_position(rng, oracle)
 
 
-def stream_position(seed, state, limit):
-    """Number of draws after which a fresh stream of `seed` reaches `state`."""
-    fresh = Xoshiro256PlusPlus(seed)
+def stream_position(seed, rng, limit):
+    """Draws of the stream of `seed` before the position of rng (which takes
+    its next 4 draws to tell), looked for up to `limit`."""
+    ahead = rng_oracle.next_draws(rng)
+    draws, _ = rng_oracle.stream(rng_oracle.seed_state(seed), {limit + 4})
     for count in range(limit + 1):
-        if fresh._s == state:
+        if draws[count : count + 4] == ahead:
             return count
-        fresh.next_uint64()
-    raise AssertionError("state not reached")
+    raise AssertionError("position not reached")
 
 
 def test_norm_redraws_match_oracle(monkeypatch):
@@ -97,7 +105,7 @@ def test_norm_redraws_match_oracle(monkeypatch):
             same_bytes_and_state(rng.unit_vector(), oracle.unit_vector(), rng, oracle)
     rng = Xoshiro256PlusPlus(0)
     ball_cloud(717, rng)
-    assert stream_position(0, rng._s, 10000) > 4 * 717
+    assert stream_position(0, rng, 10000) > 4 * 717
 
 
 def test_integer_rejections_match_oracle(monkeypatch):
@@ -113,10 +121,10 @@ def test_integer_rejections_match_oracle(monkeypatch):
         for n, k in ((1, 1), (2, 2), (32, 32), (1434, 1434), (3000, 717)):
             same_bytes_and_state(rng.shuffled_prefix(n, k), oracle.shuffled_prefix(n, k), rng, oracle)
         assert rng.integer_below(1000) == oracle.integer_below(1000)
-        assert rng._s == oracle._s
+        assert rng_oracle.same_position(rng, oracle)
     rng = Xoshiro256PlusPlus(0)
     rng.shuffled_prefix(32, 32)
-    assert stream_position(0, rng._s, 1000) > 32
+    assert stream_position(0, rng, 1000) > 32
 
 
 def digest(array):
@@ -157,7 +165,7 @@ def test_integer_below_range_check():
     for bad in (0, -3, 1 << 64):
         with pytest.raises(ValueError):
             rng.integer_below(bad)
-    assert rng._s == Xoshiro256PlusPlus(0)._s
+    assert rng_oracle.same_position(rng, Xoshiro256PlusPlus(0))
     assert rng.integer_below((1 << 64) - 1) < (1 << 64) - 1
 
 
@@ -172,7 +180,7 @@ def oracle_streams():
     counts = set(KERNEL_LENGTHS)
     streams = []
     for seed in range(max(KERNEL_STREAMS)):
-        draws, states = rng_oracle.stream(rng_oracle.ScalarXoshiro256PlusPlus(seed)._s, counts)
+        draws, states = rng_oracle.stream(rng_oracle.seed_state(seed), counts)
         streams.append((np.array(draws, dtype=np.uint64), states))
     return streams
 
@@ -194,35 +202,28 @@ def test_stacked_kernel_matches_oracle(streams, oracle_streams):
         assert ends.tobytes() == want_ends.tobytes()
 
 
-def lane_generators(seeds, n):
-    """The generator of every lane of _Lanes.prefetched(seeds, n), in order,
-    standing at its first draw."""
-    return [
-        lanes._generator(b, 0)
-        for lanes in rng_module._Lanes.prefetched(seeds, n)
-        for b in range(len(lanes))
-    ]
-
-
 def test_prefetched_generators_in_odd_pieces_match_oracle():
-    # Pieces cross the 50-draw prefetch, the look-ahead refills, and come in
-    # every method; _s must be the oracle's state after every piece.
+    # Pieces cross the 50-draw prefetch and the look-ahead refills, come in
+    # every draw kind, to every lane or to every other one, so the lanes'
+    # cursors part; each lane must stand where its oracle does after every
+    # piece.
     pieces = (1, 7, 0, 13, 29, 1, 3, 1500, 2, rng_module._LOOKAHEAD + 5, 1)
     seeds = list(range(10, 17))
-    for seed, rng in zip(seeds, lane_generators(seeds, 50)):
-        oracle = rng_oracle.ScalarXoshiro256PlusPlus(seed)
-        assert rng._s == oracle._s
-        for k, size in enumerate(pieces):
-            if k % 3 == 0:
-                got = rng.next_uint64s(size)
-                want = np.array([oracle.next_uint64() for _ in range(size)], dtype=np.uint64)
-            elif k % 3 == 1:
-                got, want = rng.uniforms(size, -1.0, 2.0), oracle.uniforms(size, -1.0, 2.0)
-            else:
-                got, want = rng.normals(size), oracle.normals(size)
-            same_bytes_and_state(got, want, rng, oracle)
-            assert rng.next_uint64() == oracle.next_uint64()
-            assert rng._s == oracle._s
+    (lanes,) = rng_module._Lanes.prefetched(seeds, 50)
+    oracles = [rng_oracle.ScalarXoshiro256PlusPlus(seed) for seed in seeds]
+    subsets = (None, np.arange(0, len(seeds), 2), np.arange(1, len(seeds), 2))
+    for k, size in enumerate(pieces):
+        subset = subsets[k % len(subsets)]
+        picked = [oracles[b] for b in (range(len(seeds)) if subset is None else subset)]
+        if k % 2 == 0:
+            got = lanes._take(size, subset)
+            want = [np.array([o.next_uint64() for _ in range(size)], dtype=np.uint64) for o in picked]
+        elif k % 4 == 1:
+            got, want = lanes._uniforms(size, subset), [o.uniforms(size) for o in picked]
+        else:
+            got, want = lanes._normals(size, 1.0, subset), [o.normals(size) for o in picked]
+        same_bytes(got, np.stack(want))
+        assert lanes._take(4).tolist() == [rng_oracle.next_draws(o) for o in oracles]
 
 
 def test_prefetch_is_split_into_bounded_kernel_calls(monkeypatch):
@@ -236,17 +237,86 @@ def test_prefetch_is_split_into_bounded_kernel_calls(monkeypatch):
     monkeypatch.setattr(rng_module, "_streams", counted)
     monkeypatch.setattr(rng_module, "_PREFETCH_DRAWS", 100)
     seeds = list(range(7))
-    rngs = lane_generators(seeds, 30)
+    blocks = list(rng_module._Lanes.prefetched(seeds, 30))
     assert calls == [3, 3, 1]
-    for seed, rng in zip(seeds, rngs):
-        oracle = rng_oracle.ScalarXoshiro256PlusPlus(seed)
-        same_bytes_and_state(
-            rng.next_uint64s(30),
-            np.array([oracle.next_uint64() for _ in range(30)], dtype=np.uint64),
-            rng,
-            oracle,
-        )
+    got = np.concatenate([lanes._take(30) for lanes in blocks])
+    want = [rng_oracle.stream(rng_oracle.seed_state(seed), {30})[0] for seed in seeds]
+    same_bytes(got, np.array(want, dtype=np.uint64))
     assert len(calls) == 3  # the prefetched draws were enough
+
+
+def oracle_draws(kind, oracle, size, arg):
+    """What one lane's call of `kind` gives, drawn one value at a time."""
+    if kind == "raw":
+        return [np.array([oracle.next_uint64() for _ in range(size)], dtype=np.uint64)]
+    if kind == "uniforms":
+        return [oracle.uniforms(size)]
+    if kind == "normals":
+        return [oracle.normals(size, arg)]
+    if kind == "shuffled_prefix":
+        return [oracle.shuffled_prefix(size + arg, size)]
+    vectors, uniforms = [], []
+    for _ in range(size):
+        vectors.append(oracle.unit_vector())
+        uniforms.append(oracle.uniforms(arg))
+    return [np.array(vectors).reshape(size, 3), np.array(uniforms).reshape(size, arg)]
+
+
+def lane_draws(kind, lanes, size, arg, subset):
+    """The stacked call of `kind` on the lanes of subset (None: every lane)."""
+    if kind == "raw":
+        return [lanes._take(size, subset)]
+    if kind == "uniforms":
+        return [lanes._uniforms(size, subset)]
+    if kind == "normals":
+        return [lanes._normals(size, arg, subset)]
+    if kind == "shuffled_prefix":
+        return [lanes._shuffled_prefixes(size + arg, size, subset)]
+    return list(lanes._unit_vectors(size, arg, subset))
+
+
+LANE_CALL = st.tuples(
+    st.sampled_from(("raw", "uniforms", "normals", "unit_vectors", "shuffled_prefix")),
+    st.integers(0, 6),
+    st.integers(0, 3),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 5),
+    st.integers(0, 12),
+    st.lists(st.tuples(LANE_CALL, st.none() | st.sets(st.integers(0, 4), min_size=1)), min_size=1, max_size=8),
+)
+def test_lane_subsets_in_any_order_match_their_oracles(base, count, prefetch, calls):
+    # Calls of every kind on random lane subsets part the lanes' cursors; a
+    # small prefetch makes rows run out and refill, and the tightened norm
+    # floor and integer limit make rejections common. Each lane must give
+    # its own oracle's bytes and stand where it does at the end.
+    seeds = list(range(base, base + count))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rng_module, "_NORM_FLOOR", 1.0)
+        patch.setattr(rng_oracle, "NORM_FLOOR", 1.0)
+        patch.setattr(rng_oracle, "rejection_limit", lambda n: ((1 << 62) // n) * n)
+        patch.setattr(
+            rng_module,
+            "_largest_accepted",
+            lambda bounds: (np.uint64(1 << 62) // bounds) * bounds - np.uint64(1),
+        )
+        (lanes,) = rng_module._Lanes.prefetched(seeds, prefetch)
+        oracles = [rng_oracle.ScalarXoshiro256PlusPlus(seed) for seed in seeds]
+        for (kind, size, arg), subset in calls:
+            subset = None if subset is None else np.array(sorted(b for b in subset if b < count))
+            if subset is not None and not subset.size:
+                continue
+            if kind == "normals":
+                arg = 10.0**-arg
+            picked = range(count) if subset is None else subset
+            want = zip(*(oracle_draws(kind, oracles[b], size, arg) for b in picked))
+            for got, parts in zip(lane_draws(kind, lanes, size, arg, subset), want):
+                same_bytes(got, np.stack(parts))
+        assert lanes._take(4).tolist() == [rng_oracle.next_draws(o) for o in oracles]
 
 
 SEEDING_CASES = [0, 1, 2, -1, -(1 << 63), -(1 << 70) - 5, (1 << 63) + 7, (1 << 64) - 1, 1 << 64, 3 << 90]
@@ -261,7 +331,7 @@ def test_seeding_many_seeds_at_once_matches_scalar_splitmix():
         want = rng_oracle.seed_state(seed)
         assert [int(w) for w in words] == want
         assert [int(w) for w in rng_module._seed_state(seed)] == want
-        assert Xoshiro256PlusPlus(seed)._s == rng_oracle.ScalarXoshiro256PlusPlus(seed)._s
+        assert rng_oracle.same_position(Xoshiro256PlusPlus(seed), rng_oracle.ScalarXoshiro256PlusPlus(seed))
     assert rng_module._seed_state([]).shape == (0, 4)
 
 
@@ -276,16 +346,16 @@ def test_all_zero_seed_state_gets_a_first_word_of_one(monkeypatch):
 
 def test_jump_ahead_matches_stepping():
     states = seed_states(5)
-    for count in (0, 1, 2, 3, 64, 1000, 4097):
-        jumped = rng_module._advance(states, count)
-        assert jumped.tobytes() == rng_module._streams(states, count)[1].tobytes()
+    for i in range(13):
+        jumped = rng_module._jump(states, rng_module._jump_table(i))
+        assert jumped.tobytes() == rng_module._streams(states, 2**i)[1].tobytes()
 
 
 def test_negative_draw_count_is_rejected():
     rng = Xoshiro256PlusPlus(0)
     with pytest.raises(ValueError, match="draw count"):
         rng.uniforms(-1)
-    assert rng._s == Xoshiro256PlusPlus(0)._s
+    assert rng_oracle.same_position(rng, Xoshiro256PlusPlus(0))
 
 
 COLD_TABLE_SCRIPT = """
@@ -315,7 +385,7 @@ for thread in threads:
 for t, n in enumerate(lengths):
     draws, ends = results[t]
     for b in range(3):
-        state = rng_oracle.ScalarXoshiro256PlusPlus(100 * t + b)._s
+        state = rng_oracle.seed_state(100 * t + b)
         want, states = rng_oracle.stream(state, {{n}})
         assert draws[b].tobytes() == np.array(want, dtype=np.uint64).tobytes()
         assert [int(w) for w in ends[b]] == states[n]

@@ -184,3 +184,34 @@ def test_readme_cites_only_private_names_the_package_defines():
         for name in re.findall(r"(?:^|\.)(_\w+)", span)
     }
     assert cited and sorted(cited - _defined_names()) == []
+
+
+def _compares_with_norm_floor(node):
+    """True for a comparison that has _NORM_FLOOR as an operand."""
+    operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+    return any(isinstance(operand, ast.Name) and operand.id == "_NORM_FLOOR" for operand in operands)
+
+
+def _calls_largest_accepted(node):
+    """True for a call of _largest_accepted."""
+    return isinstance(node, ast.Call) and ast.unparse(node.func) == "_largest_accepted"
+
+
+def _names_a_removed_rng_path(node):
+    """True for a use or definition of _advance, or a use of _Lanes.of: the
+    per-lane generators and the jump to a lane's state that rng no longer
+    needs."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "_advance" or ast.unparse(node) == "_Lanes.of"
+    if isinstance(node, ast.Name):
+        return node.id == "_advance"
+    return isinstance(node, ast.FunctionDef) and node.name == "_advance"
+
+
+def test_each_draw_rejection_is_parsed_once():
+    # One parser per draw kind, over a stack of lanes; a generator is one
+    # lane. So the norm-floor test and the integer acceptance limit each
+    # appear once, and the per-lane generator paths stay gone.
+    assert len(_library_nodes(_compares_with_norm_floor)) == 1
+    assert len(_library_nodes(_calls_largest_accepted)) == 1
+    assert _library_nodes(_names_a_removed_rng_path) == []

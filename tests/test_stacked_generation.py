@@ -3,7 +3,8 @@
 synth makes a chunk's problems as stacked arrays from one block of RNG lanes
 (rng._Lanes). Every lane must equal, byte for byte, the problem the
 per-trial pipeline of tests/problem_oracle.py makes from the same seed, and
-leave its stream where the oracle leaves its generator: on every spec
+leave its stream where the oracle leaves its generator (told by their next
+draws): on every spec
 branch, on the rare redraw paths (forced here by tightening the limits of
 the library and of the one-draw-at-a-time oracle together), and with crops
 that retry or fail. The public make_problem runs the same kernel on one
@@ -71,16 +72,30 @@ def assert_lane_is_oracle(problems, b, problem):
 
 def assert_matches_oracle(spec, seeds, generator=Xoshiro256PlusPlus):
     """The stacked block of the seeds equals the oracle lane by lane, in
-    bytes and end state; returns the made mask."""
+    bytes and stream position (the next 4 draws); returns the made mask."""
     problems, lanes = stacked(spec, seeds)
+    oracles = []
     for b, seed in enumerate(seeds):
         problem, rng = problem_oracle.problem(spec, seed, generator)
         if problems is None:
             assert problem is None
         else:
             assert_lane_is_oracle(problems, b, problem)
-        assert lanes._state(b) == rng._s
+        oracles.append(rng)
+    assert lanes._take(4).tolist() == [rng_oracle.next_draws(rng) for rng in oracles]
     return np.zeros(len(seeds), dtype=bool) if problems is None else problems[-1]
+
+
+def redrawn(spec, seeds, generator=Xoshiro256PlusPlus):
+    """Mask of the seeds whose oracle problem takes more draws than
+    _trial_draws(spec), by its position after the problem."""
+    count = _trial_draws(spec)
+    moved = []
+    for seed in seeds:
+        _, rng = problem_oracle.problem(spec, seed, generator)
+        predicted = rng_oracle.stream(rng_oracle.seed_state(seed), {count + 4})[0][count:]
+        moved.append(rng_oracle.next_draws(rng) != predicted)
+    return np.array(moved)
 
 
 @pytest.mark.parametrize("case", SPEC_CASES)
@@ -88,10 +103,12 @@ def test_stacked_problems_match_the_per_trial_oracle(case):
     spec = spec_of(case)
     seeds = list(range(7, 19))
     assert assert_matches_oracle(spec, seeds).all()
-    # Nothing is redrawn on these seeds: every lane stays in step and takes
-    # exactly the draws _trial_draws predicts.
+    # Nothing is redrawn on these seeds: every lane takes exactly the draws
+    # _trial_draws predicts, so its next draws follow them.
     _, lanes = stacked(spec, seeds)
-    assert not lanes._gens and lanes._col == _trial_draws(spec)
+    count = _trial_draws(spec)
+    predicted = [rng_oracle.stream(rng_oracle.seed_state(seed), {count + 4})[0][count:] for seed in seeds]
+    assert lanes._take(4).tolist() == predicted
 
 
 @pytest.mark.parametrize("case", SPEC_CASES[::3])
@@ -110,7 +127,7 @@ def test_public_make_problem_is_the_kernel_at_one_lane(case):
             np.ones(1, dtype=bool),
         )
         assert_lane_is_oracle(lane, 0, want)
-        assert rng._s == oracle._s
+        assert rng_oracle.same_position(rng, oracle)
 
 
 def test_problems_are_bit_identical_at_paper_scale():
@@ -128,8 +145,7 @@ def test_norm_redraws_leave_the_step(monkeypatch):
         spec = spec_of(case, n=6)
         seeds = list(range(12))
         assert_matches_oracle(spec, seeds, rng_oracle.ScalarXoshiro256PlusPlus)
-        _, lanes = stacked(spec, seeds)
-        assert 0 < len(lanes._gens) <= len(seeds)
+        assert redrawn(spec, seeds, rng_oracle.ScalarXoshiro256PlusPlus).any()
 
 
 def test_integer_rejections_leave_the_step(monkeypatch):
@@ -144,8 +160,7 @@ def test_integer_rejections_leave_the_step(monkeypatch):
     spec = spec_of(("slab", True, 0.01, 1.0, 40), n=8)
     seeds = list(range(10))
     assert_matches_oracle(spec, seeds, rng_oracle.ScalarXoshiro256PlusPlus)
-    _, lanes = stacked(spec, seeds)
-    assert sorted(lanes._gens) == list(range(len(seeds)))
+    assert redrawn(spec, seeds, rng_oracle.ScalarXoshiro256PlusPlus).all()
 
 
 def test_crop_retries_and_unmade_lanes_interleave():

@@ -237,10 +237,11 @@ def _centered(points, w):
     """(points - mean, mean) per trial, mean = sum(w_i p_i) / sum(w_i).
 
     points (B, N, 3) and w (B, N) give centered points (B, N, 3) and means
-    (B, 3).
+    (B, 3). A mean past the float range is inf or NaN, without a warning.
     """
-    mean = (w[:, None, :] @ points)[:, 0, :] / w.sum(axis=1)[:, None]
-    return points - mean[:, None, :], mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = (w[:, None, :] @ points)[:, 0, :] / w.sum(axis=1)[:, None]
+        return points - mean[:, None, :], mean
 
 
 def center(correspondences):
@@ -282,11 +283,20 @@ def optimal_translation(rotation, correspondences):
     Returns
     -------
     ndarray, shape (3,)
+
+    Raises
+    ------
+    ValueError
+        If the weighted means or t overflow the float range.
     """
     w = correspondences.weights[None]
     _, source_mean = _centered(correspondences.source.points[None], w)
     _, target_mean = _centered(correspondences.target.points[None], w)
-    return target_mean[0] - rotation.m @ source_mean[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = target_mean[0] - rotation.m @ source_mean[0]
+    if not np.isfinite(t).all():
+        raise ValueError("optimal translation overflows the float range")
+    return t
 
 
 def weighted_cost(rotation, translation, correspondences):

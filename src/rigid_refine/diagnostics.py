@@ -97,11 +97,16 @@ class _Unconstrained:
 
 
 def _unconstrained(target, source, w):
-    """unconstrained_solution for centered (B, N, 3) clouds and (B, N) weights."""
-    g = _cross_covariance(target, target, w)
-    g = (g + g.swapaxes(1, 2)) / 2.0  # symmetrize away accumulation-order rounding
-    f = _cross_covariance(target, source, w)
-    det_g_normalized, det_g = _normalized_dets(g)
+    """unconstrained_solution for centered (B, N, 3) clouds and (B, N) weights.
+
+    G, F or det(G) past the float range are inf or NaN, without a warning;
+    such a lane is not solved.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _cross_covariance(target, target, w)
+        g = (g + g.swapaxes(1, 2)) / 2.0  # symmetrize away accumulation-order rounding
+        f = _cross_covariance(target, source, w)
+        det_g_normalized, det_g = _normalized_dets(g)
     solved = det_g_normalized > NEAR_SINGULAR_TOL
     safe_g = g if solved.all() else np.where(solved[:, None, None], g, np.eye(3))
     return _Unconstrained(np.linalg.solve(safe_g, f), g, f, det_g, det_g_normalized, solved)

@@ -78,7 +78,10 @@ def _kabsch_pose(source, target, w):
     with np.errstate(over="ignore", invalid="ignore"):
         h = _cross_covariance(target_centered, source_centered, w)
     r, ok = _kabsch_matrix(h)
-    return r, target_mean - (r @ source_mean[:, :, None])[:, :, 0], ok
+    # A t past the float range is inf or NaN, without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = target_mean - (r @ source_mean[:, :, None])[:, :, 0]
+    return r, t, ok
 
 
 def cross_covariance(centered):

@@ -61,9 +61,9 @@ which fixes two choices:
   differ from it in the last bit on 6-12% of values.
 
 Rejections (a near-zero Gaussian triple, an integer draw above the largest
-accepted) are handled in rounds: every lane with one is parsed again from
-its rejected draw, all such lanes together, so each consumes exactly the
-draws the one-at-a-time definition does.
+accepted) are near-impossible, so they are handled lane by lane: a lane
+with one is parsed again on its own from its rejected draw, and so consumes
+exactly the draws the one-at-a-time definition does.
 """
 
 import threading
@@ -283,9 +283,9 @@ class _Lanes:
     view of the rows; a call on some of the lanes, or a rejection, parts
     them into one column per lane, and a call on parted lanes gathers each
     lane's draws from its cursor. Lanes that run past their rows refill
-    together (_refill), and rejected draws are parsed again in rounds,
-    stacked over the lanes that have one (_parse). So each lane gets, bit
-    for bit and draw for draw, what the one-at-a-time definition gives.
+    together (_refill), and a lane with a rejected draw is parsed again on
+    its own (_parse). So each lane gets, bit for bit and draw for draw, what
+    the one-at-a-time definition gives.
     """
 
     def __init__(self, draws, ends):
@@ -326,11 +326,10 @@ class _Lanes:
             self._cursors()[slice(None) if lanes is None else lanes] += counts
 
     def _window(self, lanes, need):
-        """Each lane's draws from its cursor on, (L, largest need), the
-        cursors left in place; past a lane's own need its entries are
-        arbitrary. lanes None is every lane, with one need; standing at one
-        column, they read a view of the rows. Lanes with fewer than their
-        need left in their rows refill first."""
+        """Each lane's next `need` draws, (L, need), the cursors left in
+        place. lanes None is every lane; standing at one column, they read a
+        view of the rows. Lanes with fewer than `need` left in their rows
+        refill first."""
         step = self._step
         if lanes is None and step is not None and step + need <= self._room:
             return self._draws[:, step : step + need]
@@ -343,8 +342,7 @@ class _Lanes:
         if lanes is None and (col == col[0]).all():
             self._step = int(col[0])
             return self._window(lanes, need)
-        index = np.minimum(col[:, None] + np.arange(np.max(need)), self._len[picked, None] - 1)
-        return self._draws[picked[:, None], index]
+        return self._draws[picked[:, None], col[:, None] + np.arange(need)]
 
     def _refill(self, lanes, shortfall):
         """Give the lanes (an index array) at least `shortfall` more draws
@@ -382,11 +380,11 @@ class _Lanes:
         (L, n, ...) arrays.
 
         parse(u, items) takes the (T, m, width) draws of m items of T lanes
-        and the item numbers, (m,) or (T, m), and returns a tuple of
-        (T, m, ...) values and a (T, m) mask of rejected items. A lane's
-        first rejected item takes its first `head` draws and is drawn again
-        after them; the lanes with one are parsed again from there, all
-        together, in rounds until none has one.
+        and the (m,) item numbers, and returns a tuple of (T, m, ...) values
+        and a (T, m) mask of rejected items. A rejected item takes its first
+        `head` draws and is drawn again after them. Every lane's items are
+        parsed together; a lane with a rejection is then parsed again on its
+        own, from its first rejected item on.
         """
         u = self._window(lanes, n * width)
         out, rejected = parse(u.reshape(len(u), n, width), np.arange(n))
@@ -394,28 +392,23 @@ class _Lanes:
         if not redo.any():
             self._move(lanes, n * width)
             return out
+        # Every lane moves to its first rejected item before any lane draws
+        # again: a refill keeps only the draws from each lane's cursor on.
         picked = np.arange(len(self)) if lanes is None else lanes
-        todo = np.arange(len(picked))  # lanes (places in picked) still drawing
-        done = np.zeros(len(picked), dtype=np.intp)  # items made per lane
-        values, items = out, None  # the first round parsed into out itself
-        while True:
-            first = n - done[todo]  # items accepted per lane
-            first[redo] = rejected[redo].argmax(axis=1)
-            self._move(picked[todo], first * width + redo * head)
-            if values is not out:
-                r, j = np.nonzero(np.arange(items.shape[1]) < first[:, None])
+        first = np.where(redo, rejected.argmax(axis=1), n)
+        self._move(picked, first * width)
+        for t in np.flatnonzero(redo):
+            lane, j = picked[t : t + 1], first[t]
+            while j < n:  # item j was rejected
+                self._move(lane, head)
+                u = self._window(lane, (n - j) * width)
+                values, rejected = parse(u.reshape(1, n - j, width), np.arange(j, n))
+                ok = rejected[0].argmax() if rejected.any() else n - j
                 for whole, part in zip(out, values):
-                    whole[todo[r], items[r, j]] = part[r, j]
-            done[todo] += first
-            todo = todo[redo]
-            if not todo.size:
-                return out
-            rest = n - done[todo]
-            u = self._window(picked[todo], rest * width)
-            items = done[todo, None] + np.arange(rest.max())
-            values, rejected = parse(u.reshape(len(todo), -1, width), np.minimum(items, n - 1))
-            rejected &= items < n  # items past a lane's last are not its own
-            redo = rejected.any(axis=1)
+                    whole[t, j : j + ok] = part[0, :ok]
+                self._move(lane, ok * width)
+                j += ok
+        return out
 
     def _uniforms(self, k, lanes=None):
         """(L, k) uniform doubles in [0, 1), k draws per lane."""

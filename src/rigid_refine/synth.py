@@ -18,17 +18,18 @@ _base_clouds. Its streams are an rng._Lanes: the experiment runner's
 _problems(spec, seeds) fills the streams of a chunk's seeds with one call of
 the stacked RNG kernel, sized by the draws a trial takes when nothing is
 redrawn (_trial_draws), and parses the draws as (B, ...) arrays, following
-the draw orders. Each trial's stream keeps its own cursor: a redraw (a
-Gaussian triple at the norm floor, a rejected integer draw) is parsed again
-with the other trials' redraws, a crop retry draws for the trials still
-trying, and trials that run past their prefetched draws refill together in
-one kernel call. _problems returns stacked arrays and a `made` mask, False
-for a trial that cannot be made (InsufficientPoints,
+the draw orders. Each trial's stream keeps its own cursor: a crop retry
+draws for the trials still trying, trials that run past their prefetched
+draws refill together in one kernel call, and a redraw (a Gaussian triple at
+the norm floor, a rejected integer draw; near-impossible) is parsed again on
+that trial's stream alone. _problems returns stacked arrays and a `made`
+mask, False for a trial that cannot be made (InsufficientPoints,
 CropOverlapUnsatisfied); it builds no container per trial. The public
 ball_cloud, sphere_cloud, slab_cloud, sample_transform and make_problem run
-the same kernel on the caller's generator, which is one lane of
-rng._Lanes, and keep their containers, exceptions and draw counts. Every trial is bit-identical
-to making it alone, one trial at a time (tests/problem_oracle.py).
+the same kernel on the caller's generator, which is one lane of rng._Lanes,
+and keep their containers, exceptions and draw counts. Every trial is
+bit-identical to making it alone, one trial at a time
+(tests/problem_oracle.py).
 """
 
 from dataclasses import dataclass
@@ -181,8 +182,15 @@ def _half_space_keep(points, normals, keep):
     (L, n, 3) points from their centroid along (L, 3) normals.
 
     Stable sort with ascending-index tie-break; returned ascending so the
-    retained points keep their original relative order.
+    retained points keep their original relative order. A lane whose
+    centroid or distances could pass the float range (coordinates near
+    2^1024 / n) is first divided by the power of two at or above its largest
+    coordinate: the scale is exact, so it keeps the order of the distances,
+    and every other lane keeps its bytes.
     """
+    _, exponent = np.frexp(np.abs(points).max(axis=(1, 2)))
+    huge = exponent + max(points.shape[1].bit_length(), 3) > 1023
+    points = np.ldexp(points, -np.where(huge, exponent, 0)[:, None, None])
     centroid = points.mean(axis=1)
     signed = ((points - centroid[:, None, :]) @ normals[:, :, None])[:, :, 0]
     order = np.argsort(-signed, axis=1, kind="stable")
@@ -474,7 +482,8 @@ def _icp_lanes(src, tgt, r0, t0, max_iters, tol):
     r, t = np.array(r0, dtype=float), np.array(t0, dtype=float)
     ok = np.ones(b, dtype=bool)
     iters = np.zeros(b, dtype=np.intp)
-    scale = np.abs(src).max(axis=(1, 2)) + np.abs(tgt).max(axis=(1, 2))
+    with np.errstate(over="ignore"):  # an inf scale keeps no cached row
+        scale = np.abs(src).max(axis=(1, 2)) + np.abs(tgt).max(axis=(1, 2))
     targets = _LaneTrees(tgt, requery=True)
     slack = _CACHE_SLACK * (scale + 1.0)
     index = np.zeros((b, n), dtype=np.intp)

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import problem_oracle
 import rng_oracle
@@ -417,6 +419,8 @@ def test_run_aggregates_of_overflow_scale_columns_are_finite_and_silent(tmp_path
 
 _HUGE_NOISE = "problem.noise_sigma = 1e300\nproblem.noise_clamp = 1e300\n"
 _HUGE_TRANSLATION = "problem.trans_range = 0,1e300\n"
+_EDGE_NOISE = "problem.noise_sigma = 1e308\nproblem.noise_clamp = 1e308\n"
+_EDGE_TRANSLATION = "problem.trans_range = 0,1e308\n"
 
 
 def test_run_at_overflow_scale_noise_sigma_is_silent(tmp_path):
@@ -444,11 +448,21 @@ def test_run_at_overflow_scale_noise_sigma_is_silent(tmp_path):
 #   cells, and refined's S overflows (an NA row).
 # - a translation up to 1e300: centering rounds the target's shape away, so
 #   the geometry is degenerate (NA rows).
+# - noise or a translation at the float's edge (1e308): a weighted mean, the
+#   crop's centroid or ICP's coordinate scale passes the float range, and
+#   every row is NA.
 OVERFLOW_SCALE_CASES = {
     "kabsch-noise": ("kabsch", 32, _HUGE_NOISE, COLUMNS[2:7] + ("trans_l2", "mean_point_dist")),
     "refined-noise": ("refined", 32, _HUGE_NOISE, ()),
     "kabsch-translation": ("kabsch", 16, _HUGE_TRANSLATION, ()),
     "refined-translation": ("refined", 16, _HUGE_TRANSLATION, ()),
+    **{
+        f"{method}-edge-{name}": (method, 8, problem, ())
+        for method in cli_module.METHODS
+        for name, problem in (("noise", _EDGE_NOISE), ("translation", _EDGE_TRANSLATION))
+    },
+    "icp-edge-both": ("icp", 8, _EDGE_NOISE + _EDGE_TRANSLATION, ()),
+    "kabsch-edge-crop": ("kabsch", 8, _EDGE_TRANSLATION + "problem.crop_keep_fraction = 0.7\n", ()),
 }
 
 
@@ -469,6 +483,48 @@ def test_run_at_overflow_scale_input_is_silent(tmp_path, case):
             assert (row[name] != "NA") == (name in numbers), (name, row[name])
             if name in numbers:
                 assert np.isfinite(float(row[name]))
+
+
+# Named hostile values for the fuzz test below: no N is huge, so every
+# example runs in milliseconds.
+HOSTILE_SCALES = ("0", "0.01", "1e100", "1e300", "1e308", "nan")
+HOSTILE_TRANSLATIONS = ("-1e308", "-1e300", "-0.5", "0", "0.5", "1e300", "1e308")
+HOSTILE_CROPS = ("1", "0.7", "0.35", "0.05")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from(cli_module.METHODS),
+    st.sampled_from(("ball", "sphere", "slab")),
+    st.integers(1, 40),
+    st.integers(1, 2),
+    st.sampled_from(HOSTILE_SCALES),
+    st.sampled_from(HOSTILE_SCALES),
+    st.lists(st.sampled_from(HOSTILE_TRANSLATIONS), min_size=2, max_size=2),
+    st.sampled_from(HOSTILE_CROPS),
+    st.booleans(),
+)
+def test_hostile_configs_end_in_a_config_error_or_csv(
+    method, cloud, n_points, trials, sigma, clamp, translation, crop, resample
+):
+    # The whole path from config text to CSV, with every warning an error:
+    # each config is rejected by name or runs to CSV text, whatever its
+    # values, and nothing else happens.
+    lo, hi = sorted(translation, key=float)
+    text = (
+        f"method = {method}\nproblem.cloud = {cloud}\nproblem.n_points = {n_points}\n"
+        f"trials = {trials}\nproblem.noise_sigma = {sigma}\nproblem.noise_clamp = {clamp}\n"
+        f"problem.trans_range = {lo},{hi}\nproblem.crop_keep_fraction = {crop}\n"
+        f"problem.independent_resample = {str(resample).lower()}\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            config = config_from_entries(parse_config_text(text))
+        except ConfigError:
+            return
+        csv = records_to_csv(run_experiment(config))
+    assert csv.startswith(",".join(COLUMNS) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Domain types, centering, translation extraction, weighted cost."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,24 @@ def test_optimal_translation_recovers_forward_construction():
         PointCloud(pts), PointCloud(pts @ rot.m.T + t)
     )
     assert np.linalg.norm(optimal_translation(rot, corr) - t) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        # The weighted means overflow.
+        [[1e308, 1e308, 1e308], [1.5e308, -1e308, 0.0], [1e308, 0.0, 1.0]],
+        # The means are finite, but their difference is not.
+        [[1e308, 0.0, 0.0], [1e308, 1.0, 0.0], [1e308, 0.0, 1.0]],
+    ],
+)
+def test_optimal_translation_past_the_float_range_is_a_named_error(points):
+    pts = np.array(points)
+    corr = CorrespondenceSet(PointCloud(pts), PointCloud(-pts))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="optimal translation overflows"):
+            optimal_translation(Rotation.identity(), corr)
 
 
 def test_optimal_translation_is_optimal():

@@ -1,5 +1,7 @@
 """Unconstrained predictor, divergence report, LICQ, redundancy identity."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from rigid_refine import (
     RigidTransform,
     Rotation,
     Xoshiro256PlusPlus,
+    ball_cloud,
     center,
     determinant_redundancy_residual,
     divergence_report,
@@ -20,6 +23,7 @@ from rigid_refine import (
     singularity_margin,
     unconstrained_solution,
 )
+from rigid_refine.diagnostics import _unconstrained
 from rigid_refine.refiner import CandidateMatrix
 
 from conftest import random_problem, random_rotation
@@ -77,6 +81,22 @@ def test_unconstrained_solution_planar_target_raises():
     assert exc.g.shape == (3, 3)
     assert exc.f.shape == (3, 3)
     assert abs(exc.det_g) <= 1e-12
+
+
+def test_unconstrained_past_the_float_range_is_unsolved_and_silent():
+    # Centered targets of scale 1e200, as a translation near 1e300 can leave
+    # after centering, overflow G = sum w t t^T: that lane is not solved,
+    # nothing warns, and the ordinary lane beside it keeps its bytes.
+    pts = ball_cloud(16, Xoshiro256PlusPlus(3)).points
+    pts = pts - pts.mean(axis=0)
+    clouds = np.stack([pts * 1e200, pts])
+    w = np.ones((2, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = _unconstrained(clouds, clouds, w)
+    assert sol.solved.tolist() == [False, True]
+    alone = _unconstrained(pts[None], pts[None], w[:1])
+    assert sol.r_u[1].tobytes() == alone.r_u[0].tobytes()
 
 
 def test_normalized_det_hand_value():

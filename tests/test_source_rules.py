@@ -1,8 +1,12 @@
 """Rules on the library source that no behavioural test can see."""
 
 import ast
+import importlib.metadata
 import pathlib
 import re
+import sys
+
+import pytest
 
 import rigid_refine
 
@@ -215,3 +219,43 @@ def test_each_draw_rejection_is_parsed_once():
     assert len(_library_nodes(_compares_with_norm_floor)) == 1
     assert len(_library_nodes(_calls_largest_accepted)) == 1
     assert _library_nodes(_names_a_removed_rng_path) == []
+
+
+def _imported_modules(path):
+    """The top-level names of the modules a source file imports absolutely."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def _requirement_name(requirement):
+    """The normalized project name of a requirement string ("numpy>=1.24")."""
+    return re.sub(r"[-_.]+", "-", re.match(r"[A-Za-z0-9._-]+", requirement).group()).lower()
+
+
+def test_every_third_party_module_the_tests_import_is_declared():
+    # `pip install -e ".[test]"` must give a suite that collects: each module
+    # the tests import is the standard library's, the package's, a test
+    # helper's, or a project that pyproject.toml declares in `dependencies`
+    # or in the `test` extra.
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {
+        _requirement_name(requirement)
+        for requirement in project["dependencies"] + project["optional-dependencies"]["test"]
+    }
+    local = {path.stem for path in TESTS.glob("*.py")} | {"rigid_refine"}
+    modules = set().union(*(_imported_modules(path) for path in TESTS.glob("*.py")))
+    third_party = sorted(modules - local - set(sys.stdlib_module_names))
+    projects = importlib.metadata.packages_distributions()
+    undeclared = [
+        module
+        for module in third_party
+        if not {_requirement_name(name) for name in projects.get(module, [module])} & declared
+    ]
+    assert third_party and undeclared == []

@@ -1,6 +1,8 @@
 """Tests for synthetic problem generation: transform sampling, corruption
 protocols (noise, crop, resample), cloud generators, and the ICP baseline."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,22 @@ def test_crop_keeps_exact_count_and_sorted_extremes():
     in_target[keep_tgt] = True
     assert np.array_equal(problem.overlap_mask, in_target[keep_src])
     assert problem.overlap_mask.sum() == np.intersect1d(keep_src, keep_tgt).size
+
+
+def test_crop_at_the_float_edge_keeps_the_points_of_the_unscaled_crop():
+    # Moved off the origin and scaled by 2^1020, 64 points sum past the
+    # float range, so the crop scales them back by a power of two: it keeps
+    # the same points, without a warning.
+    base = PointCloud(ball_cloud(64, Xoshiro256PlusPlus(17)).points + 1.0)
+    spec = ProblemSpec(n_points=64, trans_range=(0.0, 0.0), crop_keep_fraction=0.7, seed=17)
+    small = make_problem(spec, base, Xoshiro256PlusPlus(17))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = make_problem(spec, PointCloud(base.points * 2.0**1020), Xoshiro256PlusPlus(17))
+    for cloud in ("source", "target"):
+        got = getattr(big.correspondences, cloud).points
+        assert np.array_equal(got, getattr(small.correspondences, cloud).points * 2.0**1020)
+    assert np.array_equal(big.overlap_mask, small.overlap_mask)
 
 
 def test_crop_overlap_unsatisfiable():

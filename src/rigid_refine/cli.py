@@ -14,11 +14,13 @@ parsed at once), then solves and scores the problems that were made at once
 through the package's array kernels (Kabsch, the refine steps, the
 divergence predictors and the pose metrics; see core for the leading trial
 axis), and ICP as one stacked loop over the chunk (synth._icp_lanes).
-Chamfer is one stacked call over the chunk (metrics._chamfers): one
-lane-tagged k-d tree per direction answers a group of trials, searching no
-farther than the largest correspondence gap of its trials, which _chamfers
-works out. A trial that fails, in generation or in a kernel's mask, is an
-NA row; a metric that overflows (a trial's Chamfer among them) is an NA cell.
+Chamfer is one stacked call over the chunk (metrics._chamfers). Where a
+trial's target is sparse beside its largest correspondence gap, one
+self-query of the targets' lane-tagged k-d trees settles most rows by the
+triangle inequality, and only the rest are searched; other trials search one
+lane-tagged tree per direction and group of trials, no farther than that
+gap. A trial that fails, in generation or in a kernel's mask, is an NA row;
+a metric that overflows (a trial's Chamfer among them) is an NA cell.
 
 Output stays in columns as far as the schema allows: _solve_and_score
 returns one list per value column, _run_chunk zips them into TrialRecords,

@@ -17,13 +17,22 @@ lane, where no tag is needed.
 A query skips work it can prove unneeded, and stays exact. Given a bound on
 every query's nearest distance, the tree stops searching beyond it (Chamfer
 of two clouds of equal size, where the largest gap max_i ||a_i - b_i||
-bounds every nearest distance in both directions). ICP keeps a row's match
-while the pose moves that row less than half the gap to its second-nearest
-point, and asks the tree only about the other rows (synth._icp_lanes).
+bounds every nearest distance in both directions). A row whose nearest
+point the triangle inequality already names skips the search: ICP keeps a
+row's match while the pose moves that row less than half the gap to its
+second-nearest point (synth._icp_lanes), and Chamfer of two paired clouds
+takes b_i as a_i's nearest point, and a_i as b_i's, where the spacing of the
+target around b_i (one self-query of its trees, _LaneTrees.spacing) exceeds
+the gaps (metrics._paired_nearest). Both tests keep the same rounding
+margins (_surely_below). The rows left over go to the tree, or, when they
+are no more than one per lane, to one vectorized scan of their lanes
+(_scan), which also re-solves the tree's ties.
 """
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from .core import CHUNK_POINTS
 
 # Rows whose two nearest squared tree distances differ by at most this
 # fraction of the nearest are re-solved by a scan over that row. The tree's
@@ -33,9 +42,17 @@ from scipy.spatial import cKDTree
 TIE_GAP = 1e-9
 
 # Relative margin on a tree distance, far above the tree's rounding: a bound
-# is widened by it (the tree's bound is strict), and a cached ICP match is
-# kept only if it wins by it.
+# is widened by it (the tree's bound is strict), and a test that one distance
+# is below another passes only if it wins by it (_surely_below).
 TREE_SLACK = 1e-6
+
+# Absolute margin of the same tests, relative to a lane's coordinate scale
+# max|x| + max|y| + 1 over the two clouds compared (_scale_slack). Coordinates
+# computed from a pose (ICP's moved rows, their summed moves) are off by a few
+# ulps of that scale, and a squared distance that underflows is off by less,
+# so a test passed with this margin holds for the exact values, even at a
+# distance of 0.
+SCALE_SLACK = 1e-12
 
 # The tree squares coordinate differences, so a distance past about 1.3e154
 # overflows. Lane tags stay below this, and a cached ICP match is kept only
@@ -58,42 +75,84 @@ def _lanes_per_tree(m):
     return max(1, _GROUP_POINTS // m)
 
 
+def _scale_slack(x, y):
+    """SCALE_SLACK times each lane's coordinate scale max|x| + max|y| + 1, for
+    (B, N, 3) and (B, M, 3) stacks, (B,); inf where the scale overflows, so
+    that no test of that lane passes."""
+    with np.errstate(over="ignore"):
+        scale = np.abs(x).max(axis=(1, 2)) + np.abs(y).max(axis=(1, 2))
+    return SCALE_SLACK * (scale + 1.0)
+
+
+def _surely_below(near, far, slack):
+    """Where a distance near is below a distance far by more than the rounding
+    of either: near (1 + TREE_SLACK) + slack < far (1 - TREE_SLACK) - slack,
+    with slack from _scale_slack. A near at or past _TREE_MAX_DISTANCE never
+    passes, so a row whose squared distances may overflow reaches the tree
+    (or the scan) and is masked there; so does one with a NaN distance or an
+    inf slack (an overflow-scale lane), silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        low = near * (1.0 + TREE_SLACK) + slack
+        return (low < far * (1.0 - TREE_SLACK) - slack) & (low < _TREE_MAX_DISTANCE)
+
+
+def _passing_distance(near, slack):
+    """A far distance past which _surely_below(near, far, slack) holds,
+    whatever the rounding of far."""
+    return (near * (1.0 + TREE_SLACK) + 2.0 * slack) / (1.0 - TREE_SLACK)
+
+
+def _scan(lane, query, ref):
+    """The nearest point of each query row in its lane's cloud, by scanning
+    every point of the lane: nn_oracle's own definition, vectorized over rows.
+
+    lane (Q,) indexes the (B, M, 3) stack ref for each (Q, 3) query row.
+    Returns (index, d2): index[i] is the smallest j minimizing the
+    elementwise sum((query[i] - ref[lane[i], j]) ** 2), d2[i] that minimum
+    (inf or NaN where it overflows, silently). Rows go in blocks of at most
+    CHUNK_POINTS (row, point) pairs, so the difference tensor stays small.
+    """
+    index = np.empty(len(query), dtype=np.intp)
+    d2 = np.empty(len(query))
+    step = max(1, CHUNK_POINTS // ref.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(query), step):
+            rows = slice(lo, lo + step)
+            dist = np.sum((query[rows, None, :] - ref[lane[rows]]) ** 2, axis=2)
+            index[rows] = dist.argmin(axis=1)
+            d2[rows] = np.take_along_axis(dist, index[rows, None], axis=1)[:, 0]
+    return index, d2
+
+
 class _LaneTrees:
     """Exact nearest-neighbor search in each lane's own cloud, for a stack of
     (B, M, 3) reference clouds.
 
     Lanes are searched in groups of _lanes_per_tree(M) consecutive lanes,
-    one cKDTree per group. In a group of more than one lane every point gets
-    a fourth coordinate, slot * L, where slot is its lane's place in the
-    group and L = 4 S + 1 for the largest |coordinate| S of the group's
-    reference points. The tag difference of a lane's own points is exactly
-    0, so their tree distances are the 3-D ones; another lane's points are at
-    least L away, beyond every in-lane distance between points whose
-    coordinates are at most S in absolute value (at most 2 sqrt(3) S). A row
-    whose nearest point still lies in another lane, as a query beyond S may
-    find, is re-scanned against its own lane like a tie: such a query costs a
-    re-scan, never exactness. The overall second neighbor is never farther
-    than the in-lane one, so the tie flags can only grow and ICP's cached
-    second distance can only shrink: both stay exact. A group whose tags would
-    reach _TREE_MAX_DISTANCE (or whose S is not finite, as for an
-    overflow-scale lane) is searched one lane at a time, untagged.
+    one cKDTree per group, built when a search first needs it and kept for
+    the next. In a group of more than one lane every point gets a fourth
+    coordinate, slot * L, where slot is its lane's place in the group and
+    L = 4 S + 1 for the largest |coordinate| S of the group's reference
+    points. The tag difference of a lane's own points is exactly 0, so their
+    tree distances are the 3-D ones; another lane's points are at least L
+    away, beyond every in-lane distance between points whose coordinates are
+    at most S in absolute value (at most 2 sqrt(3) S). A row whose nearest
+    point still lies in another lane, as a query beyond S may find, is
+    re-scanned against its own lane like a tie: such a query costs a re-scan,
+    never exactness. The overall second neighbor is never farther than the
+    in-lane one, so the tie flags can only grow and ICP's cached second
+    distance, like Chamfer's spacing, can only shrink: both stay exact. A
+    group whose tags would reach _TREE_MAX_DISTANCE (or whose S is not
+    finite, as for an overflow-scale lane) is searched one lane at a time,
+    untagged.
 
     Parameters
     ----------
     ref : ndarray, shape (B, M, 3)
         M >= 1.
-    requery : bool, optional
-        Whether the caller queries more than once (ICP): then every tree is
-        built here and kept. Otherwise each is built for its group's query
-        and dropped after it. The choice matters only where groups form:
-        Chamfer at N > _GROUP_POINTS / 2 passes one lane per _LaneTrees,
-        one tree. At N=32 with 1000 lanes, building every tree of a Chamfer
-        direction up front measured 6-15% slower in metrics._chamfers in one
-        A/B study (35-37 -> 39-41 ms) and about 8% faster in another (36.7
-        -> 33.5 ms); at N=1024 the two stay within noise.
     """
 
-    def __init__(self, ref, requery=False):
+    def __init__(self, ref):
         b, m = ref.shape[:2]
         size = _lanes_per_tree(m)
         self.ref = ref
@@ -112,10 +171,45 @@ class _LaneTrees:
                     self.slot[start:stop] = np.arange(stop - start)
                     continue
             self.groups.extend((lane, lane + 1, ref[lane], None) for lane in range(start, stop))
-        self.trees = [cKDTree(points) for _, _, points, _ in self.groups] if requery else None
-        self.starts = [start for start, _, _, _ in self.groups] + [b]
+        self.trees = [None] * len(self.groups)
+        self.starts = [start for start, _, _, _ in self.groups] + [len(ref)]
 
-    def query(self, lane, query, bound=None):
+    def _tree(self, g, bound):
+        """Group g's tree, built on first use, and the distance its search
+        stops at: the group's largest bound widened by TREE_SLACK (the tree's
+        bound is strict), or inf for no bound, a non-finite one or 0."""
+        if self.trees[g] is None:
+            self.trees[g] = cKDTree(self.groups[g][2])
+        start, stop = self.groups[g][:2]
+        limit = np.inf if bound is None else float(bound[start:stop].max())
+        limit *= 1.0 + TREE_SLACK
+        # Exact data (a zero bound), overflow or no bound: search it all.
+        return self.trees[g], limit if 0.0 < limit < np.inf else np.inf
+
+    def spacing(self, bound):
+        """Each reference point's tree distance to its nearest other point
+        in its group's tree: at most its distance to the nearest other point
+        of its lane (0 for a duplicate), or inf where that is beyond bound.
+
+        Parameters
+        ----------
+        bound : ndarray, shape (B,)
+            Per lane; a group searches no farther than its largest (see
+            _tree).
+
+        Returns
+        -------
+        ndarray, shape (B, M)
+        """
+        spacing = np.empty(self.ref.shape[:2])
+        for g, (start, stop, points, _) in enumerate(self.groups):
+            tree, limit = self._tree(g, bound)
+            # A point's nearest is itself, at 0; the next is its spacing.
+            d, _ = tree.query(points, k=2, distance_upper_bound=limit)
+            spacing[start:stop] = d[:, 1].reshape(stop - start, -1)
+        return spacing
+
+    def search(self, lane, query, bound=None):
         """The nearest reference point of each query row in its lane's cloud.
 
         Parameters
@@ -143,20 +237,15 @@ class _LaneTrees:
         dist = np.empty((len(query), 2))
         first = np.empty(len(query), dtype=np.intp)  # the tree's nearest point
         cuts = np.searchsorted(lane, self.starts).tolist()
-        for g, (start, stop, points, step) in enumerate(self.groups):
+        for g, (_, _, _, step) in enumerate(self.groups):
             lo, hi = cuts[g], cuts[g + 1]
             if lo == hi:
                 continue
-            tree = cKDTree(points) if self.trees is None else self.trees[g]
+            tree, limit = self._tree(g, bound)
             rows = query[lo:hi]
             if step is not None:
                 rows = np.column_stack([rows, slot[lo:hi] * step])
-            limit = np.inf if bound is None else float(bound[start:stop].max())
-            limit *= 1.0 + TREE_SLACK
-            if 0.0 < limit < np.inf:
-                d, i = tree.query(rows, k=2, distance_upper_bound=limit)
-            else:  # exact data (a zero bound), overflow or no bound: search it all
-                d, i = tree.query(rows, k=2)
+            d, i = tree.query(rows, k=2, distance_upper_bound=limit)
             dist[lo:hi], first[lo:hi] = d, i[:, 0]
         with np.errstate(over="ignore", invalid="ignore"):
             near2 = dist[:, 0] ** 2
@@ -170,14 +259,13 @@ class _LaneTrees:
             scan = dist[:, 1] ** 2 - near2 <= TIE_GAP * near2
             scan |= group_lane != slot
             scan = np.flatnonzero(scan & found)
-            finite = np.ones(len(self.ref), dtype=bool)
-            if not found.all():
-                finite[lane[~found]] = False
+        finite = np.ones(len(self.ref), dtype=bool)
+        if not found.all():
+            finite[lane[~found]] = False
+        if scan.size:
             dist[scan] = np.inf
-            for row in scan:
-                d2 = np.sum((query[row] - self.ref[lane[row]]) ** 2, axis=1)
-                index[row] = d2.argmin()
-                finite[lane[row]] &= bool(np.isfinite(d2[index[row]]))
+            index[scan], d2 = _scan(lane[scan], query[scan], self.ref)
+            finite[lane[scan][~np.isfinite(d2)]] = False
         return index, dist, finite
 
 
@@ -192,7 +280,7 @@ def _nearest_lanes(query, ref, bound=None):
     """
     b, n = query.shape[:2]
     lane = np.repeat(np.arange(b), n)
-    index, _, finite = _LaneTrees(ref).query(lane, query.reshape(-1, 3), bound)
+    index, _, finite = _LaneTrees(ref).search(lane, query.reshape(-1, 3), bound)
     index = index.reshape(b, n)
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = np.sum((query - ref[np.arange(b)[:, None], index]) ** 2, axis=2)

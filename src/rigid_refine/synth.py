@@ -49,7 +49,7 @@ from .core import (
     _scalar_pow,
 )
 from .kabsch import DegenerateGeometry, _kabsch_pose
-from .neighbors import _TREE_MAX_DISTANCE, TREE_SLACK, _LaneTrees, nearest
+from .neighbors import _LaneTrees, _scale_slack, _surely_below, nearest
 from .rng import _Lanes
 
 # Resample-free crops must share at least this fraction of original indices.
@@ -447,13 +447,6 @@ def matching_cost(src, tgt, pose):
     return float(d2.mean())
 
 
-# Rounding headroom of the ICP match cache, relative to the coordinate scale
-# max|src| + max|tgt| + 1: the summed row moves and the tree's distances are
-# off by a few ulps of it, so a row kept with this margin has its match
-# exact, even at a nearest distance of 0.
-_CACHE_SLACK = 1e-12
-
-
 def _icp_lanes(src, tgt, r0, t0, max_iters, tol):
     """icp_baseline per trial: (B, N, 3) sources and (B, M, 3) targets from
     (B, 3, 3) / (B, 3) start poses.
@@ -469,23 +462,20 @@ def _icp_lanes(src, tgt, r0, t0, max_iters, tol):
     neighbors._LaneTrees, built once: its grouped trees take the rows of
     every active lane that need a match in one query per group. A lane's
     matches are cached: the tree distances d1 and d2 of each row's nearest
-    and second-nearest target point are kept, and when the pose moves the row
-    by delta, d1 grows and d2 shrinks by delta. While
-    d1 (1 + TREE_SLACK) + s < d2 (1 - TREE_SLACK) - s (s = _CACHE_SLACK times
-    the lane's coordinate scale), the cached point is still the row's unique
-    nearest, so only the other rows are queried. The pose change is a sum of
-    two norms taken with core._dot, the dot product np.linalg.norm takes, so
-    every lane is bit-identical to running it alone and to ICP that matches
-    every row on every iteration.
+    and second-nearest target point are kept, and when the pose moves the
+    row by delta, d1 grows and d2 shrinks by delta. While d1 is below d2 by
+    more than the rounding margins of neighbors._surely_below, the cached
+    point is still the row's unique nearest, so only the other rows are
+    queried. The pose change is a sum of two norms taken with core._dot, the
+    dot product np.linalg.norm takes, so every lane is bit-identical to
+    running it alone and to ICP that matches every row on every iteration.
     """
     b, n = src.shape[:2]
     r, t = np.array(r0, dtype=float), np.array(t0, dtype=float)
     ok = np.ones(b, dtype=bool)
     iters = np.zeros(b, dtype=np.intp)
-    with np.errstate(over="ignore"):  # an inf scale keeps no cached row
-        scale = np.abs(src).max(axis=(1, 2)) + np.abs(tgt).max(axis=(1, 2))
-    targets = _LaneTrees(tgt, requery=True)
-    slack = _CACHE_SLACK * (scale + 1.0)
+    targets = _LaneTrees(tgt)
+    slack = _scale_slack(src, tgt)  # an inf scale keeps no cached row
     index = np.zeros((b, n), dtype=np.intp)
     d1 = np.full((b, n), np.inf)  # nothing cached: every row is queried first
     d2 = np.zeros((b, n))
@@ -502,13 +492,10 @@ def _icp_lanes(src, tgt, r0, t0, max_iters, tol):
                 d1[lanes] += step
                 d2[lanes] -= step
         last[lanes] = moved
-        low = d1[lanes] * (1.0 + TREE_SLACK) + slack[lanes, None]
-        high = d2[lanes] * (1.0 - TREE_SLACK) - slack[lanes, None]
-        # Past _TREE_MAX_DISTANCE the row must reach the tree, to be masked
-        # as a full query's overflow would be.
-        stale = ~((low < high) & (low < _TREE_MAX_DISTANCE))
-        k, rows = np.nonzero(stale)
-        found, dist, finite = targets.query(lanes[k], moved[k, rows])
+        # A row that may overflow reaches the tree, to be masked as a full
+        # query's overflow would be.
+        k, rows = np.nonzero(~_surely_below(d1[lanes], d2[lanes], slack[lanes, None]))
+        found, dist, finite = targets.search(lanes[k], moved[k, rows])
         index[lanes[k], rows] = found
         d1[lanes[k], rows], d2[lanes[k], rows] = dist.T
         ok &= finite

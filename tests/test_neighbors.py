@@ -1,12 +1,15 @@
 """The k-d tree nearest-neighbor kernel and its three callers (Chamfer distance,
 matching cost, ICP) against the brute-force oracle in nn_oracle.py, bit for bit,
-with and without the work they skip: bounded queries and cached ICP matches,
-for one lane and for stacks of lanes searched through lane-tagged trees."""
+with and without the work they skip: bounded queries, cached ICP matches and
+Chamfer rows settled by the target's spacing, for one lane and for stacks of
+lanes searched through lane-tagged trees."""
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rigid_refine import (
     DegenerateGeometry,
@@ -22,12 +25,19 @@ from rigid_refine import (
     so3,
 )
 from rigid_refine import metrics
+from rigid_refine.cli import config_from_entries, parse_config_text, run_experiment
 from rigid_refine.metrics import _chamfers
 from rigid_refine.neighbors import NonFiniteDistance, _LaneTrees, _nearest_lanes, nearest
 from rigid_refine.rng import Xoshiro256PlusPlus
 from rigid_refine.synth import _icp_lanes
 
-from nn_oracle import brute_chamfer, brute_icp, brute_matching_cost, brute_nearest
+from nn_oracle import (
+    brute_chamfer,
+    brute_icp,
+    brute_matching_cost,
+    brute_nearest,
+    squared_distances,
+)
 
 SIZES = (1, 2, 32, 717, 1024)
 
@@ -164,24 +174,161 @@ def test_bounded_chamfer_matches_oracle_bitwise():
 
 def test_chamfers_bound_equal_size_clouds_by_their_largest_gap(monkeypatch):
     # With N = M each point's partner bounds its nearest distance in the
-    # other cloud, in both directions; clouds of unequal size have no bound.
-    bounds = []
-    search = metrics._nearest_lanes
+    # other cloud, in both directions: every tree search of a pair's rows,
+    # both clouds of a far pair and the unsettled rows of a close one, is
+    # bounded by that pair's largest gap. Clouds of unequal size have no bound.
+    searches = []
+    search = _LaneTrees.search
 
-    def spy(query, ref, bound=None):
-        bounds.append(bound)
-        return search(query, ref, bound)
+    def spy(self, lane, query, bound=None):
+        searches.append((self.ref, lane, bound))
+        return search(self, lane, query, bound)
 
-    monkeypatch.setattr(metrics, "_nearest_lanes", spy)
-    query, ref = lane_clouds(7, 3, 20, 20)
+    monkeypatch.setattr(_LaneTrees, "search", spy)
+    far_query, far_ref = lane_clouds(7, 3, 40, 40)
+    # Sparse targets with gaps near their spacing: many rows stay unsettled.
+    rng = np.random.default_rng(8)
+    close_ref = rng.uniform(-1.0, 1.0, size=(3, 40, 3))
+    close_query = close_ref + 0.05 * rng.standard_normal(close_ref.shape)
+    query, ref = np.concatenate([far_query, close_query]), np.concatenate([far_ref, close_ref])
     gaps = np.sqrt(((query - ref) ** 2).sum(axis=2).max(axis=1))
     _chamfers(query, ref)
-    assert len(bounds) == 2
-    for bound in bounds:
-        assert_bitwise(bound, gaps)
-    bounds.clear()
+    clouds = [(query[j].tobytes(), ref[j].tobytes()) for j in range(6)]
+    partial = 0
+    for cloud, lane, bound in searches:
+        assert bound is not None
+        for k in np.unique(lane):
+            pair = [j for j, both in enumerate(clouds) if cloud[k].tobytes() in both]
+            assert len(pair) == 1
+            assert_bitwise(bound[k : k + 1], gaps[pair])
+        partial += len(lane) < cloud.shape[0] * cloud.shape[1]
+    assert len(searches) >= 3 and partial
+    searches.clear()
     _chamfers(query, ref[:, :15])
-    assert bounds == [None, None]
+    assert searches and all(bound is None for _, _, bound in searches)
+
+
+def oracle_chamfer(a, b):
+    """brute_chamfer of two point arrays, or NaN (an NA cell) where a nearest
+    squared distance overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = squared_distances(a, b)
+        if not (np.isfinite(d2.min(axis=1)).all() and np.isfinite(d2.min(axis=0)).all()):
+            return np.nan
+        return brute_chamfer(PointCloud(a), PointCloud(b))
+
+
+def paired_lane(rng, n, kind, eps):
+    """One (a, b) pair of N points for the paired-Chamfer fuzz test.
+
+    noise: b uniform at its own scale and offset, a = b + eps * scale * noise,
+    eps from 0 to past the point spacing. lattice: b on a coarse lattice, with
+    duplicates, and a = b + eps * noise, on a finer lattice half the time
+    (exact ties). equal: a == b. overflow: b at 1e200 or 1e308 scale (where
+    the coordinate scale itself overflows) and a = (1 - eps) b: every gap 0 at
+    eps = 0, else gaps whose squares overflow. close: noise, but b_1 lies
+    near b_0, a_0 is moved next to b_1 and a_1 away from it, so that neither
+    b_1 nor a_0 has its partner as nearest point, and b_1 is within twice
+    its own gap of a_0 but not within the largest gap.
+    """
+    if kind == "close":
+        a, b = paired_lane(rng, n, "noise", eps)
+        if n > 1:
+            step = 0.05 * np.abs(b).max() * rng.standard_normal(3) / np.sqrt(3.0)
+            b[1] = b[0] + step
+            a[0], a[1] = b[0] + 0.9 * step, b[1] + 0.4 * step
+        return a, b
+    if kind == "lattice":
+        b = 0.25 * rng.integers(-2, 3, size=(n, 3)).astype(float)
+        a = b + eps * rng.standard_normal((n, 3))
+        if rng.random() < 0.5:
+            a = np.round(8.0 * a) / 8.0
+        return a, b
+    if kind == "overflow":
+        b = rng.uniform(-1.0, 1.0, size=(n, 3)) * rng.choice([1e200, 1e308])
+        return b * (1.0 - eps), b
+    scale = rng.uniform(0.1, 10.0)
+    b = rng.uniform(-1.0, 1.0, size=(n, 3)) * scale + rng.uniform(-5.0, 5.0, size=3)
+    if kind == "equal":
+        return b.copy(), b
+    return b + eps * scale * rng.standard_normal((n, 3)), b
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from((1, 2, 3, 24, 90)),
+    st.lists(
+        st.tuples(
+            st.sampled_from(("noise", "noise", "lattice", "equal", "overflow", "close")),
+            st.sampled_from((0.0, 1e-12, 1e-4, 0.01, 0.05, 0.2, 1.0)),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_paired_chamfers_match_the_oracle_lane_by_lane(n, kinds, seed):
+    # Stacks of paired lanes, some settled by their spacing and some sparse
+    # or dense beyond the density test, in one call: each lane equals the
+    # brute-force Chamfer of its pair alone, bit for bit, silently.
+    rng = np.random.default_rng(seed)
+    pairs = [paired_lane(rng, n, kind, eps) for kind, eps in kinds]
+    a, b = np.stack([pair[0] for pair in pairs]), np.stack([pair[1] for pair in pairs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = _chamfers(a, b)
+    for k, (pa, pb) in enumerate(pairs):
+        assert_bitwise(value[k : k + 1], np.array([oracle_chamfer(pa, pb)]))
+
+
+def benchmark_chunk(settings, trials):
+    """Run `refined` or `icp` trials of a config's settings (one chunk)."""
+    text = f"{settings}problem.seed = 0\ntrials = {trials}\n"
+    return run_experiment(config_from_entries(parse_config_text(text)))
+
+
+def test_paired_chamfer_searches_few_rows(monkeypatch):
+    # At the calibration-sweep shape (N=32, sigma=0.01, 1000 trials) the
+    # spacing settles almost every row: fewer than 5% of them are left, few
+    # enough for one scan, so no tree of the sources is built and no row
+    # reaches a cross-cloud search. ICP's pairs are too far apart for the
+    # density test, and clouds of unequal size have no pairs: neither runs a
+    # self-query.
+    searched, scanned, spacings = [], [], []
+    search, spacing, scan = _LaneTrees.search, _LaneTrees.spacing, metrics._scan
+
+    def counting_search(self, lane, query, *args):
+        searched.append(len(query))
+        return search(self, lane, query, *args)
+
+    def counting_spacing(self, bound):
+        spacings.append(self.ref.shape[:2])
+        return spacing(self, bound)
+
+    def counting_scan(lane, query, ref):
+        scanned.append(len(query))
+        return scan(lane, query, ref)
+
+    monkeypatch.setattr(_LaneTrees, "search", counting_search)
+    monkeypatch.setattr(_LaneTrees, "spacing", counting_spacing)
+    monkeypatch.setattr(metrics, "_scan", counting_scan)
+    sweep = (
+        "method = refined\nproblem.noise_sigma = 0.01\nrefinements = 5\n"
+        "report_diagnostics = true\nproblem.n_points = 32\n"
+    )
+    records = benchmark_chunk(sweep, 1000)
+    assert all(r.chamfer is not None for r in records)
+    assert spacings == [(1000, 32)] and searched == []
+    assert 0 < sum(scanned) < 0.05 * 2 * 1000 * 32
+    spacings.clear()
+    icp = (
+        "method = icp\nproblem.noise_sigma = 0.01\nproblem.n_points = 717\n"
+        "problem.crop_keep_fraction = 0.7\nproblem.independent_resample = true\n"
+    )
+    assert all(r.chamfer is not None for r in benchmark_chunk(icp, 2))
+    query, ref = lane_clouds(9, 4, 30, 30)
+    _chamfers(query * 1e-3, ref[:, :20])
+    assert spacings == []
 
 
 def test_chamfer_duplicates_and_ties_match_oracle():
@@ -291,13 +438,13 @@ def test_icp_lanes_mask_failed_lanes_and_keep_the_others_exact():
 def test_icp_cache_sends_few_rows_to_the_tree(monkeypatch):
     # Without the cache every row reaches the tree on every iteration.
     counted = []
-    search = _LaneTrees.query
+    search = _LaneTrees.search
 
-    def counting_query(self, lane, query, *args, **kwargs):
+    def counting_search(self, lane, query, *args, **kwargs):
         counted.append(len(query))
         return search(self, lane, query, *args, **kwargs)
 
-    monkeypatch.setattr(_LaneTrees, "query", counting_query)
+    monkeypatch.setattr(_LaneTrees, "search", counting_search)
     spec = ProblemSpec(seed=0, **ICP_SPEC)
     rng = Xoshiro256PlusPlus(0)
     corr = make_problem(spec, ball_cloud(2 * spec.n_points, rng), rng).correspondences
@@ -362,7 +509,7 @@ def test_identical_lanes_are_separated_by_the_tag_alone():
     # The tag alone keeps the other copy away: no row needs a re-scan (which
     # would report inf tree distances).
     targets = _LaneTrees(ref)
-    _, dist, _ = targets.query(np.repeat([0, 1], 40), query.reshape(-1, 3))
+    _, dist, _ = targets.search(np.repeat([0, 1], 40), query.reshape(-1, 3))
     assert np.isfinite(dist).all()
     assert_lanes_match_oracle(query, ref, tightest_bounds(query, ref))
     # Queries that are the reference points: each is at distance 0 from its
@@ -451,7 +598,7 @@ def test_rows_whose_nearest_point_lies_in_another_lane_are_rescanned():
     query *= 50.0
     targets = _LaneTrees(ref)
     lane = np.repeat(np.arange(8), 30)
-    index, dist, finite = targets.query(lane, query.reshape(-1, 3))
+    index, dist, finite = targets.search(lane, query.reshape(-1, 3))
     assert finite.all() and np.isinf(dist).any()
     for k in range(8):
         assert_bitwise(index[30 * k : 30 * (k + 1)], brute_nearest(query[k], ref[k])[0])

@@ -89,11 +89,17 @@ def _imports_kd_tree(node):
     return False
 
 
+def _queries_a_tree(node):
+    """True for a call of a method named query, as a k-d tree search is."""
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "query"
+
+
 def test_only_neighbors_builds_kd_trees():
     # One nearest-neighbor kernel: Chamfer, matching cost and ICP all search
-    # through neighbors, which alone builds k-d trees.
-    hits = _library_nodes(_imports_kd_tree)
-    assert hits and [hit for hit in hits if not hit.startswith("neighbors.py:")] == []
+    # through neighbors, which alone builds k-d trees and queries them.
+    for rule in (_imports_kd_tree, _queries_a_tree):
+        hits = _library_nodes(rule)
+        assert hits and [hit for hit in hits if not hit.startswith("neighbors.py:")] == []
 
 
 # One solver for the refine step: the closed form in refiner. The paper's

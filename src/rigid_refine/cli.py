@@ -17,8 +17,8 @@ axis), and ICP as one stacked loop over the chunk (synth._icp_lanes).
 Chamfer is one stacked call over the chunk (metrics._chamfers). Where a
 trial's target is sparse beside its largest correspondence gap, one
 self-query of the targets' lane-tagged k-d trees settles most rows by the
-triangle inequality, and only the rest are searched; other trials search one
-lane-tagged tree per direction and group of trials, no farther than that
+triangle inequality, and only the rest are searched; the other trials'
+rows are all searched, in one search per direction, no farther than that
 gap. A trial that fails, in generation or in a kernel's mask, is an NA row;
 a metric that overflows (a trial's Chamfer among them) is an NA cell.
 

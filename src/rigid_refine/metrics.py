@@ -5,10 +5,11 @@ The pose metrics are written once, in private kernels with a leading trial
 axis ((B, 3, 3) rotations, (B, 3) translations, (B, N, 3) clouds), which the
 experiment harness calls on a whole chunk of trials and the public functions
 call at B = 1. So is Chamfer: `_chamfers` takes a stack of cloud pairs and
-searches a group of pairs per lane-tagged tree (neighbors._LaneTrees), no
-farther than each pair's largest gap when the clouds have equal size, and
-settles the rows of sparse pairs that the triangle inequality decides
-without a search (_paired_nearest).
+hands them to one routine, _chamfer_lanes, which searches each direction of
+every pair through lane-tagged trees (neighbors._LaneTrees), no farther than
+each pair's largest gap when the clouds have equal size; for the pairs whose
+target is sparse beside that gap it first settles the rows that the
+triangle inequality decides without a search.
 See core for the conventions and the matmul-dot rule that keeps each lane
 bit-identical.
 """
@@ -20,9 +21,7 @@ import numpy as np
 from .core import _dot, _frozen, _scalar_pow
 from .neighbors import (
     NonFiniteDistance,
-    _lanes_per_tree,
     _LaneTrees,
-    _nearest_lanes,
     _passing_distance,
     _scale_slack,
     _scan,
@@ -160,53 +159,60 @@ def pose_error(est, gt, p=2):
     )
 
 
-def _paired_nearest(a, b, gap2, bound):
-    """Both directed nearest squared distances of paired (B, N, 3) stacks,
-    (d2_ab (B, N), d2_ba (B, N), finite (B,)), most rows settled without a
-    search: gap2 (B, N) holds the squared gaps g_i ** 2, g_i = ||a_i - b_i||,
-    by the elementwise formula, and bound (B,) each lane's largest gap G.
+def _chamfer_lanes(a, b, bound=None, gap2=None):
+    """chamfer_distance per lane of (B, N, 3) / (B, M, 3) point stacks, (B,):
+    both directed means of the nearest squared distances, summed; NaN for a
+    lane where a nearest squared distance is not finite. No search goes
+    farther than bound (B,), each lane's largest gap G when N = M.
 
-    One self-query of the targets' trees gives each b_i's spacing s_i, at most
-    its distance to the nearest other point of b (_LaneTrees.spacing). By the
-    triangle inequality b_i is a_i's unique nearest point where 2 g_i < s_i,
-    and a_i is b_i's where g_i + G < s_i; each test keeps the rounding margins
-    of neighbors._surely_below, and the self-query searches no farther than
-    the spacing past which both pass for every row. A settled row's squared
-    distance is its gap2. The other rows of a direction go to one in-lane
-    scan (neighbors._scan) when they number no more than the lanes, so that
-    it scans no more points than the direction's trees would hold; otherwise
-    to a search bounded by G, in the targets' trees kept from the self-query
-    or in trees of the sources.
+    gap2 (B, N), the squared gaps g_i ** 2 of paired clouds (g_i =
+    ||a_i - b_i||, by the elementwise formula), settles most rows without a
+    search: one self-query of the targets' trees gives each b_i's spacing
+    s_i (_LaneTrees.spacing), and by the triangle inequality b_i is a_i's
+    unique nearest point where 2 g_i < s_i, and a_i is b_i's where
+    g_i + G < s_i, each test with the margins of neighbors._surely_below.
+    The self-query goes no farther than the spacing past which both tests
+    pass for every row. A settled row's squared distance is its gap2.
+    Without gap2 no row is settled. A direction's other rows go to one
+    in-lane scan (neighbors._scan) when they are no more than the lanes, so
+    that it scans no more points than the trees would hold, else to one
+    search of every lane's tree, the targets' kept from the self-query.
     """
-    gap = np.sqrt(gap2)
-    slack = _scale_slack(a, b)
     targets = _LaneTrees(b)
-    spacing = targets.spacing(_passing_distance(2.0 * bound, slack))
+    if gap2 is None:
+        directions = [(None, np.empty(x.shape[:2])) for x in (a, b)]
+    else:
+        gap = np.sqrt(gap2)
+        slack = _scale_slack(a, b)
+        spacing = targets.spacing(_passing_distance(2.0 * bound, slack))
+        directions = [
+            (~_surely_below(near, spacing, slack[:, None]), gap2.copy())
+            for near in (2.0 * gap, gap + bound[:, None])
+        ]
     finite = np.ones(len(a), dtype=bool)
     terms = []
-    directions = ((2.0 * gap, a, b, targets), (gap + bound[:, None], b, a, None))
-    for near, query, ref, trees in directions:
-        d2 = gap2.copy()
-        lane, row = np.nonzero(~_surely_below(near, spacing, slack[:, None]))
-        rows = query[lane, row]
+    for (unsettled, d2), query, ref, trees in zip(directions, (a, b), (b, a), (targets, None)):
+        # Rows by flat number: every row as a view, or the unsettled ones
+        # gathered by np.take, faster than by (lane, row) pairs.
+        n, points = query.shape[1], query.reshape(-1, 3)
+        if unsettled is None:
+            flat, lane, rows = slice(None), np.repeat(np.arange(len(query)), n), points
+        else:
+            flat = np.flatnonzero(unsettled)
+            lane, rows = flat // n, np.take(points, flat, axis=0)
         if len(rows) <= len(ref):
-            _, d2[lane, row] = _scan(lane, rows, ref)
-            finite[lane[~np.isfinite(d2[lane, row])]] = False
+            _, d2.flat[flat] = _scan(lane, rows, ref)
+            finite[lane[~np.isfinite(d2.flat[flat])]] = False
         else:
             index, _, found = (trees or _LaneTrees(ref)).search(lane, rows, bound)
             finite &= found
+            nearest = np.take(ref.reshape(-1, 3), lane * ref.shape[1] + index, axis=0)
             with np.errstate(over="ignore", invalid="ignore"):
-                d2[lane, row] = np.sum((rows - ref[lane, index]) ** 2, axis=1)
+                d2.flat[flat] = np.sum((rows - nearest) ** 2, axis=1)
         terms.append(d2)
-    return terms[0], terms[1], finite
-
-
-def _chamfer_sums(d2_ab, d2_ba, finite):
-    """Each lane's mean squared distance in both directions, summed; NaN
-    where finite is False."""
     # A masked lane's squared distances may be inf or NaN, or overflow its sum.
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = d2_ab.mean(axis=1) + d2_ba.mean(axis=1)
+        sums = terms[0].mean(axis=1) + terms[1].mean(axis=1)
     return np.where(finite, sums, np.nan)
 
 
@@ -214,42 +220,29 @@ def _chamfers(a, b):
     """chamfer_distance per lane of (B, N, 3) / (B, M, 3) point stacks, (B,);
     NaN for a lane where a nearest squared distance is not finite.
 
-    With N = M, the largest gap G = max_i ||a_i - b_i|| bounds every point's
-    distance to the nearest point of the other cloud of its lane, in both
-    directions, so the trees search no farther (see neighbors._LaneTrees); the
-    values are the same. An overflowed (inf or NaN) bound searches
-    everything. A lane whose target is sparse beside its gaps, with fewer
-    than one other target point expected within 2 G of a point
+    Clouds of unequal size take one unbounded _chamfer_lanes call. At N = M,
+    the largest gap G = max_i ||a_i - b_i|| bounds every nearest distance in
+    both directions (an overflowed G searches everything; see
+    neighbors._LaneTrees), and the lanes whose target is sparse beside it,
+    with fewer than one other target point expected within 2 G of a point
     ((M - 1) (4 pi / 3) (2 G) ** 3 below the volume of the target's bounding
-    box), settles most rows without a search (_paired_nearest), all such
-    lanes in one call; the other lanes, and clouds of unequal size, search
-    both clouds.
+    box), take one call that settles rows by their gaps; the others take one
+    that settles none.
     """
+    if a.shape[1] != b.shape[1]:
+        return _chamfer_lanes(a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap2 = ((a - b) ** 2).sum(axis=2)
+        bound = np.sqrt(gap2.max(axis=1))
+        box = np.prod(b.max(axis=1) - b.min(axis=1), axis=1)
+        spaced = (b.shape[1] - 1) * (4.0 * np.pi / 3.0) * (2.0 * bound) ** 3 < box
     value = np.empty(len(a))
-    bound = None
-    spaced = np.zeros(len(a), dtype=bool)
-    if a.shape[1] == b.shape[1]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            gap2 = ((a - b) ** 2).sum(axis=2)
-            bound = np.sqrt(gap2.max(axis=1))
-            box = np.prod(b.max(axis=1) - b.min(axis=1), axis=1)
-            spaced = (b.shape[1] - 1) * (4.0 * np.pi / 3.0) * (2.0 * bound) ** 3 < box
-    if spaced.any():
-        lanes = np.flatnonzero(spaced)
-        terms = _paired_nearest(a[lanes], b[lanes], gap2[lanes], bound[lanes])
-        value[lanes] = _chamfer_sums(*terms)
-    # Clouds too large to share a tree are searched pair by pair, both
-    # directions back to back while the pair is still in cache: at N=1024,
-    # one sweep of the chunk per direction made Chamfer in `rigid-refine run`
-    # ~10% slower. Smaller clouds take one sweep per direction, which keeps
-    # the calls few (per tree's group of lanes, N=32 was ~10% slower).
-    rest = np.flatnonzero(~spaced)
-    size = max(len(rest), 1) if _lanes_per_tree(max(a.shape[1], b.shape[1])) > 1 else 1
-    for lanes in (rest[k : k + size] for k in range(0, len(rest), size)):
-        lane_bound = None if bound is None else bound[lanes]
-        _, d2_ab, finite_ab = _nearest_lanes(a[lanes], b[lanes], lane_bound)
-        _, d2_ba, finite_ba = _nearest_lanes(b[lanes], a[lanes], lane_bound)
-        value[lanes] = _chamfer_sums(d2_ab, d2_ba, finite_ab & finite_ba)
+    for lanes, paired in ((spaced, gap2), (~spaced, None)):
+        if lanes.any():
+            # A call on every lane takes the stacks as they are, not a copy.
+            lanes = slice(None) if lanes.all() else lanes
+            paired = None if paired is None else paired[lanes]
+            value[lanes] = _chamfer_lanes(a[lanes], b[lanes], bound[lanes], paired)
     return value
 
 
@@ -261,9 +254,9 @@ def chamfer_distance(a, b):
     k-d tree search of neighbors._LaneTrees, O((N + M) log(N + M)) expected time
     and O(N + M) memory; for clouds of equal size whose points are paired
     (a_i with b_i) and close beside the spacing of b, most rows take their
-    partner without a search (see _chamfers). The value is bit-identical to
-    the brute-force minimum over all N*M squared distances. It is _chamfers
-    at one lane.
+    partner without a search (see _chamfers and _chamfer_lanes). The value
+    is bit-identical to the brute-force minimum over all N*M squared
+    distances. It is _chamfers at one lane.
 
     Parameters
     ----------

@@ -23,7 +23,7 @@ row's match while the pose moves that row less than half the gap to its
 second-nearest point (synth._icp_lanes), and Chamfer of two paired clouds
 takes b_i as a_i's nearest point, and a_i as b_i's, where the spacing of the
 target around b_i (one self-query of its trees, _LaneTrees.spacing) exceeds
-the gaps (metrics._paired_nearest). Both tests keep the same rounding
+the gaps (metrics._chamfer_lanes). Both tests keep the same rounding
 margins (_surely_below). The rows left over go to the tree, or, when they
 are no more than one per lane, to one vectorized scan of their lanes
 (_scan), which also re-solves the tree's ties.
@@ -59,20 +59,16 @@ SCALE_SLACK = 1e-12
 # below it.
 _TREE_MAX_DISTANCE = 1e154
 
-# Reference points per tagged tree: a stack of lanes with M reference points
-# each is searched in groups of max(1, _GROUP_POINTS // M) lanes. Chosen by
-# measurement (see CHANGES.md); below 1002, so that the benchmark's ICP
-# targets (501 points) and N=1024 Chamfer keep one untagged lane per tree.
+# Reference points per tagged tree: _LaneTrees searches a stack of lanes with
+# M reference points each in groups of max(1, _GROUP_POINTS // M) lanes, for
+# every caller. Chosen by measurement (see CHANGES.md); below 1002, so that
+# the benchmark's ICP targets (501 points) and N=1024 Chamfer keep one
+# untagged lane per tree.
 _GROUP_POINTS = 1000
 
 
 class NonFiniteDistance(Exception):
     """A nearest squared distance overflowed, so no nearest point is defined."""
-
-
-def _lanes_per_tree(m):
-    """Lanes of M = m reference points that _LaneTrees searches with one tree."""
-    return max(1, _GROUP_POINTS // m)
 
 
 def _scale_slack(x, y):
@@ -128,9 +124,9 @@ class _LaneTrees:
     """Exact nearest-neighbor search in each lane's own cloud, for a stack of
     (B, M, 3) reference clouds.
 
-    Lanes are searched in groups of _lanes_per_tree(M) consecutive lanes,
-    one cKDTree per group, built when a search first needs it and kept for
-    the next. In a group of more than one lane every point gets a fourth
+    Lanes are searched in groups of max(1, _GROUP_POINTS // M) consecutive
+    lanes, one cKDTree per group, built when a search first needs it and kept
+    for the next. In a group of more than one lane every point gets a fourth
     coordinate, slot * L, where slot is its lane's place in the group and
     L = 4 S + 1 for the largest |coordinate| S of the group's reference
     points. The tag difference of a lane's own points is exactly 0, so their
@@ -154,7 +150,7 @@ class _LaneTrees:
 
     def __init__(self, ref):
         b, m = ref.shape[:2]
-        size = _lanes_per_tree(m)
+        size = max(1, _GROUP_POINTS // m)
         self.ref = ref
         self.groups = []  # (first lane, last lane + 1, tree points, tag step or None)
         self.slot = np.zeros(b, dtype=np.intp)  # each lane's place in its group

@@ -27,7 +27,14 @@ from rigid_refine import (
 from rigid_refine import metrics
 from rigid_refine.cli import config_from_entries, parse_config_text, run_experiment
 from rigid_refine.metrics import _chamfers
-from rigid_refine.neighbors import NonFiniteDistance, _LaneTrees, _nearest_lanes, nearest
+from rigid_refine.neighbors import (
+    _TREE_MAX_DISTANCE,
+    NonFiniteDistance,
+    _LaneTrees,
+    _nearest_lanes,
+    _surely_below,
+    nearest,
+)
 from rigid_refine.rng import Xoshiro256PlusPlus
 from rigid_refine.synth import _icp_lanes
 
@@ -256,7 +263,7 @@ def paired_lane(rng, n, kind, eps):
 
 @settings(max_examples=80, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    st.sampled_from((1, 2, 3, 24, 90)),
+    st.sampled_from((1, 2, 3, 24, 90, 501)),
     st.lists(
         st.tuples(
             st.sampled_from(("noise", "noise", "lattice", "equal", "overflow", "close")),
@@ -452,6 +459,46 @@ def test_icp_cache_sends_few_rows_to_the_tree(monkeypatch):
     _, _, ok, iters = _icp_lanes(src, tgt, *start_poses(RigidTransform.identity(), 1), 50, 1e-9)
     assert ok[0] and iters[0] > 10
     assert sum(counted) < 0.7 * corr.count * iters[0]
+
+
+def test_surely_below_never_passes_a_distance_that_may_overflow():
+    # The test behind ICP's cache and Chamfer's settled rows: a near at or
+    # past _TREE_MAX_DISTANCE fails even against an inf far (a second
+    # neighbor whose squared distance overflowed), and so does a NaN distance
+    # or an inf slack, silently; ordinary distances pass.
+    near = [1.0, 0.5 * _TREE_MAX_DISTANCE, _TREE_MAX_DISTANCE, 1.2e154, 1e300, np.nan, 1.0, 1.0]
+    far = [2.0, np.inf, np.inf, np.inf, np.inf, 2.0, np.nan, 2.0]
+    slack = [1e-12, 1e-12, 0.0, 1e-12, 0.0, 0.0, 0.0, np.inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        below = _surely_below(np.array(near), np.array(far), np.array(slack))
+    assert below.tolist() == [True, True] + [False] * 6
+
+
+def test_icp_requeries_a_cached_row_whose_distance_nears_overflow():
+    # At 1e154 scale a row's second-nearest squared tree distance overflows
+    # (an inf second distance, which the cache never shrinks), so only the
+    # _TREE_MAX_DISTANCE guard sends the row back to the tree once its
+    # cached distance grows past it; kept, its match would go stale.
+    src = np.array(
+        [[0.0, 0.0, -0.7], [-0.2, -0.2, 1.0], [0.1, 0.3, 0.2],
+         [0.0, 0.1, 0.0], [-1.2, 0.1, -0.3], [-0.1, -0.5, -0.5]]
+    ) * 1e154
+    tgt = np.array(
+        [[-0.2, 0.1, 0.2], [0.0, 0.1, -0.3], [-0.1, 0.4, -0.1], [0.3, 0.1, 0.6], [-0.5, 0.2, 0.5]]
+    ) * 1e154
+    init = RigidTransform(
+        Rotation(so3.rotation_zyx(62.0, 114.0, -44.0, degrees=True)),
+        np.array([0.6, 0.3, -0.1]) * 1e154,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r, t, ok, iters = _icp_lanes(src[None], tgt[None], *start_poses(init, 1), 50, 1e-9)
+    assert ok[0] and iters[0] > 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        oracle = brute_icp(PointCloud(src), PointCloud(tgt), init)
+    assert_bitwise(r[0], oracle.rotation.m)
+    assert_bitwise(t[0], oracle.translation)
 
 
 def test_nearest_rejects_overflowing_distances():

@@ -14,13 +14,14 @@ parsed at once), then solves and scores the problems that were made at once
 through the package's array kernels (Kabsch, the refine steps, the
 divergence predictors and the pose metrics; see core for the leading trial
 axis), and ICP as one stacked loop over the chunk (synth._icp_lanes).
-Chamfer is one stacked call over the chunk (metrics._chamfers). Where a
-trial's target is sparse beside its largest correspondence gap, one
-self-query of the targets' lane-tagged k-d trees settles most rows by the
-triangle inequality, and only the rest are searched; the other trials'
-rows are all searched, in one search per direction, no farther than that
-gap. A trial that fails, in generation or in a kernel's mask, is an NA row;
-a metric that overflows (a trial's Chamfer among them) is an NA cell.
+Chamfer is one stacked call over the chunk (metrics._chamfers). When
+source and target have equal size, one self-query of the targets'
+lane-tagged k-d trees settles the rows the triangle inequality decides,
+and the rest are searched in one search per direction, no farther than
+each trial's largest correspondence gap; clouds of unequal size are
+searched whole. A trial that fails, in generation or in a kernel's mask, is
+an NA row; a metric that overflows (a trial's Chamfer among them) is an NA
+cell.
 
 Output stays in columns as far as the schema allows: _solve_and_score
 returns one list per value column, _run_chunk zips them into TrialRecords,
@@ -552,8 +553,12 @@ def config_from_entries(entries):
 
 
 def load_config(path):
-    with open(path) as f:
-        return config_from_entries(parse_config_text(f.read()))
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return config_from_entries(parse_config_text(text))
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +566,7 @@ def load_config(path):
 
 
 def _write_text(path, text):
-    with open(path, "w", newline="\n") as f:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(text)
 
 

@@ -18,12 +18,12 @@ def write_ply(cloud, path):
         "end_header",
     ]
     lines.extend(f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in cloud.points)
-    with open(path, "w", newline="\n") as f:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
 
 
 def read_ply(path):
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         if f.readline().strip() != "ply":
             raise ValueError(f"{path}: not a PLY file")
         if f.readline().strip() != "format ascii 1.0":
@@ -53,13 +53,13 @@ def read_ply(path):
 
 
 def write_xyz_csv(cloud, path):
-    with open(path, "w", newline="\n") as f:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
         for x, y, z in cloud.points:
             f.write(f"{x:.17g},{y:.17g},{z:.17g}\n")
 
 
 def read_xyz_csv(path):
-    pts = np.loadtxt(path, dtype=float, delimiter=",", ndmin=2)
+    pts = np.loadtxt(path, dtype=float, delimiter=",", ndmin=2, encoding="utf-8")
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"{path}: expected x,y,z per line")
     return PointCloud(pts)

@@ -5,11 +5,10 @@ The pose metrics are written once, in private kernels with a leading trial
 axis ((B, 3, 3) rotations, (B, 3) translations, (B, N, 3) clouds), which the
 experiment harness calls on a whole chunk of trials and the public functions
 call at B = 1. So is Chamfer: `_chamfers` takes a stack of cloud pairs and
-hands them to one routine, _chamfer_lanes, which searches each direction of
-every pair through lane-tagged trees (neighbors._LaneTrees), no farther than
-each pair's largest gap when the clouds have equal size; for the pairs whose
-target is sparse beside that gap it first settles the rows that the
-triangle inequality decides without a search.
+searches each direction of every pair through lane-tagged trees
+(neighbors._LaneTrees); when the clouds have equal size it first settles
+the rows that the triangle inequality decides without a search, and
+searches the rest no farther than each pair's largest gap.
 See core for the conventions and the matmul-dot rule that keeps each lane
 bit-identical.
 """
@@ -159,29 +158,32 @@ def pose_error(est, gt, p=2):
     )
 
 
-def _chamfer_lanes(a, b, bound=None, gap2=None):
+def _chamfers(a, b):
     """chamfer_distance per lane of (B, N, 3) / (B, M, 3) point stacks, (B,):
     both directed means of the nearest squared distances, summed; NaN for a
-    lane where a nearest squared distance is not finite. No search goes
-    farther than bound (B,), each lane's largest gap G when N = M.
+    lane where a nearest squared distance is not finite.
 
-    gap2 (B, N), the squared gaps g_i ** 2 of paired clouds (g_i =
-    ||a_i - b_i||, by the elementwise formula), settles most rows without a
-    search: one self-query of the targets' trees gives each b_i's spacing
-    s_i (_LaneTrees.spacing), and by the triangle inequality b_i is a_i's
-    unique nearest point where 2 g_i < s_i, and a_i is b_i's where
-    g_i + G < s_i, each test with the margins of neighbors._surely_below.
-    The self-query goes no farther than the spacing past which both tests
-    pass for every row. A settled row's squared distance is its gap2.
-    Without gap2 no row is settled. A direction's other rows go to one
+    At N = M the clouds are paired, a_i with b_i, and the largest gap
+    G = max_i g_i (g_i = ||a_i - b_i||, by the elementwise formula) bounds
+    every nearest distance in both directions (an overflowed G searches
+    everything; see neighbors._LaneTrees). One self-query of the targets'
+    trees gives each b_i's spacing s_i (_LaneTrees.spacing), no farther than
+    the spacing past which both tests below pass for every row, and by the
+    triangle inequality b_i is a_i's unique nearest point where 2 g_i < s_i,
+    and a_i is b_i's where g_i + G < s_i, each test with the margins of
+    neighbors._surely_below. A settled row's squared distance is g_i ** 2.
+    Clouds of unequal size settle no row and have no bound.
+
+    The other rows of a direction, gathered by flat row number, go to one
     in-lane scan (neighbors._scan) when they are no more than the lanes, so
     that it scans no more points than the trees would hold, else to one
     search of every lane's tree, the targets' kept from the self-query.
     """
     targets = _LaneTrees(b)
-    if gap2 is None:
-        directions = [(None, np.empty(x.shape[:2])) for x in (a, b)]
-    else:
+    if a.shape[1] == b.shape[1]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap2 = ((a - b) ** 2).sum(axis=2)
+            bound = np.sqrt(gap2.max(axis=1))
         gap = np.sqrt(gap2)
         slack = _scale_slack(a, b)
         spacing = targets.spacing(_passing_distance(2.0 * bound, slack))
@@ -189,17 +191,15 @@ def _chamfer_lanes(a, b, bound=None, gap2=None):
             (~_surely_below(near, spacing, slack[:, None]), gap2.copy())
             for near in (2.0 * gap, gap + bound[:, None])
         ]
+    else:
+        bound = None
+        directions = [(np.ones(x.shape[:2], dtype=bool), np.empty(x.shape[:2])) for x in (a, b)]
     finite = np.ones(len(a), dtype=bool)
     terms = []
     for (unsettled, d2), query, ref, trees in zip(directions, (a, b), (b, a), (targets, None)):
-        # Rows by flat number: every row as a view, or the unsettled ones
-        # gathered by np.take, faster than by (lane, row) pairs.
-        n, points = query.shape[1], query.reshape(-1, 3)
-        if unsettled is None:
-            flat, lane, rows = slice(None), np.repeat(np.arange(len(query)), n), points
-        else:
-            flat = np.flatnonzero(unsettled)
-            lane, rows = flat // n, np.take(points, flat, axis=0)
+        # Gathered by np.take, faster than by (lane, row) pairs.
+        flat = np.flatnonzero(unsettled)
+        lane, rows = flat // query.shape[1], np.take(query.reshape(-1, 3), flat, axis=0)
         if len(rows) <= len(ref):
             _, d2.flat[flat] = _scan(lane, rows, ref)
             finite[lane[~np.isfinite(d2.flat[flat])]] = False
@@ -216,36 +216,6 @@ def _chamfer_lanes(a, b, bound=None, gap2=None):
     return np.where(finite, sums, np.nan)
 
 
-def _chamfers(a, b):
-    """chamfer_distance per lane of (B, N, 3) / (B, M, 3) point stacks, (B,);
-    NaN for a lane where a nearest squared distance is not finite.
-
-    Clouds of unequal size take one unbounded _chamfer_lanes call. At N = M,
-    the largest gap G = max_i ||a_i - b_i|| bounds every nearest distance in
-    both directions (an overflowed G searches everything; see
-    neighbors._LaneTrees), and the lanes whose target is sparse beside it,
-    with fewer than one other target point expected within 2 G of a point
-    ((M - 1) (4 pi / 3) (2 G) ** 3 below the volume of the target's bounding
-    box), take one call that settles rows by their gaps; the others take one
-    that settles none.
-    """
-    if a.shape[1] != b.shape[1]:
-        return _chamfer_lanes(a, b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap2 = ((a - b) ** 2).sum(axis=2)
-        bound = np.sqrt(gap2.max(axis=1))
-        box = np.prod(b.max(axis=1) - b.min(axis=1), axis=1)
-        spaced = (b.shape[1] - 1) * (4.0 * np.pi / 3.0) * (2.0 * bound) ** 3 < box
-    value = np.empty(len(a))
-    for lanes, paired in ((spaced, gap2), (~spaced, None)):
-        if lanes.any():
-            # A call on every lane takes the stacks as they are, not a copy.
-            lanes = slice(None) if lanes.all() else lanes
-            paired = None if paired is None else paired[lanes]
-            value[lanes] = _chamfer_lanes(a[lanes], b[lanes], bound[lanes], paired)
-    return value
-
-
 def chamfer_distance(a, b):
     """Symmetric mean squared nearest-neighbor distance between two clouds.
 
@@ -254,9 +224,9 @@ def chamfer_distance(a, b):
     k-d tree search of neighbors._LaneTrees, O((N + M) log(N + M)) expected time
     and O(N + M) memory; for clouds of equal size whose points are paired
     (a_i with b_i) and close beside the spacing of b, most rows take their
-    partner without a search (see _chamfers and _chamfer_lanes). The value
-    is bit-identical to the brute-force minimum over all N*M squared
-    distances. It is _chamfers at one lane.
+    partner without a search (see _chamfers). The value is bit-identical to
+    the brute-force minimum over all N*M squared distances. It is _chamfers
+    at one lane.
 
     Parameters
     ----------

@@ -23,7 +23,7 @@ row's match while the pose moves that row less than half the gap to its
 second-nearest point (synth._icp_lanes), and Chamfer of two paired clouds
 takes b_i as a_i's nearest point, and a_i as b_i's, where the spacing of the
 target around b_i (one self-query of its trees, _LaneTrees.spacing) exceeds
-the gaps (metrics._chamfer_lanes). Both tests keep the same rounding
+the gaps (metrics._chamfers). Both tests keep the same rounding
 margins (_surely_below). The rows left over go to the tree, or, when they
 are no more than one per lane, to one vectorized scan of their lanes
 (_scan), which also re-solves the tree's ties.
@@ -265,24 +265,6 @@ class _LaneTrees:
         return index, dist, finite
 
 
-def _nearest_lanes(query, ref, bound=None):
-    """nearest per lane: (B, N, 3) queries against (B, M, 3) references,
-    bounds (B,) or None, in one _LaneTrees search.
-
-    Returns (index, d2, finite): (B, N) indices and squared distances as
-    `nearest` gives them, and a (B,) mask that is False where a nearest
-    squared distance is not finite (that lane's index and d2 are then
-    meaningless).
-    """
-    b, n = query.shape[:2]
-    lane = np.repeat(np.arange(b), n)
-    index, _, finite = _LaneTrees(ref).search(lane, query.reshape(-1, 3), bound)
-    index = index.reshape(b, n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        d2 = np.sum((query - ref[np.arange(b)[:, None], index]) ** 2, axis=2)
-    return index, d2, finite
-
-
 def nearest(query, ref, bound=np.inf):
     """Nearest reference point of every query point.
 
@@ -306,7 +288,9 @@ def nearest(query, ref, bound=np.inf):
     NonFiniteDistance
         If a query's nearest squared tree distance is not finite.
     """
-    index, d2, finite = _nearest_lanes(query[None], ref[None], np.array([bound], dtype=float))
+    lane = np.zeros(len(query), dtype=np.intp)
+    index, _, finite = _LaneTrees(ref[None]).search(lane, query, np.array([bound], dtype=float))
     if not finite[0]:
         raise NonFiniteDistance("nearest squared distance overflowed to inf")
-    return index[0], d2[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return index, np.sum((query - ref[index]) ** 2, axis=1)

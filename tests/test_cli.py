@@ -676,6 +676,21 @@ def test_main_bad_config_exits_nonzero(tmp_path, capsys):
     assert "whatever" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_main_names_a_config_that_is_not_utf8(tmp_path, capsys, command):
+    # A stray 0xff byte is not UTF-8: one error line naming the file, no
+    # traceback.
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_bytes(b"problem.n_points = 12\nmethod = kabsch\n# \xff\n")
+    argv = ["--config", str(config_path)] * (2 if command == "compare" else 1)
+    assert main([command, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(config_path) in captured.err and "UTF-8" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_main_bad_trials_override_exits_nonzero(tmp_path, capsys):
     config_path = tmp_path / "exp.cfg"
     write_config(config_path)

@@ -31,7 +31,6 @@ from rigid_refine.neighbors import (
     _TREE_MAX_DISTANCE,
     NonFiniteDistance,
     _LaneTrees,
-    _nearest_lanes,
     _surely_below,
     nearest,
 )
@@ -181,9 +180,9 @@ def test_bounded_chamfer_matches_oracle_bitwise():
 
 def test_chamfers_bound_equal_size_clouds_by_their_largest_gap(monkeypatch):
     # With N = M each point's partner bounds its nearest distance in the
-    # other cloud, in both directions: every tree search of a pair's rows,
-    # both clouds of a far pair and the unsettled rows of a close one, is
-    # bounded by that pair's largest gap. Clouds of unequal size have no bound.
+    # other cloud, in both directions: the one tree search of each direction,
+    # of the unsettled rows of far and close pairs alike, is bounded by each
+    # pair's largest gap. Clouds of unequal size have no bound.
     searches = []
     search = _LaneTrees.search
 
@@ -209,7 +208,7 @@ def test_chamfers_bound_equal_size_clouds_by_their_largest_gap(monkeypatch):
             assert len(pair) == 1
             assert_bitwise(bound[k : k + 1], gaps[pair])
         partial += len(lane) < cloud.shape[0] * cloud.shape[1]
-    assert len(searches) >= 3 and partial
+    assert len(searches) == 2 and partial
     searches.clear()
     _chamfers(query, ref[:, :15])
     assert searches and all(bound is None for _, _, bound in searches)
@@ -275,9 +274,9 @@ def paired_lane(rng, n, kind, eps):
     st.integers(0, 2**32 - 1),
 )
 def test_paired_chamfers_match_the_oracle_lane_by_lane(n, kinds, seed):
-    # Stacks of paired lanes, some settled by their spacing and some sparse
-    # or dense beyond the density test, in one call: each lane equals the
-    # brute-force Chamfer of its pair alone, bit for bit, silently.
+    # Stacks of paired lanes, most rows settled by their spacing in some and
+    # few in others, in one call: each lane equals the brute-force Chamfer
+    # of its pair alone, bit for bit, silently.
     rng = np.random.default_rng(seed)
     pairs = [paired_lane(rng, n, kind, eps) for kind, eps in kinds]
     a, b = np.stack([pair[0] for pair in pairs]), np.stack([pair[1] for pair in pairs])
@@ -298,9 +297,8 @@ def test_paired_chamfer_searches_few_rows(monkeypatch):
     # At the calibration-sweep shape (N=32, sigma=0.01, 1000 trials) the
     # spacing settles almost every row: fewer than 5% of them are left, few
     # enough for one scan, so no tree of the sources is built and no row
-    # reaches a cross-cloud search. ICP's pairs are too far apart for the
-    # density test, and clouds of unequal size have no pairs: neither runs a
-    # self-query.
+    # reaches a cross-cloud search. Clouds of unequal size have no pairs and
+    # run no self-query.
     searched, scanned, spacings = [], [], []
     search, spacing, scan = _LaneTrees.search, _LaneTrees.spacing, metrics._scan
 
@@ -328,14 +326,44 @@ def test_paired_chamfer_searches_few_rows(monkeypatch):
     assert spacings == [(1000, 32)] and searched == []
     assert 0 < sum(scanned) < 0.05 * 2 * 1000 * 32
     spacings.clear()
-    icp = (
-        "method = icp\nproblem.noise_sigma = 0.01\nproblem.n_points = 717\n"
-        "problem.crop_keep_fraction = 0.7\nproblem.independent_resample = true\n"
-    )
-    assert all(r.chamfer is not None for r in benchmark_chunk(icp, 2))
     query, ref = lane_clouds(9, 4, 30, 30)
     _chamfers(query * 1e-3, ref[:, :20])
     assert spacings == []
+
+
+def test_paired_chamfer_settles_rows_of_a_dense_target(monkeypatch):
+    # 600 uniform target points with 1e-3 noise, and one row moved 0.1 away:
+    # more than one other target point is expected within 2 G of a point
+    # ((M - 1) (4 pi / 3) (2 G) ** 3 is about 20, past the box's volume 8),
+    # yet the spacing still settles most rows in both directions. The stack
+    # runs one self-query, searches fewer than half its rows, and each lane
+    # equals the brute-force Chamfer of its pair.
+    searched, spacings = [], []
+    search, spacing = _LaneTrees.search, _LaneTrees.spacing
+
+    def counting_search(self, lane, query, *args):
+        searched.append(len(query))
+        return search(self, lane, query, *args)
+
+    def counting_spacing(self, bound):
+        spacings.append(self.ref.shape[:2])
+        return spacing(self, bound)
+
+    monkeypatch.setattr(_LaneTrees, "search", counting_search)
+    monkeypatch.setattr(_LaneTrees, "spacing", counting_spacing)
+    rng = np.random.default_rng(27)
+    ref = rng.uniform(-1.0, 1.0, size=(4, 600, 3))
+    query = ref + 1e-3 * rng.standard_normal(ref.shape)
+    query[:, 0] += [0.1, 0.0, 0.0]
+    gaps = np.sqrt(((query - ref) ** 2).sum(axis=2).max(axis=1))
+    box = np.prod(ref.max(axis=1) - ref.min(axis=1), axis=1)
+    assert (599 * (4.0 * np.pi / 3.0) * (2.0 * gaps) ** 3 > box).all()
+    value = _chamfers(query, ref)
+    assert spacings == [(4, 600)]
+    assert 0 < sum(searched) < 0.5 * 2 * 4 * 600
+    for k in range(4):
+        expected = brute_chamfer(PointCloud(query[k]), PointCloud(ref[k]))
+        assert_bitwise(value[k : k + 1], np.array([expected]))
 
 
 def test_chamfer_duplicates_and_ties_match_oracle():
@@ -522,8 +550,20 @@ def groups_of(ref):
     return [(start, stop, step is not None) for start, stop, _, step in groups]
 
 
+def search_lanes(query, ref, bound=None):
+    """One _LaneTrees search of every row of (B, N, 3) queries against
+    (B, M, 3) references: (B, N) indices, the (B, N) elementwise squared
+    distances to the points found, and the (B,) finite mask."""
+    b, n = query.shape[:2]
+    index, _, finite = _LaneTrees(ref).search(np.repeat(np.arange(b), n), query.reshape(-1, 3), bound)
+    index = index.reshape(b, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = np.sum((query - np.take_along_axis(ref, index[:, :, None], axis=1)) ** 2, axis=2)
+    return index, d2, finite
+
+
 def assert_lanes_match_oracle(query, ref, bound=None):
-    index, d2, finite = _nearest_lanes(query, ref, bound)
+    index, d2, finite = search_lanes(query, ref, bound)
     assert finite.all()
     for k in range(len(ref)):
         oracle_index, oracle_d2 = brute_nearest(query[k], ref[k])
@@ -575,7 +615,7 @@ def test_lanes_on_exact_data_with_zero_bounds():
     query = np.stack([lane[rng.permutation(len(lane))] for lane in ref])
     assert groups_of(ref) == [(0, 6, True)]
     assert_lanes_match_oracle(query, ref, np.zeros(6))
-    assert not _nearest_lanes(query, ref, np.zeros(6))[1].any()
+    assert not search_lanes(query, ref, np.zeros(6))[1].any()
     shift = np.array([0.0, 1e-3, 0.0, 0.5, 0.0, 0.0])
     noisy = query + shift[:, None, None] * np.array([1.0, 0.0, 0.0])
     assert_lanes_match_oracle(noisy, ref, shift)
@@ -592,7 +632,7 @@ def test_one_overflowing_lane_is_masked_and_the_others_keep_their_bytes():
         with np.errstate(over="ignore"):
             bounds = np.sqrt(((query - ref) ** 2).sum(axis=2).max(axis=1))
         chamfers = _chamfers(query, ref)
-        finite = _nearest_lanes(query, ref, bounds)[2]
+        finite = search_lanes(query, ref, bounds)[2]
     assert np.isnan(chamfers[2]) and finite.tolist() == [True, True, False, True, True]
     for k in (0, 1, 3, 4):
         expected = brute_chamfer(PointCloud(query[k]), PointCloud(ref[k]))

@@ -171,6 +171,23 @@ def test_no_unused_imports():
     assert [hit for path in sources for hit in _unused_imports(path)] == []
 
 
+def _opens_text_without_encoding(node):
+    """True for a call of open in text mode (no "b" in a constant mode) that
+    passes no encoding."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):
+        return False
+    keywords = {keyword.arg: keyword.value for keyword in node.keywords}
+    mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+    binary = isinstance(mode, ast.Constant) and "b" in mode.value
+    return not binary and "encoding" not in keywords and len(node.args) < 4
+
+
+def test_library_opens_text_files_with_an_encoding():
+    # The locale's encoding varies by machine; a file the library reads or
+    # writes must not.
+    assert _library_nodes(_opens_text_without_encoding) == []
+
+
 def _defined_names():
     """Every name the package defines: functions, classes and assigned names."""
     names = set()

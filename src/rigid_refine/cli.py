@@ -15,13 +15,13 @@ through the package's array kernels (Kabsch, the refine steps, the
 divergence predictors and the pose metrics; see core for the leading trial
 axis), and ICP as one stacked loop over the chunk (synth._icp_lanes).
 Chamfer is one stacked call over the chunk (metrics._chamfers). When
-source and target have equal size, one self-query of the targets'
-lane-tagged k-d trees settles the rows the triangle inequality decides,
-and the rest are searched in one search per direction, no farther than
-each trial's largest correspondence gap; clouds of unequal size are
-searched whole. A trial that fails, in generation or in a kernel's mask, is
-an NA row; a metric that overflows (a trial's Chamfer among them) is an NA
-cell.
+source and target have equal size, one enumeration of the close pairs of
+the targets' lane-tagged k-d trees answers every trial whose targets are
+sparse beside its largest correspondence gap, and the other trials are
+searched in one search per direction, no farther than that gap; clouds of
+unequal size are searched whole. A trial that fails, in generation or in a
+kernel's mask, is an NA row; a metric that overflows (a trial's Chamfer
+among them) is an NA cell.
 
 Output stays in columns as far as the schema allows: _solve_and_score
 returns one list per value column, _run_chunk zips them into TrialRecords,

@@ -5,10 +5,11 @@ The pose metrics are written once, in private kernels with a leading trial
 axis ((B, 3, 3) rotations, (B, 3) translations, (B, N, 3) clouds), which the
 experiment harness calls on a whole chunk of trials and the public functions
 call at B = 1. So is Chamfer: `_chamfers` takes a stack of cloud pairs and
-searches each direction of every pair through lane-tagged trees
-(neighbors._LaneTrees); when the clouds have equal size it first settles
-the rows that the triangle inequality decides without a search, and
-searches the rest no farther than each pair's largest gap.
+answers them through the targets' lane-tagged trees (neighbors._LaneTrees).
+When the clouds have equal size, one enumeration of the targets' close pairs
+gives every row's nearest point for the pairs whose targets are sparse
+beside their largest gap; every other pair searches each row, in one search
+per direction, no farther than that gap.
 See core for the conventions and the matmul-dot rule that keeps each lane
 bit-identical.
 """
@@ -23,8 +24,6 @@ from .neighbors import (
     _LaneTrees,
     _passing_distance,
     _scale_slack,
-    _scan,
-    _surely_below,
 )
 
 # |sin(pitch)| above 1 - this counts as gimbal lock for the Euler split.
@@ -163,53 +162,54 @@ def _chamfers(a, b):
     both directed means of the nearest squared distances, summed; NaN for a
     lane where a nearest squared distance is not finite.
 
-    At N = M the clouds are paired, a_i with b_i, and the largest gap
-    G = max_i g_i (g_i = ||a_i - b_i||, by the elementwise formula) bounds
-    every nearest distance in both directions (an overflowed G searches
-    everything; see neighbors._LaneTrees). One self-query of the targets'
-    trees gives each b_i's spacing s_i (_LaneTrees.spacing), no farther than
-    the spacing past which both tests below pass for every row, and by the
-    triangle inequality b_i is a_i's unique nearest point where 2 g_i < s_i,
-    and a_i is b_i's where g_i + G < s_i, each test with the margins of
-    neighbors._surely_below. A settled row's squared distance is g_i ** 2.
-    Clouds of unequal size settle no row and have no bound.
+    At N = M the clouds are paired, a_i with b_i, and with g_i = ||a_i - b_i||
+    (by the elementwise formula) and G = max_i g_i, every nearest point of a
+    lane lies among a row's partner and the target points within 2 G of that
+    partner: if ||a_i - b_j|| <= g_i then ||b_i - b_j|| <= 2 g_i, and if
+    ||b_i - a_j|| <= g_i then ||b_i - b_j|| <= g_i + g_j. So one enumeration
+    of the targets' close pairs (neighbors._LaneTrees.pairs), out to 2 G with
+    the rounding margins of neighbors._passing_distance, gives each row's
+    squared distance as the least of g_i ** 2 and the elementwise squared
+    distances over both orientations of each of its pairs. A lane takes this
+    path only where its pairs are few (_LaneTrees.pair_bounds).
 
-    The other rows of a direction, gathered by flat row number, go to one
-    in-lane scan (neighbors._scan) when they are no more than the lanes, so
-    that it scans no more points than the trees would hold, else to one
-    search of every lane's tree, the targets' kept from the self-query.
+    Every other lane, and every lane of clouds of unequal size, searches
+    each row in one search per direction of the stack's lane-tagged trees,
+    bounded by G at N = M and unbounded otherwise.
     """
     targets = _LaneTrees(b)
     if a.shape[1] == b.shape[1]:
         with np.errstate(over="ignore", invalid="ignore"):
             gap2 = ((a - b) ** 2).sum(axis=2)
             bound = np.sqrt(gap2.max(axis=1))
-        gap = np.sqrt(gap2)
-        slack = _scale_slack(a, b)
-        spacing = targets.spacing(_passing_distance(2.0 * bound, slack))
-        directions = [
-            (~_surely_below(near, spacing, slack[:, None]), gap2.copy())
-            for near in (2.0 * gap, gap + bound[:, None])
-        ]
+        reach = targets.pair_bounds(_passing_distance(2.0 * bound, _scale_slack(a, b)))
+        first, second = targets.pairs(reach).T
+        # Each pair both ways: (a_first, b_second), then (a_second, b_first).
+        rows_a, rows_b = np.concatenate([first, second]), np.concatenate([second, first])
+        diff = np.take(a.reshape(-1, 3), rows_a, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff -= np.take(b.reshape(-1, 3), rows_b, axis=0)
+            d2 = np.sum(np.square(diff, out=diff), axis=1)
+        terms = [gap2, gap2.copy()]
+        np.minimum.at(terms[0].reshape(-1), rows_a, d2)
+        np.minimum.at(terms[1].reshape(-1), rows_b, d2)
+        search = reach == 0.0
+        # An enumerated lane's G must not widen its group's search.
+        bound = np.where(search, bound, 0.0)
     else:
-        bound = None
-        directions = [(np.ones(x.shape[:2], dtype=bool), np.empty(x.shape[:2])) for x in (a, b)]
+        terms = [np.empty(a.shape[:2]), np.empty(b.shape[:2])]
+        search, bound = np.ones(len(a), dtype=bool), None
     finite = np.ones(len(a), dtype=bool)
-    terms = []
-    for (unsettled, d2), query, ref, trees in zip(directions, (a, b), (b, a), (targets, None)):
-        # Gathered by np.take, faster than by (lane, row) pairs.
-        flat = np.flatnonzero(unsettled)
-        lane, rows = flat // query.shape[1], np.take(query.reshape(-1, 3), flat, axis=0)
-        if len(rows) <= len(ref):
-            _, d2.flat[flat] = _scan(lane, rows, ref)
-            finite[lane[~np.isfinite(d2.flat[flat])]] = False
-        else:
+    lanes = np.flatnonzero(search)
+    if lanes.size:
+        for query, ref, trees, d2 in zip((a, b), (b, a), (targets, None), terms):
+            lane = np.repeat(lanes, query.shape[1])
+            rows = query[lanes].reshape(-1, 3)
             index, _, found = (trees or _LaneTrees(ref)).search(lane, rows, bound)
             finite &= found
             nearest = np.take(ref.reshape(-1, 3), lane * ref.shape[1] + index, axis=0)
             with np.errstate(over="ignore", invalid="ignore"):
-                d2.flat[flat] = np.sum((rows - nearest) ** 2, axis=1)
-        terms.append(d2)
+                d2[lanes] = np.sum((rows - nearest) ** 2, axis=1).reshape(len(lanes), -1)
     # A masked lane's squared distances may be inf or NaN, or overflow its sum.
     with np.errstate(over="ignore", invalid="ignore"):
         sums = terms[0].mean(axis=1) + terms[1].mean(axis=1)
@@ -221,12 +221,15 @@ def chamfer_distance(a, b):
 
     Sum of both directed terms: mean over a of the squared distance to the
     nearest point of b, plus the same with roles swapped. Each term uses the
-    k-d tree search of neighbors._LaneTrees, O((N + M) log(N + M)) expected time
-    and O(N + M) memory; for clouds of equal size whose points are paired
-    (a_i with b_i) and close beside the spacing of b, most rows take their
-    partner without a search (see _chamfers). The value is bit-identical to
-    the brute-force minimum over all N*M squared distances. It is _chamfers
-    at one lane.
+    k-d tree search of neighbors._LaneTrees, O((N + M) log(N + M)) expected
+    time and O(N + M) memory. Clouds of equal size whose points are paired
+    (a_i with b_i) instead take every row's nearest point from the pairs of
+    b within twice their largest gap (see _chamfers): one tree build, then
+    time linear in those pairs. They take this path only where an
+    occupancy count of b caps the pairs at 13.5 * neighbors._PAIR_OCCUPANCY
+    * M, so memory stays O(N + M). The value is bit-identical to the
+    brute-force minimum over all N*M squared distances. It is _chamfers at
+    one lane.
 
     Parameters
     ----------

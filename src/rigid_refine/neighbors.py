@@ -17,16 +17,19 @@ lane, where no tag is needed.
 A query skips work it can prove unneeded, and stays exact. Given a bound on
 every query's nearest distance, the tree stops searching beyond it (Chamfer
 of two clouds of equal size, where the largest gap max_i ||a_i - b_i||
-bounds every nearest distance in both directions). A row whose nearest
-point the triangle inequality already names skips the search: ICP keeps a
-row's match while the pose moves that row less than half the gap to its
-second-nearest point (synth._icp_lanes), and Chamfer of two paired clouds
-takes b_i as a_i's nearest point, and a_i as b_i's, where the spacing of the
-target around b_i (one self-query of its trees, _LaneTrees.spacing) exceeds
-the gaps (metrics._chamfers). Both tests keep the same rounding
-margins (_surely_below). The rows left over go to the tree, or, when they
-are no more than one per lane, to one vectorized scan of their lanes
-(_scan), which also re-solves the tree's ties.
+bounds every nearest distance in both directions). ICP keeps a row's match,
+without a search, while the pose moves that row less than half the gap to
+its second-nearest point (synth._icp_lanes), a test with the rounding
+margins of _surely_below. The rows left over go to the tree; its near ties
+go to one vectorized scan of their lanes (_scan).
+
+Chamfer of two paired clouds needs no search at all where the target is
+sparse beside the gaps: one enumeration of each tree's close pairs
+(_LaneTrees.pairs, a dual-tree fixed-radius search: Gray & Moore, "'N-Body'
+Problems in Statistical Learning", NIPS 2000) names every candidate nearest
+point (metrics._chamfers). A lane is enumerated only where a count of its
+points per grid cube (_occupancy) caps its pairs at a fixed multiple of its
+points (_LaneTrees.pair_bounds), so memory stays linear for any input.
 """
 
 import numpy as np
@@ -65,6 +68,14 @@ _TREE_MAX_DISTANCE = 1e154
 # the benchmark's ICP targets (501 points) and N=1024 Chamfer keep one
 # untagged lane per tree.
 _GROUP_POINTS = 1000
+
+# A lane's close pairs are enumerated (_LaneTrees.pair_bounds) only while its
+# _occupancy at cubes of the enumeration radius is at most this many times its
+# points, which caps its pairs at 13.5 times as many, 54 M for a lane of M
+# points. Chosen by measurement (see CHANGES.md): on refined chunks,
+# enumeration beat the search up to an occupancy of 3.8 M, tied at 3.9 to
+# 5.2 M and lost from 5.6 M; 4 beat 2, 3 and 6 where lanes lie on both sides.
+_PAIR_OCCUPANCY = 4.0
 
 
 class NonFiniteDistance(Exception):
@@ -120,6 +131,41 @@ def _scan(lane, query, ref):
     return index, d2
 
 
+def _occupancy(ref, cell):
+    """Each lane's sum, over a grid of cubes of side at least the lane's
+    cell, of the squared count of its points in each cube: (B,) integers
+    for a (B, M, 3) stack whose spread in each lane is finite and (B,)
+    cells > 0.
+
+    Two points no farther apart than cell lie in one cube or in two that
+    touch, so a lane holds at most 27 / 2 times this sum pairs within cell:
+    each of the 27 neighbours c' of a cube c adds n_c n_c' <= (n_c ** 2 +
+    n_c' ** 2) / 2 ordered pairs. A lane has at most 2 ** 17 - 1 cubes an
+    axis (its cubes grow past cell where its extent asks for more), and the
+    keys of each lane are sorted once. The quotients x / side are off by
+    less than 1e-10 of a cube, so a pair within cell / (1 + TREE_SLACK)
+    never lands two cubes apart.
+    """
+    b, m = ref.shape[:2]
+    flat = ref.reshape(b, 3 * m)
+    lo = flat.min(axis=1)
+    side = np.maximum(cell, (flat.max(axis=1) - lo) / (2**17 - 2))
+    cube = flat - lo[:, None]
+    cube /= side[:, None]
+    np.floor(cube, out=cube)
+    # Whole numbers below 2 ** 17, so the key is exact in a float.
+    key = cube.reshape(ref.shape) @ np.array([2.0**34, 2.0**17, 1.0])
+    key.sort(axis=1)
+    # A point at place i of its lane's sorted keys, in a run of equal keys
+    # from place s_i, adds 2 (i - s_i) + 1; a run of n adds n ** 2, and the
+    # lane m ** 2 - 2 sum_i s_i.
+    start = np.zeros((b, m), dtype=np.intp)
+    np.not_equal(key[:, 1:], key[:, :-1], out=start[:, 1:], casting="unsafe")
+    start *= np.arange(m)
+    np.maximum.accumulate(start, axis=1, out=start)
+    return m * m - 2 * start.sum(axis=1)
+
+
 class _LaneTrees:
     """Exact nearest-neighbor search in each lane's own cloud, for a stack of
     (B, M, 3) reference clouds.
@@ -137,10 +183,9 @@ class _LaneTrees:
     re-scanned against its own lane like a tie: such a query costs a re-scan,
     never exactness. The overall second neighbor is never farther than the
     in-lane one, so the tie flags can only grow and ICP's cached second
-    distance, like Chamfer's spacing, can only shrink: both stay exact. A
-    group whose tags would reach _TREE_MAX_DISTANCE (or whose S is not
-    finite, as for an overflow-scale lane) is searched one lane at a time,
-    untagged.
+    distance can only shrink: both stay exact. A group whose tags would
+    reach _TREE_MAX_DISTANCE (or whose S is not finite, as for an
+    overflow-scale lane) is searched one lane at a time, untagged.
 
     Parameters
     ----------
@@ -182,28 +227,82 @@ class _LaneTrees:
         # Exact data (a zero bound), overflow or no bound: search it all.
         return self.trees[g], limit if 0.0 < limit < np.inf else np.inf
 
-    def spacing(self, bound):
-        """Each reference point's tree distance to its nearest other point
-        in its group's tree: at most its distance to the nearest other point
-        of its lane (0 for a duplicate), or inf where that is beyond bound.
+    def pair_bounds(self, reach):
+        """Each lane's reach where the pairs that pairs() would enumerate in
+        it are few enough, else 0.
+
+        The tree enumerates to a reach widened by TREE_SLACK (see _tree);
+        widened once more, it is the cell of the test. A lane qualifies when
+        its cell is below _TREE_MAX_DISTANCE and below its group's tag step
+        (so that no pair joins two lanes), the coordinates of an untagged
+        lane span less than _TREE_MAX_DISTANCE / 4, and its _occupancy at
+        that cell is at most _PAIR_OCCUPANCY * M; then it holds at most
+        13.5 * _PAIR_OCCUPANCY * M pairs within the widened reach. A group
+        enumerates to its largest qualified reach, so every other qualified
+        lane of the group takes the test again at that reach, and gets 0
+        where it fails; the lane that set the reach keeps it.
+
+        Parameters
+        ----------
+        reach : ndarray, shape (B,)
+
+        Returns
+        -------
+        ndarray, shape (B,)
+        """
+        most = _PAIR_OCCUPANCY * self.ref.shape[1]
+        cap = np.full(len(self.ref), _TREE_MAX_DISTANCE)
+        for start, stop, points, step in self.groups:
+            if step is not None:
+                cap[start:stop] = min(step, _TREE_MAX_DISTANCE)
+                continue
+            # cKDTree.query_pairs refuses a tree whose box has an overflowing
+            # squared diagonal. A tagged group's is at most
+            # 3 (2 S) ** 2 + ((slots - 1) L) ** 2 < 1.75 * _TREE_MAX_DISTANCE ** 2.
+            with np.errstate(over="ignore"):
+                if not np.ptp(points) < _TREE_MAX_DISTANCE / 4.0:
+                    cap[start] = 0.0
+        widen = (1.0 + TREE_SLACK) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok = reach * widen < cap  # False for an overflowed or NaN reach
+        lanes = np.flatnonzero(ok)
+        ok[lanes] = _occupancy(self.ref[lanes], reach[lanes] * widen) <= most
+        group = np.maximum.reduceat(np.where(ok, reach, 0.0), self.starts[:-1])
+        group = np.repeat(group, np.diff(self.starts))
+        lanes = np.flatnonzero(ok & (group > reach))
+        ok[lanes] = _occupancy(self.ref[lanes], group[lanes] * widen) <= most
+        return np.where(ok, reach, 0.0)
+
+    def pairs(self, bound):
+        """Every pair of reference points of a lane that its group's tree
+        puts no farther apart than the group's largest bound, widened by
+        TREE_SLACK (see _tree), for the lanes with a positive bound. A group
+        with no such lane is not enumerated, and the pairs of its other
+        lanes are dropped: fewer than _GROUP_POINTS ** 2 / 2, the points of
+        a tagged group.
 
         Parameters
         ----------
         bound : ndarray, shape (B,)
-            Per lane; a group searches no farther than its largest (see
-            _tree).
+            From pair_bounds, whose cap keeps every pair within one lane.
 
         Returns
         -------
-        ndarray, shape (B, M)
+        ndarray of intp, shape (P, 2)
+            Flat indices lane * M + row, the first below the second.
         """
-        spacing = np.empty(self.ref.shape[:2])
-        for g, (start, stop, points, _) in enumerate(self.groups):
+        m = self.ref.shape[1]
+        found = [np.empty((0, 2), dtype=np.intp)]
+        for g, (start, stop, _, _) in enumerate(self.groups):
+            keep = bound[start:stop] > 0.0
+            if not keep.any():
+                continue
             tree, limit = self._tree(g, bound)
-            # A point's nearest is itself, at 0; the next is its spacing.
-            d, _ = tree.query(points, k=2, distance_upper_bound=limit)
-            spacing[start:stop] = d[:, 1].reshape(stop - start, -1)
-        return spacing
+            pairs = tree.query_pairs(limit, output_type="ndarray")
+            if not keep.all():
+                pairs = pairs[keep[pairs[:, 0] // m]]
+            found.append(pairs + start * m)
+        return np.concatenate(found)
 
     def search(self, lane, query, bound=None):
         """The nearest reference point of each query row in its lane's cloud.

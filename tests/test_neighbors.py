@@ -1,8 +1,8 @@
 """The k-d tree nearest-neighbor kernel and its three callers (Chamfer distance,
 matching cost, ICP) against the brute-force oracle in nn_oracle.py, bit for bit,
 with and without the work they skip: bounded queries, cached ICP matches and
-Chamfer rows settled by the target's spacing, for one lane and for stacks of
-lanes searched through lane-tagged trees."""
+Chamfer rows answered from the target's close pairs, for one lane and for
+stacks of lanes searched through lane-tagged trees."""
 
 import warnings
 
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from rigid_refine import (
     DegenerateGeometry,
@@ -24,11 +25,13 @@ from rigid_refine import (
     matching_cost,
     so3,
 )
-from rigid_refine import metrics
+from rigid_refine import cli, neighbors
 from rigid_refine.cli import config_from_entries, parse_config_text, run_experiment
 from rigid_refine.metrics import _chamfers
 from rigid_refine.neighbors import (
+    _PAIR_OCCUPANCY,
     _TREE_MAX_DISTANCE,
+    TREE_SLACK,
     NonFiniteDistance,
     _LaneTrees,
     _surely_below,
@@ -181,8 +184,8 @@ def test_bounded_chamfer_matches_oracle_bitwise():
 def test_chamfers_bound_equal_size_clouds_by_their_largest_gap(monkeypatch):
     # With N = M each point's partner bounds its nearest distance in the
     # other cloud, in both directions: the one tree search of each direction,
-    # of the unsettled rows of far and close pairs alike, is bounded by each
-    # pair's largest gap. Clouds of unequal size have no bound.
+    # of the far pairs that the guard sends to it, is bounded by each pair's
+    # largest gap. Clouds of unequal size have no bound.
     searches = []
     search = _LaneTrees.search
 
@@ -192,7 +195,7 @@ def test_chamfers_bound_equal_size_clouds_by_their_largest_gap(monkeypatch):
 
     monkeypatch.setattr(_LaneTrees, "search", spy)
     far_query, far_ref = lane_clouds(7, 3, 40, 40)
-    # Sparse targets with gaps near their spacing: many rows stay unsettled.
+    # Sparse targets with gaps near their spacing: these pairs are enumerated.
     rng = np.random.default_rng(8)
     close_ref = rng.uniform(-1.0, 1.0, size=(3, 40, 3))
     close_query = close_ref + 0.05 * rng.standard_normal(close_ref.shape)
@@ -235,8 +238,25 @@ def paired_lane(rng, n, kind, eps):
     eps = 0, else gaps whose squares overflow. close: noise, but b_1 lies
     near b_0, a_0 is moved next to b_1 and a_1 away from it, so that neither
     b_1 nor a_0 has its partner as nearest point, and b_1 is within twice
-    its own gap of a_0 but not within the largest gap.
+    its own gap of a_0 but not within the largest gap. far: noise whose
+    scale is a twentieth to a quarter of the point spacing, so that the lane's
+    occupancy falls on either side of _PAIR_OCCUPANCY. flat: noise or far
+    with one axis of zero extent in both clouds. clusters: b in two or three
+    tight clusters far apart, a = b + eps * noise.
     """
+    if kind == "far":
+        a, b = paired_lane(rng, n, "noise", 0.0)
+        spacing = 2.0 * np.abs(b - b.mean(axis=0)).max() / np.cbrt(n)
+        return b + rng.uniform(0.05, 0.25) * spacing * rng.standard_normal((n, 3)), b
+    if kind == "flat":
+        a, b = paired_lane(rng, n, rng.choice(["noise", "far"]), eps)
+        axis = rng.integers(3)
+        a[:, axis] = b[:, axis] = b[0, axis]
+        return a, b
+    if kind == "clusters":
+        centers = 10.0 * rng.standard_normal((int(rng.integers(2, 4)), 3))
+        b = centers[rng.integers(len(centers), size=n)] + 1e-3 * rng.standard_normal((n, 3))
+        return b + eps * rng.standard_normal((n, 3)), b
     if kind == "close":
         a, b = paired_lane(rng, n, "noise", eps)
         if n > 1:
@@ -265,7 +285,9 @@ def paired_lane(rng, n, kind, eps):
     st.sampled_from((1, 2, 3, 24, 90, 501)),
     st.lists(
         st.tuples(
-            st.sampled_from(("noise", "noise", "lattice", "equal", "overflow", "close")),
+            st.sampled_from(
+                ("noise", "noise", "lattice", "equal", "overflow", "close", "far", "flat", "clusters")
+            ),
             st.sampled_from((0.0, 1e-12, 1e-4, 0.01, 0.05, 0.2, 1.0)),
         ),
         min_size=1,
@@ -274,9 +296,9 @@ def paired_lane(rng, n, kind, eps):
     st.integers(0, 2**32 - 1),
 )
 def test_paired_chamfers_match_the_oracle_lane_by_lane(n, kinds, seed):
-    # Stacks of paired lanes, most rows settled by their spacing in some and
-    # few in others, in one call: each lane equals the brute-force Chamfer
-    # of its pair alone, bit for bit, silently.
+    # Stacks of paired lanes, enumerated or searched, in one call: each lane
+    # equals the brute-force Chamfer of its pair alone, bit for bit,
+    # silently.
     rng = np.random.default_rng(seed)
     pairs = [paired_lane(rng, n, kind, eps) for kind, eps in kinds]
     a, b = np.stack([pair[0] for pair in pairs]), np.stack([pair[1] for pair in pairs])
@@ -293,64 +315,76 @@ def benchmark_chunk(settings, trials):
     return run_experiment(config_from_entries(parse_config_text(text)))
 
 
-def test_paired_chamfer_searches_few_rows(monkeypatch):
-    # At the calibration-sweep shape (N=32, sigma=0.01, 1000 trials) the
-    # spacing settles almost every row: fewer than 5% of them are left, few
-    # enough for one scan, so no tree of the sources is built and no row
-    # reaches a cross-cloud search. Clouds of unequal size have no pairs and
-    # run no self-query.
-    searched, scanned, spacings = [], [], []
-    search, spacing, scan = _LaneTrees.search, _LaneTrees.spacing, metrics._scan
+@pytest.fixture
+def tree_calls(monkeypatch):
+    """The k-d tree methods neighbors calls, by name, through a counting
+    cKDTree."""
+    calls = []
 
-    def counting_search(self, lane, query, *args):
-        searched.append(len(query))
-        return search(self, lane, query, *args)
+    class CountingTree(cKDTree):
+        def query(self, *args, **kwargs):
+            calls.append("query")
+            return super().query(*args, **kwargs)
 
-    def counting_spacing(self, bound):
-        spacings.append(self.ref.shape[:2])
-        return spacing(self, bound)
+        def query_pairs(self, *args, **kwargs):
+            calls.append("query_pairs")
+            return super().query_pairs(*args, **kwargs)
 
-    def counting_scan(lane, query, ref):
-        scanned.append(len(query))
-        return scan(lane, query, ref)
+    monkeypatch.setattr(neighbors, "cKDTree", CountingTree)
+    return calls
 
-    monkeypatch.setattr(_LaneTrees, "search", counting_search)
-    monkeypatch.setattr(_LaneTrees, "spacing", counting_spacing)
-    monkeypatch.setattr(metrics, "_scan", counting_scan)
+
+def spy_on(monkeypatch, name, record):
+    """Wrap _LaneTrees.<name>, appending record(self, args, result) per call."""
+    method = getattr(_LaneTrees, name)
+
+    def spy(self, *args):
+        result = method(self, *args)
+        calls.append(record(self, args, result))
+        return result
+
+    calls = []
+    monkeypatch.setattr(_LaneTrees, name, spy)
+    return calls
+
+
+def assert_lanes_equal_brute_chamfer(value, query, ref):
+    for k in range(len(ref)):
+        expected = brute_chamfer(PointCloud(query[k]), PointCloud(ref[k]))
+        assert_bitwise(value[k : k + 1], np.array([expected]))
+
+
+def test_paired_chamfer_enumerates_the_sweep_chunk_once(monkeypatch, tree_calls):
+    # At the calibration-sweep shape (N=32, sigma=0.01, 1000 trials) every
+    # lane takes the pair path: one enumeration of the targets' close pairs
+    # answers the chunk, with no search and no self-query of any tree.
+    # Clouds of unequal size have no pairs and enumerate nothing.
+    enumerated = spy_on(monkeypatch, "pairs", lambda self, args, _: (self.ref.shape[:2], (args[0] > 0).all()))
+    searched = spy_on(monkeypatch, "search", lambda self, args, _: len(args[1]))
     sweep = (
         "method = refined\nproblem.noise_sigma = 0.01\nrefinements = 5\n"
         "report_diagnostics = true\nproblem.n_points = 32\n"
     )
     records = benchmark_chunk(sweep, 1000)
     assert all(r.chamfer is not None for r in records)
-    assert spacings == [(1000, 32)] and searched == []
-    assert 0 < sum(scanned) < 0.05 * 2 * 1000 * 32
-    spacings.clear()
+    assert enumerated == [((1000, 32), True)] and searched == []
+    assert set(tree_calls) == {"query_pairs"}
+    enumerated.clear()
+    tree_calls.clear()
     query, ref = lane_clouds(9, 4, 30, 30)
     _chamfers(query * 1e-3, ref[:, :20])
-    assert spacings == []
+    assert enumerated == [] and tree_calls == ["query", "query"]
 
 
-def test_paired_chamfer_settles_rows_of_a_dense_target(monkeypatch):
+def test_paired_chamfer_of_a_dense_target_equals_the_oracle(monkeypatch):
     # 600 uniform target points with 1e-3 noise, and one row moved 0.1 away:
     # more than one other target point is expected within 2 G of a point
     # ((M - 1) (4 pi / 3) (2 G) ** 3 is about 20, past the box's volume 8),
-    # yet the spacing still settles most rows in both directions. The stack
-    # runs one self-query, searches fewer than half its rows, and each lane
-    # equals the brute-force Chamfer of its pair.
-    searched, spacings = [], []
-    search, spacing = _LaneTrees.search, _LaneTrees.spacing
-
-    def counting_search(self, lane, query, *args):
-        searched.append(len(query))
-        return search(self, lane, query, *args)
-
-    def counting_spacing(self, bound):
-        spacings.append(self.ref.shape[:2])
-        return spacing(self, bound)
-
-    monkeypatch.setattr(_LaneTrees, "search", counting_search)
-    monkeypatch.setattr(_LaneTrees, "spacing", counting_spacing)
+    # and the lanes hold more close pairs than points. The stack still
+    # takes the pair path, searches no row, and each lane equals the
+    # brute-force Chamfer of its pair.
+    enumerated = spy_on(monkeypatch, "pairs", lambda self, args, found: ((args[0] > 0).sum(), len(found)))
+    searched = spy_on(monkeypatch, "search", lambda self, args, _: len(args[1]))
     rng = np.random.default_rng(27)
     ref = rng.uniform(-1.0, 1.0, size=(4, 600, 3))
     query = ref + 1e-3 * rng.standard_normal(ref.shape)
@@ -359,11 +393,152 @@ def test_paired_chamfer_settles_rows_of_a_dense_target(monkeypatch):
     box = np.prod(ref.max(axis=1) - ref.min(axis=1), axis=1)
     assert (599 * (4.0 * np.pi / 3.0) * (2.0 * gaps) ** 3 > box).all()
     value = _chamfers(query, ref)
-    assert spacings == [(4, 600)]
-    assert 0 < sum(searched) < 0.5 * 2 * 4 * 600
-    for k in range(4):
-        expected = brute_chamfer(PointCloud(query[k]), PointCloud(ref[k]))
-        assert_bitwise(value[k : k + 1], np.array([expected]))
+    assert len(enumerated) == 1 and enumerated[0][0] == 4 and enumerated[0][1] > 4 * 600
+    assert searched == []
+    assert_lanes_equal_brute_chamfer(value, query, ref)
+
+
+def blocked_brute_chamfer(a, b, rows=200):
+    """brute_chamfer of two point arrays, its (N, M) squared distances taken
+    a block of rows at a time: the same minima, so the same bytes."""
+    near_a, near_b = [], np.full(len(b), np.inf)
+    for lo in range(0, len(a), rows):
+        d2 = squared_distances(a[lo : lo + rows], b)
+        near_a.append(d2.min(axis=1))
+        near_b = np.minimum(near_b, d2.min(axis=0))
+    return float(np.concatenate(near_a).mean() + near_b.mean())
+
+
+def test_clustered_target_is_searched_not_enumerated(monkeypatch, tree_calls):
+    # Two tight clusters of 1500 target points, far apart, and one gap wider
+    # than a cluster: every target point lies within 2 G of its whole
+    # cluster, so enumerating the lane's pairs would list 2 * 1500 * 1499 / 2
+    # of them. Its occupancy sends the lane to the search. The spy counts,
+    # without listing them, the pairs each enumeration would return, and
+    # refuses more than the 13.5 * _PAIR_OCCUPANCY * M that the guard allows.
+    def counting_pairs(self, bound):
+        m = self.ref.shape[1]
+        for start, stop, points, _ in self.groups:
+            if (bound[start:stop] > 0.0).any():
+                tree = cKDTree(points)
+                radius = float(bound[start:stop].max()) * (1.0 + TREE_SLACK)
+                would = (tree.count_neighbors(tree, radius) - len(points)) // 2
+                assert would <= 13.5 * _PAIR_OCCUPANCY * m * (stop - start)
+        found = pairs(self, bound)
+        enumerated.append(len(found))
+        return found
+
+    enumerated, pairs = [], _LaneTrees.pairs
+    monkeypatch.setattr(_LaneTrees, "pairs", counting_pairs)
+    searched = spy_on(monkeypatch, "search", lambda self, args, _: len(args[1]))
+    rng = np.random.default_rng(28)
+    ball = rng.standard_normal((3000, 3))
+    ref = 1e-3 * ball / np.linalg.norm(ball, axis=1, keepdims=True) * rng.uniform(size=(3000, 1))
+    ref[1500:] += [10.0, 0.0, 0.0]
+    query = ref + 1e-4 * rng.standard_normal(ref.shape)
+    query[0] += [0.01, 0.0, 0.0]
+    value = _chamfers(query[None], ref[None])
+    assert enumerated == [0] and searched == [3000, 3000]
+    assert tree_calls == ["query", "query"]
+    assert value[0] == blocked_brute_chamfer(query, ref)
+
+
+def test_group_enumerates_to_its_pair_path_lanes_reach(monkeypatch):
+    # A tagged group of 31 N=32 lanes, one of which fails the guard: its 32
+    # target points sit in a cube of side 2e-3 and its largest gap is 0.5.
+    # The group enumerates no farther than the largest reach of the other
+    # lanes, returns no pair of the failing lane (whose points are all
+    # within that reach of each other), and searches only that lane; every
+    # lane equals the brute-force Chamfer.
+    limits = spy_on(monkeypatch, "_tree", lambda self, args, result: result[1])
+    enumerated = spy_on(monkeypatch, "pairs", lambda self, args, found: (args[0].copy(), found))
+    searched = spy_on(monkeypatch, "search", lambda self, args, _: np.unique(args[0]).tolist())
+    rng = np.random.default_rng(29)
+    ref = rng.uniform(-1.0, 1.0, size=(31, 32, 3))
+    query = ref + 0.01 * rng.standard_normal(ref.shape)
+    ref[5] = 1e-3 * rng.uniform(-1.0, 1.0, size=(32, 3))
+    query[5] = ref[5] + 1e-4 * rng.standard_normal((32, 3))
+    query[5, 7] += [0.5, 0.0, 0.0]
+    assert groups_of(ref) == [(0, 31, True)]
+    value = _chamfers(query, ref)
+    (bound, found), = enumerated
+    assert bound[5] == 0.0 and (np.delete(bound, 5) > 0.0).all()
+    assert limits[0] == bound.max() * (1.0 + TREE_SLACK) < 0.5
+    assert len(found) and not (found // 32 == 5).any()
+    assert (found[:, 0] // 32 == found[:, 1] // 32).all()
+    assert searched == [[5], [5]]
+    assert_lanes_equal_brute_chamfer(value, query, ref)
+
+
+def test_group_retests_its_lanes_at_the_group_reach(monkeypatch):
+    # A tagged group of two N=32 lanes: lane 0 sparse in [-1, 1] ** 3 with
+    # one gap of 0.15, lane 1 a tight cluster of side 0.05 with gaps of
+    # 1e-5. Alone, each passes the guard at its own reach; at lane 0's reach
+    # (the group's) all of lane 1 shares one cube, so it is sent to the
+    # search, and the group enumerates no more than the guard allows for
+    # lane 0. Both lanes equal the brute-force Chamfer.
+    enumerated = spy_on(monkeypatch, "pairs", lambda self, args, found: (args[0].copy(), found))
+    rng = np.random.default_rng(31)
+    ref = np.stack([rng.uniform(-1.0, 1.0, size=(32, 3)), 0.05 * rng.uniform(size=(32, 3))])
+    query = ref + 1e-5 * rng.standard_normal(ref.shape)
+    query[0, 3] += [0.15, 0.0, 0.0]
+    assert groups_of(ref) == [(0, 2, True)]
+    trees = _LaneTrees(ref)
+    assert (trees.pair_bounds(np.array([0.3, 0.0])) > 0.0).tolist() == [True, False]
+    assert (trees.pair_bounds(np.array([0.0, 1e-4])) > 0.0).tolist() == [False, True]
+    assert (trees.pair_bounds(np.array([0.3, 1e-4])) > 0.0).tolist() == [True, False]
+    value = _chamfers(query, ref)
+    (bound, found), = enumerated
+    assert bound[0] > 0.0 and bound[1] == 0.0
+    assert not (found // 32 == 1).any() and len(found) <= 13.5 * _PAIR_OCCUPANCY * 32
+    assert_lanes_equal_brute_chamfer(value, query, ref)
+
+
+def test_paired_lanes_near_the_tree_limit_equal_the_oracle():
+    # Lanes at 5e153 and 3e153 scale with small gaps: a reach far below
+    # _TREE_MAX_DISTANCE, but untagged trees (the tags would overflow) whose
+    # boxes' squared diagonals reach the float range, where
+    # cKDTree.query_pairs refuses to run. Such a lane is searched; a lane of
+    # the same stack at 1e150 scale is enumerated; each equals the
+    # brute-force Chamfer, silently.
+    rng = np.random.default_rng(30)
+    ref = rng.uniform(-1.0, 1.0, size=(3, 24, 3)) * np.array([5e153, 1e150, 3e153])[:, None, None]
+    query = ref * (1.0 + 1e-4 * rng.standard_normal(ref.shape))
+    trees = _LaneTrees(ref)
+    with np.errstate(over="ignore"):
+        gaps = np.sqrt(((query - ref) ** 2).sum(axis=2).max(axis=1))
+    assert [step is None for _, _, _, step in trees.groups] == [True] * 3
+    assert (trees.pair_bounds(2.0 * gaps) > 0.0).tolist() == [False, True, False]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = _chamfers(query, ref)
+    assert_lanes_equal_brute_chamfer(value, query, ref)
+
+
+def test_icp_chunk_enumerates_no_pairs_and_searches_once_per_direction(monkeypatch, tree_calls):
+    # ICP's independent resamples put each source point far from its
+    # partner beside the target's spacing: every lane of an
+    # icp_halfspace_n717 chunk fails the guard. Its Chamfer enumerates no
+    # pair and runs one search of every row per direction, with no
+    # self-query.
+    stacks = []
+    chamfers = cli._chamfers
+    monkeypatch.setattr(cli, "_chamfers", lambda a, b: (stacks.append((a, b)), chamfers(a, b))[1])
+    icp = (
+        "method = icp\nproblem.n_points = 717\nproblem.noise_sigma = 0.01\n"
+        "problem.crop_keep_fraction = 0.7\nproblem.independent_resample = true\n"
+    )
+    records = benchmark_chunk(icp, 8)
+    assert all(r.chamfer is not None for r in records)
+    (a, b), = stacks
+    assert a.shape == b.shape == (8, 501, 3)
+    enumerated = spy_on(monkeypatch, "pairs", lambda self, args, found: ((args[0] > 0).any(), len(found)))
+    searched = spy_on(monkeypatch, "search", lambda self, args, _: len(args[1]))
+    tree_calls.clear()
+    value = _chamfers(a, b)
+    assert enumerated == [(False, 0)] and searched == [8 * 501, 8 * 501]
+    assert tree_calls == ["query"] * 16
+    assert_lanes_equal_brute_chamfer(value, a, b)
 
 
 def test_chamfer_duplicates_and_ties_match_oracle():
@@ -490,10 +665,10 @@ def test_icp_cache_sends_few_rows_to_the_tree(monkeypatch):
 
 
 def test_surely_below_never_passes_a_distance_that_may_overflow():
-    # The test behind ICP's cache and Chamfer's settled rows: a near at or
-    # past _TREE_MAX_DISTANCE fails even against an inf far (a second
-    # neighbor whose squared distance overflowed), and so does a NaN distance
-    # or an inf slack, silently; ordinary distances pass.
+    # The test behind ICP's cache: a near at or past _TREE_MAX_DISTANCE
+    # fails even against an inf far (a second neighbor whose squared distance
+    # overflowed), and so does a NaN distance or an inf slack, silently;
+    # ordinary distances pass.
     near = [1.0, 0.5 * _TREE_MAX_DISTANCE, _TREE_MAX_DISTANCE, 1.2e154, 1e300, np.nan, 1.0, 1.0]
     far = [2.0, np.inf, np.inf, np.inf, np.inf, 2.0, np.nan, 2.0]
     slack = [1e-12, 1e-12, 0.0, 1e-12, 0.0, 0.0, 0.0, np.inf]

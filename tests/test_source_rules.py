@@ -89,14 +89,22 @@ def _imports_kd_tree(node):
     return False
 
 
+# Every query method of a scipy k-d tree.
+_TREE_QUERIES = {
+    "query", "query_pairs", "query_ball_point", "query_ball_tree", "count_neighbors",
+    "sparse_distance_matrix",
+}
+
+
 def _queries_a_tree(node):
-    """True for a call of a method named query, as a k-d tree search is."""
-    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "query"
+    """True for a call of a method named like a k-d tree query."""
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) in _TREE_QUERIES
 
 
 def test_only_neighbors_builds_kd_trees():
     # One nearest-neighbor kernel: Chamfer, matching cost and ICP all search
-    # through neighbors, which alone builds k-d trees and queries them.
+    # (and Chamfer enumerates close pairs) through neighbors, which alone
+    # builds k-d trees and queries them.
     for rule in (_imports_kd_tree, _queries_a_tree):
         hits = _library_nodes(rule)
         assert hits and [hit for hit in hits if not hit.startswith("neighbors.py:")] == []
